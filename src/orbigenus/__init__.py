@@ -37,17 +37,14 @@ from .genus import (
     adams_series,
     equivariant_power_classfunction,
     geometric_power_series,
-    hecke_from_log,
     hecke_log_series,
     hecke_operator,
     lambda_operation,
     lambda_series,
-    orbifold_genus,
     psi_of_class,
     sigma,
     symmetric_power_series,
     todd_orbifold_series,
-    verify_dmvv,
     verify_product_formula,
 )
 from .orbits import (
@@ -55,7 +52,6 @@ from .orbits import (
     Mode,
     ModeError,
     TransitiveOrbit,
-    aut_order,
     canonicalize,
     enumerate_orbits,
 )
@@ -82,7 +78,6 @@ __all__ = [
     "TruncatedSeries",
     "adams_series",
     "augmentation",
-    "aut_order",
     "brute_force_classes",
     "canonicalize",
     "centralizer_order",
@@ -93,7 +88,6 @@ __all__ = [
     "enumerate_orbits",
     "equivariant_power_classfunction",
     "geometric_power_series",
-    "hecke_from_log",
     "hecke_log_series",
     "hecke_operator",
     "hom_count",
@@ -101,7 +95,6 @@ __all__ = [
     "inner_product",
     "lambda_operation",
     "lambda_series",
-    "orbifold_genus",
     "orbit_type_of_tuple",
     "product_inner_product",
     "psi_of_class",
@@ -110,6 +103,5 @@ __all__ = [
     "symmetric_power_series",
     "thm_d_induction_oracle",
     "todd_orbifold_series",
-    "verify_dmvv",
     "verify_product_formula",
 ]

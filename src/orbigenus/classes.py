@@ -91,8 +91,8 @@ def commute(a: Permutation, b: Permutation) -> bool:
 class OrbitTypeMultiset:
     """A conjugacy class of commuting h-tuples: orbits with multiplicities.
 
-    ``entries`` is sorted by orbit sort key with multiplicities >= 1; the
-    degree l is the total number of points moved.
+    ``entries`` is sorted by orbit, with multiplicities >= 1; the degree l
+    is the total number of points moved.
     """
 
     h: int
@@ -100,7 +100,6 @@ class OrbitTypeMultiset:
     entries: tuple[tuple[TransitiveOrbit, int], ...]
 
     def __post_init__(self):
-        keys = []
         for orbit, mult in self.entries:
             if orbit.h != self.h:
                 raise ValueError("orbit rank does not match h")
@@ -108,8 +107,7 @@ class OrbitTypeMultiset:
                 raise ValueError("multiplicities must be positive")
             if not self.mode.admits_size(orbit.size):
                 raise ModeError(f"orbit size {orbit.size} not admissible in {self.mode} mode")
-            keys.append(orbit.sort_key)
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        if not all(a < b for (a, _), (b, _) in zip(self.entries, self.entries[1:])):
             raise ValueError("entries must be sorted by orbit and duplicate-free")
 
     @classmethod
@@ -121,18 +119,11 @@ class OrbitTypeMultiset:
         acc: dict[TransitiveOrbit, int] = {}
         for orbit, mult in pairs:
             acc[orbit] = acc.get(orbit, 0) + mult
-        entries = tuple(
-            (o, m) for o, m in sorted(acc.items(), key=lambda om: om[0].sort_key) if m
-        )
-        return cls(h, mode, entries)
+        return cls(h, mode, tuple((o, m) for o, m in sorted(acc.items()) if m))
 
     @property
     def degree(self) -> int:
         return sum(orbit.size * mult for orbit, mult in self.entries)
-
-    @property
-    def sort_key(self):
-        return tuple((orbit.sort_key, mult) for orbit, mult in self.entries)
 
     def multiplicity(self, orbit: TransitiveOrbit) -> int:
         for o, m in self.entries:
@@ -211,14 +202,15 @@ def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> tuple[OrbitTypeMult
         size = pool[i].size
         if size > remaining:
             return  # pool is sorted by size, nothing later fits either
-        rec(i + 1, remaining)
+        # taking pool[i] before skipping it emits the classes in canonical
+        # order: lexicographic in their (orbit, multiplicity) entries
         for mult in range(1, remaining // size + 1):
             picked.append((pool[i], mult))
             rec(i + 1, remaining - mult * size)
             picked.pop()
+        rec(i + 1, remaining)
 
     rec(0, l)
-    out.sort(key=lambda c: c.sort_key)
     return tuple(out)
 
 

@@ -22,14 +22,7 @@ from .classes import (
     enumerate_classes,
 )
 from .orbits import ALL_ORDERS, Mode
-
-_SCALARS = (int, Fraction)
-
-
-def _coerce_value(v):
-    if isinstance(v, float):
-        raise TypeError("floating point values are not allowed")
-    return Fraction(v) if isinstance(v, int) else v
+from .series import _SCALARS, exact
 
 
 @lru_cache(maxsize=None)
@@ -54,11 +47,11 @@ class ClassFunction:
             for c in classes:
                 if c not in table:
                     raise ValueError(f"missing value for class {c}")
-                vals.append(_coerce_value(table.pop(c)))
+                vals.append(exact(table.pop(c)))
             if table:
                 raise ValueError(f"{len(table)} values do not correspond to any class")
         else:
-            vals = [_coerce_value(v) for v in values]
+            vals = [exact(v) for v in values]
             if len(vals) != len(classes):
                 raise ValueError(
                     f"expected {len(classes)} values for (h={h}, l={l}, {mode}), got {len(vals)}"
@@ -74,7 +67,7 @@ class ClassFunction:
     @classmethod
     def constant(cls, h: int, mode: Mode, l: int, value) -> "ClassFunction":
         n = len(enumerate_classes(h, l, mode))
-        return cls(h, mode, l, [_coerce_value(value)] * n)
+        return cls(h, mode, l, [exact(value)] * n)
 
     @classmethod
     def one(cls, h: int, mode: Mode, l: int) -> "ClassFunction":
@@ -116,7 +109,7 @@ class ClassFunction:
                 [a + b for a, b in zip(self.values, other.values)],
             )
         if isinstance(other, _SCALARS):
-            c = _coerce_value(other)
+            c = exact(other)
             return ClassFunction(self.h, self.mode, self.l, [a + c for a in self.values])
         return NotImplemented
 
@@ -127,7 +120,7 @@ class ClassFunction:
 
     def __sub__(self, other):
         if isinstance(other, (ClassFunction, *_SCALARS)):
-            return self + (-other if isinstance(other, ClassFunction) else -_coerce_value(other))
+            return self + (-other if isinstance(other, ClassFunction) else -exact(other))
         return NotImplemented
 
     def __mul__(self, other):
@@ -138,7 +131,7 @@ class ClassFunction:
                 [a * b for a, b in zip(self.values, other.values)],
             )
         if isinstance(other, _SCALARS):
-            c = _coerce_value(other)
+            c = exact(other)
             return ClassFunction(self.h, self.mode, self.l, [c * a for a in self.values])
         return NotImplemented
 

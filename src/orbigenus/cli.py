@@ -15,13 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .classes import (
-    GuardExceededError,
-    brute_force_classes,
-    centralizer_order,
-    class_size,
-    enumerate_classes,
-)
+from .classes import brute_force_classes, centralizer_order, class_size, enumerate_classes
 from .classfun import (
     ClassFunction,
     augmentation,
@@ -40,7 +34,7 @@ from .genus import (
     todd_orbifold_series,
     verify_product_formula,
 )
-from .orbits import ALL_ORDERS, Mode, ModeError, enumerate_orbits
+from .orbits import ALL_ORDERS, Mode, enumerate_orbits
 
 
 def _mode_from_args(args) -> Mode:
@@ -135,6 +129,8 @@ def _cmd_verify_frobenius(args) -> int:
             checked += 1
             if lhs != rhs or not mult:
                 ok = False
+    if not checked:
+        raise ValueError("nothing to check: frobenius needs --l >= 2 and --trials >= 1")
     _emit(
         serialize.dumps(
             {
@@ -306,10 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModeError, GuardExceededError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError) as e:
+    except (ValueError, TypeError, OSError, RecursionError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import OrbitTypeMultiset, centralizer_order, enumerate_classes
-from .classfun import ClassFunction, augmentation
+from .classfun import ClassFunction
 from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
 from .psipoly import PsiPolynomial, PsiSymbol
-from .series import TruncatedSeries
+from .series import TruncatedSeries, exact
 
 
 class SymbolicModel:
@@ -53,11 +53,10 @@ class TableModel:
     """psi values looked up in an explicit orbit table."""
 
     def __init__(self, table):
-        self.table = {}
-        for orbit, value in (table.items() if hasattr(table, "items") else table):
-            if isinstance(value, float):
-                raise TypeError("floating point psi values are not allowed")
-            self.table[orbit] = Fraction(value) if isinstance(value, int) else value
+        self.table = {
+            orbit: exact(value)
+            for orbit, value in (table.items() if hasattr(table, "items") else table)
+        }
 
     def psi(self, orbit: TransitiveOrbit):
         if orbit not in self.table:
@@ -111,15 +110,6 @@ def hecke_log_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> Trunc
     return TruncatedSeries(coeffs, prec=prec)
 
 
-def hecke_from_log(series: TruncatedSeries) -> tuple:
-    """Read Hecke operators back off a symmetric-power series.
-
-    Returns the coefficient tuple of log(series); entry n is T_n for n >= 1
-    (entry 0 is zero).  The series must have constant term one.
-    """
-    return series.log().coeffs
-
-
 @dataclass(frozen=True)
 class SeriesComparison:
     """Outcome of an exact coefficient-by-coefficient series comparison."""
@@ -155,22 +145,14 @@ def verify_product_formula(model, prec: int, h: int, mode: Mode = ALL_ORDERS) ->
     return SeriesComparison.compare(h, mode, lhs, rhs)
 
 
-# the identity's conventional name, kept as an alias for discoverability
-verify_dmvv = verify_product_formula
-
-
 def lambda_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
     """Total lambda operation: Lambda_t = 1 / S_{-t}."""
     return symmetric_power_series(model, prec, h, mode).negate_t().invert()
 
 
-def lambda_operation(model, n: int, prec_hint: int | None = None, h: int = 1,
-                     mode: Mode = ALL_ORDERS):
+def lambda_operation(model, n: int, h: int = 1, mode: Mode = ALL_ORDERS):
     """Coefficient of t^n in Lambda_t."""
-    prec = n if prec_hint is None else prec_hint
-    if prec < n:
-        raise ValueError("precision hint below requested degree")
-    return lambda_series(model, prec, h, mode).coefficient(n)
+    return lambda_series(model, n, h, mode).coefficient(n)
 
 
 def adams_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
@@ -191,11 +173,6 @@ def equivariant_power_classfunction(model, n: int, h: int, mode: Mode = ALL_ORDE
     """
     values = [psi_of_class(model, cls) for cls in enumerate_classes(h, n, mode)]
     return ClassFunction(h, mode, n, values)
-
-
-def orbifold_genus(chi: ClassFunction):
-    """Genus of the global quotient attached to a power-operation character."""
-    return augmentation(chi)
 
 
 def todd_orbifold_series(d: int, prec: int) -> TruncatedSeries:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from math import prod
 
 
@@ -40,10 +40,6 @@ class Mode:
     def __post_init__(self):
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
-
-    @classmethod
-    def all_orders(cls) -> "Mode":
-        return cls(None)
 
     @classmethod
     def p_power(cls, p: int) -> "Mode":
@@ -80,6 +76,7 @@ class Mode:
 ALL_ORDERS = Mode()
 
 
+@total_ordering
 @dataclass(frozen=True)
 class TransitiveOrbit:
     """A finite transitive Z^h-set, given by the HNF basis of its stabilizer lattice.
@@ -88,6 +85,9 @@ class TransitiveOrbit:
     triangular, positive diagonal, and 0 <= rows[i][j] < rows[j][j] for
     i < j.  The size of the set is the index [Z^h : L] = det = product of
     the diagonal.
+
+    Orbits compare by ``sort_key``; this is the canonical order that every
+    enumeration, class and monomial in the package follows.
     """
 
     h: int
@@ -120,10 +120,16 @@ class TransitiveOrbit:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.rows[i][i] for i in range(self.h))
 
-    @property
+    @cached_property
     def sort_key(self):
+        # lazy: most orbits are never compared, and a stored key costs memory
         off = tuple(self.rows[i][j] for i in range(self.h) for j in range(i + 1, self.h))
         return (self.h, self.size, self.diagonal, off)
+
+    def __lt__(self, other):
+        if not isinstance(other, TransitiveOrbit):
+            return NotImplemented
+        return self.sort_key < other.sort_key
 
     def is_trivial(self) -> bool:
         return self.size == 1
@@ -178,7 +184,7 @@ def _enumerate_orbits_cached(h: int, n: int) -> tuple[TransitiveOrbit, ...]:
             for (i, j), v in zip(positions, values):
                 rows[i][j] = v
             orbits.append(TransitiveOrbit(h, tuple(tuple(r) for r in rows)))
-    orbits.sort(key=lambda t: t.sort_key)
+    # already sorted: diagonals come lexicographically, off-diagonals row-major
     return tuple(orbits)
 
 
@@ -243,11 +249,3 @@ def canonicalize(h: int, generators) -> TransitiveOrbit:
                     pivots[i][jj] -= q * pivots[j][jj]
     return TransitiveOrbit(h, tuple(tuple(r) for r in pivots))
 
-
-def aut_order(orbit: TransitiveOrbit) -> int:
-    """Order of the equivariant automorphism group of the orbit.
-
-    The acting group is abelian and the action transitive, so translation
-    through the orbit gives all automorphisms: the order equals the size.
-    """
-    return orbit.size

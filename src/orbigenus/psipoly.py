@@ -10,20 +10,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbits import TransitiveOrbit
+from .series import _SCALARS, exact
 
-_SCALARS = (int, Fraction)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class PsiSymbol:
-    """One formal symbol: the power-operation value of a family at an orbit."""
+    """One formal symbol: the power-operation value of a family at an orbit.
+
+    Symbols order by family, then by orbit.
+    """
 
     family: str
     orbit: TransitiveOrbit
-
-    @property
-    def sort_key(self):
-        return (self.family, self.orbit.sort_key)
 
     def __str__(self) -> str:
         if self.orbit.is_trivial():
@@ -31,13 +29,13 @@ class PsiSymbol:
         return f"psi[{self.orbit.label()}]({self.family})"
 
 
-# a monomial is a tuple of (symbol, exponent) pairs, sorted by symbol key,
+# a monomial is a tuple of (symbol, exponent) pairs, sorted by symbol,
 # exponents >= 1; the empty tuple is the constant monomial
 Monomial = tuple[tuple[PsiSymbol, int], ...]
 
 
 def _mono_sorted(pairs) -> Monomial:
-    return tuple(sorted(pairs, key=lambda se: se[0].sort_key))
+    return tuple(sorted(pairs))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -54,7 +52,7 @@ def _mono_degree(m: Monomial) -> int:
 
 
 def _mono_key(m: Monomial):
-    return (_mono_degree(m), tuple((sym.sort_key, e) for sym, e in m))
+    return (_mono_degree(m), m)
 
 
 def _mono_str(m: Monomial) -> str:
@@ -80,7 +78,7 @@ class PsiPolynomial:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for mono, coeff in items:
-                c = Fraction(coeff) if isinstance(coeff, int) else coeff
+                c = exact(coeff)
                 if not isinstance(c, Fraction):
                     raise TypeError(f"coefficient must be exact, got {type(coeff).__name__}")
                 mono = _mono_sorted(mono)

@@ -12,10 +12,14 @@ from fractions import Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# the exact scalars every layer accepts next to its own ring elements
+_SCALARS = (int, Fraction)
 
-def _check_coeff(c):
+
+def exact(c):
+    """An exact value: ints become Fractions, floats raise TypeError, anything else passes."""
     if isinstance(c, float):
-        raise TypeError("floating point coefficients are not allowed")
+        raise TypeError("floating point values are not allowed")
     return Fraction(c) if isinstance(c, int) else c
 
 
@@ -25,7 +29,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "prec")
 
     def __init__(self, coeffs, prec: int | None = None):
-        coeffs = [_check_coeff(c) for c in coeffs]
+        coeffs = [exact(c) for c in coeffs]
         if prec is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit precision")
@@ -71,7 +75,7 @@ class TruncatedSeries:
             return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], prec=n)
         if isinstance(other, float):
             return NotImplemented
-        c = _check_coeff(other)
+        c = exact(other)
         out = list(self.coeffs)
         out[0] = out[0] + c
         return TruncatedSeries(out, prec=self.prec)
@@ -82,10 +86,10 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs], prec=self.prec)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -_check_coeff(other))
+        return self + (-other if isinstance(other, TruncatedSeries) else -exact(other))
 
     def __rsub__(self, other):
-        return (-self) + _check_coeff(other)
+        return (-self) + exact(other)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -103,7 +107,7 @@ class TruncatedSeries:
             return TruncatedSeries(out, prec=n)
         if isinstance(other, float):
             return NotImplemented
-        c = _check_coeff(other)
+        c = exact(other)
         return TruncatedSeries([c * a for a in self.coeffs], prec=self.prec)
 
     __rmul__ = __mul__

@@ -118,10 +118,14 @@ def test_enumerate_classes_degree_zero():
 
 
 def test_enumerate_classes_deterministic():
-    a = enumerate_classes(2, 4, P2)
-    assert a == enumerate_classes(2, 4, P2)
-    keys = [c.sort_key for c in a]
-    assert keys == sorted(keys)
+    # enumeration does not sort: classes must come out lexicographic in entries
+    for h in (1, 2, 3):
+        for mode in (ALL_ORDERS, P2, P3):
+            for l in range(9):
+                a = enumerate_classes(h, l, mode)
+                assert a == enumerate_classes(h, l, mode)
+                entries = [c.entries for c in a]
+                assert all(x < y for x, y in zip(entries, entries[1:]))
 
 
 def test_centralizer_order_classical_cycle_types():

@@ -1,8 +1,10 @@
 """CLI behavior: output shapes, exit codes, determinism, error paths."""
+import hashlib
 import json
 
 import pytest
 
+from orbigenus import cli
 from orbigenus.cli import main
 from orbigenus.orbits import TransitiveOrbit
 from orbigenus.serialize import dumps, orbit_to_json
@@ -86,6 +88,14 @@ def test_verify_frobenius(capsys):
     obj = json.loads(out)
     assert obj["equal"] is True
     assert obj["trials"] == 4  # one (j, k) split with j <= k at l = 3
+
+
+@pytest.mark.parametrize("extra", [("--l", "1"), ("--l", "4", "--trials", "0"),
+                                   ("--l", "4", "--trials", "-1")])
+def test_verify_frobenius_that_checks_nothing_is_an_error(capsys, extra):
+    code, out, err = run(capsys, "verify", "frobenius", "--h", "2", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_verify_oracle(capsys):
@@ -220,9 +230,40 @@ def test_bad_usage_exits_2():
         main(["no-such-command"])
 
 
+def test_resource_exhaustion_exits_2(capsys, monkeypatch):
+    # the recursive class enumeration overflows the stack on this 1,566-orbit pool
+    code, out, err = run(capsys, "classes", "--h", "4", "--p", "2", "--l", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+    def exhausted(*args):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(cli, "enumerate_classes", exhausted)
+    code, _, err = run(capsys, "classes", "--h", "1", "--l", "3")
+    assert (code, err) == (2, "error: out of memory\n")
+
+
 def test_invalid_mode_prime(capsys):
     code, _, err = run(capsys, "orbits", "--h", "1", "--p", "6", "--size", "6")
     assert code == 2 and "error:" in err
+
+
+# SHA-256 of stdout, recorded while enumerations still sorted their output
+GOLDEN_STDOUT = {
+    "orbits --h 3 --size 12":
+        "ff7b4f52eb4b06253a3341b11014af2877941657166b24ab5a2ce23625090809",
+    "classes --h 2 --p 2 --l 8 --format json":
+        "0df908805d4a186c378dc37831b11dec0d9532a1d9fa75c824dbe16c642b9391",
+    "classes --h 1 --l 12 --format tsv":
+        "2613cb2368b712345d8a97e6e8c9a9e2b8677fe57cc38a29ecaf96ee0b1313be",
+    "verify dmvv --h 2 --p 2 --n 8":
+        "4cc677372398fe92368a13851bf90f96d08b3d2b0f8e2e7be66454d4897065d9",
+    "verify dmvv --h 2 --n 7":
+        "240b74bdbb9437b14d44b4dda81413ab6b04b587a580cfb43118118b1bc53b98",
+    "genus sigma --h 2 --n 6 --format tsv":
+        "e9b3aa8b5cb9e7f7039fe8a978f7d91123d433a89066b9a1e9fd2984bbac4f2a",
+}
 
 
 def test_determinism(capsys):
@@ -230,3 +271,7 @@ def test_determinism(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+    for command, digest in GOLDEN_STDOUT.items():
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

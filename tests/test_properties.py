@@ -1,0 +1,67 @@
+"""Property tests: the canonical order does not depend on how objects were built."""
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbigenus.classes import OrbitTypeMultiset
+from orbigenus.orbits import Mode, canonicalize, enumerate_orbits
+from orbigenus.psipoly import PsiPolynomial, PsiSymbol
+
+P2 = Mode.p_power(2)
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+POOL = [t for n in (1, 2, 4) for t in enumerate_orbits(2, n, P2)]
+SYMBOLS = [PsiSymbol(family, t) for family in ("x", "y") for t in POOL[:4]]
+
+
+@st.composite
+def orbit(draw):
+    """canonicalize of h random generators plus a diagonal that forces finite index."""
+    h = draw(st.integers(1, 3))
+    entry = st.integers(-6, 6)
+    rows = [draw(st.lists(entry, min_size=h, max_size=h)) for _ in range(h)]
+    diag = [draw(st.integers(1, 4)) for _ in range(h)]
+    rows += [[d if i == j else 0 for j in range(h)] for i, d in enumerate(diag)]
+    return canonicalize(h, draw(st.permutations(rows)))
+
+
+@SETTINGS
+@given(st.lists(orbit(), max_size=12))
+def test_orbit_order_is_the_sort_key_order(orbits):
+    assert sorted(orbits) == sorted(orbits, key=lambda t: t.sort_key)
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(st.sampled_from(POOL), st.integers(1, 3)), max_size=10),
+    st.randoms(use_true_random=False),
+)
+def test_from_pairs_ignores_pair_order(pairs, rng):
+    shuffled = list(pairs)
+    rng.shuffle(shuffled)
+    a = OrbitTypeMultiset.from_pairs(2, P2, pairs)
+    b = OrbitTypeMultiset.from_pairs(2, P2, shuffled)
+    assert a == b
+    assert a.degree == sum(t.size * m for t, m in pairs)
+
+
+monomial = st.lists(
+    st.tuples(st.sampled_from(SYMBOLS), st.integers(1, 3)), max_size=3, unique_by=lambda se: se[0]
+)
+coefficient = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(monomial, coefficient), max_size=8), st.randoms(use_true_random=False))
+def test_psipolynomial_ignores_term_order(terms, rng):
+    shuffled = []
+    for mono, coeff in terms:
+        mono = list(mono)
+        rng.shuffle(mono)
+        shuffled.append((tuple(mono), coeff))
+    rng.shuffle(shuffled)
+    a = PsiPolynomial([(tuple(m), c) for m, c in terms])
+    b = PsiPolynomial(shuffled)
+    assert str(a) == str(b)
+    assert a.sorted_terms() == b.sorted_terms()

@@ -33,7 +33,7 @@ def test_symbol_identity():
     assert PsiSymbol("x", t1) == PsiSymbol("x", t1)
     assert PsiSymbol("x", t1) != PsiSymbol("x", t2)
     assert PsiSymbol("x", t1) != PsiSymbol("y", t1)
-    assert PsiSymbol("x", t1).sort_key < PsiSymbol("x", t2).sort_key < PsiSymbol("y", t1).sort_key
+    assert PsiSymbol("x", t1) < PsiSymbol("x", t2) < PsiSymbol("y", t1)
 
 
 def test_symbol_str():
