@@ -193,22 +193,21 @@ def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> tuple[OrbitTypeMult
     out: list[OrbitTypeMultiset] = []
     picked: list[tuple[TransitiveOrbit, int]] = []
 
-    def rec(i: int, remaining: int):
+    def rec(start: int, remaining: int):
+        # one level per orbit picked, so the depth is at most l + 1
         if remaining == 0:
             out.append(OrbitTypeMultiset(h, mode, tuple(picked)))
             return
-        if i == len(pool):
-            return
-        size = pool[i].size
-        if size > remaining:
-            return  # pool is sorted by size, nothing later fits either
-        # taking pool[i] before skipping it emits the classes in canonical
-        # order: lexicographic in their (orbit, multiplicity) entries
-        for mult in range(1, remaining // size + 1):
-            picked.append((pool[i], mult))
-            rec(i + 1, remaining - mult * size)
-            picked.pop()
-        rec(i + 1, remaining)
+        # taking pool[i] before moving on to pool[i + 1] emits the classes in
+        # canonical order: lexicographic in their (orbit, multiplicity) entries
+        for i in range(start, len(pool)):
+            size = pool[i].size
+            if size > remaining:
+                break  # pool is sorted by size, nothing later fits either
+            for mult in range(1, remaining // size + 1):
+                picked.append((pool[i], mult))
+                rec(i + 1, remaining - mult * size)
+                picked.pop()
 
     rec(0, l)
     return tuple(out)

@@ -30,7 +30,7 @@ from .genus import (
     geometric_power_series,
     hecke_operator,
     lambda_series,
-    sigma,
+    symmetric_power_series,
     todd_orbifold_series,
     verify_product_formula,
 )
@@ -189,7 +189,8 @@ def _cmd_genus(args) -> int:
     mode = _mode_from_args(args)
     model = _model_from_spec(args.model)
     if args.kind == "sigma":
-        _emit_value_rows([(args.n, sigma(model, args.n, args.h, mode))], args.format)
+        series = symmetric_power_series(model, args.n, args.h, mode)
+        _emit_value_rows([(args.n, series.coefficient(args.n))], args.format)
     elif args.kind == "hecke":
         rows = [
             (n, hecke_operator(model, n, args.h, mode))

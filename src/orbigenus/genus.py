@@ -9,7 +9,10 @@ together by the exponential product formula
 
     sum_n sigma_n t^n  =  exp( sum_T psi(T) t^|T| / |T| ).
 
-The verifier checks that identity coefficient by coefficient, exactly.
+The verifier checks that identity coefficient by coefficient, exactly,
+with the class sum as its left side.  The genus series themselves take the
+same coefficients from a product over orbit types, which enumerates no
+classes.
 """
 from __future__ import annotations
 
@@ -76,7 +79,14 @@ def psi_of_class(model, cls: OrbitTypeMultiset):
 
 
 def sigma(model, n: int, h: int, mode: Mode = ALL_ORDERS):
-    """Coefficient of the n-th symmetric power: sum over classes of psi/centralizer."""
+    """Coefficient of the n-th symmetric power: sum over classes of psi/centralizer.
+
+    This is the definition, summed class by class over enumerate_classes.
+    The genus commands take the faster orbit-type product of
+    symmetric_power_series instead; verify_product_formula builds its left
+    side from this class sum, so the product formula stays tested against
+    the classes rather than assumed.
+    """
     if n < 0:
         raise ValueError("symmetric power degree must be nonnegative")
     total = Fraction(0)
@@ -86,8 +96,37 @@ def sigma(model, n: int, h: int, mode: Mode = ALL_ORDERS):
 
 
 def symmetric_power_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
-    """S_t = sum_{n>=0} sigma_n t^n through degree prec."""
-    return TruncatedSeries([sigma(model, n, h, mode) for n in range(prec + 1)], prec=prec)
+    """S_t = sum_{n>=0} sigma_n t^n through degree prec, as a product over orbit types.
+
+    A class is a multiset of orbits, m_T copies of each type T, and its
+    centralizer order is prod_T |T|^m_T m_T!.  Its term psi/centralizer
+    therefore factors over the types, and the class sum regroups exactly into
+
+        S_t = prod_T sum_{m>=0} (psi(T) t^|T| / |T|)^m / m!,
+
+    one factor per orbit of size <= prec.  The cost is #orbits * prec^2 ring
+    operations, with no class enumerated.  Each factor is multiplied into the
+    coefficient list in place, top degree first, adding only its m >= 1 terms.
+    """
+    if h < 1:
+        # checked here because at prec 0 no orbit enumeration checks it
+        raise ValueError("h must be positive")
+    coeffs = [Fraction(1)] + [Fraction(0)] * prec
+    for s in mode.sizes_up_to(prec):
+        for orbit in enumerate_orbits(h, s, mode):
+            # powers[m] = (psi(T) / s)^m / m!
+            weight = model.psi(orbit) * Fraction(1, s)
+            powers = [Fraction(1)]
+            for m in range(1, prec // s + 1):
+                powers.append(powers[-1] * weight * Fraction(1, m))
+            for k in range(prec, s - 1, -1):
+                acc = coeffs[k]
+                for m in range(1, k // s + 1):
+                    c = coeffs[k - m * s]
+                    if c:
+                        acc = acc + c * powers[m]
+                coeffs[k] = acc
+    return TruncatedSeries(coeffs, prec=prec)
 
 
 def hecke_operator(model, n: int, h: int, mode: Mode = ALL_ORDERS):
@@ -137,10 +176,10 @@ class SeriesComparison:
 def verify_product_formula(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> SeriesComparison:
     """Check S_t = exp(sum_n T_n t^n) through the given precision, exactly.
 
-    The left side is assembled from conjugacy classes, the right side from
-    single orbits; their agreement is the product-formula identity.
+    The left side is assembled from conjugacy classes by sigma, the right
+    side from single orbits; their agreement is the product-formula identity.
     """
-    lhs = symmetric_power_series(model, prec, h, mode)
+    lhs = TruncatedSeries([sigma(model, n, h, mode) for n in range(prec + 1)], prec=prec)
     rhs = hecke_log_series(model, prec, h, mode).exp()
     return SeriesComparison.compare(h, mode, lhs, rhs)
 
@@ -158,8 +197,9 @@ def lambda_operation(model, n: int, h: int = 1, mode: Mode = ALL_ORDERS):
 def adams_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
     """sum_n psi_n t^n computed as -t d/dt log Lambda_{-t}.
 
-    Independent route to n * T_n: goes through S_t, inversion, and the
-    logarithmic derivative rather than through orbit sums.
+    Independent route to n * T_n: goes through the orbit-type product for
+    S_t, inversion, and the logarithmic derivative rather than through the
+    Hecke sums over the orbits of each size.
     """
     lam_minus = lambda_series(model, prec, h, mode).negate_t()
     return -(lam_minus.log().t_ddt())
@@ -179,7 +219,9 @@ def todd_orbifold_series(d: int, prec: int) -> TruncatedSeries:
     """Generating series of Todd genera of symmetric powers of a d-dimensional class.
 
     Computed as the symmetric-power series of IntegerModel(d) at h = 1 with
-    no order restriction; the expected closed form is (1 - t)^(-d).
+    no order restriction, so as the orbit-type product over the one orbit of
+    each size n <= prec, prod_n exp(d t^n / n); the expected closed form is
+    (1 - t)^(-d).
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")

@@ -109,6 +109,11 @@ def test_enumerate_classes_frozen_counts():
     assert len(enumerate_classes(3, 2, P2)) == 8  # 2*trivial plus 7 size-2 orbits
 
 
+def test_enumerate_classes_deep_pool():
+    # the 1,566 orbits of size <= 8 at h=4 p=2 once set the recursion depth
+    assert len(enumerate_classes(4, 8, P2)) == 38441
+
+
 def test_enumerate_classes_degree_zero():
     (empty,) = enumerate_classes(2, 0, P2)
     assert empty.entries == ()

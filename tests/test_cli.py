@@ -231,7 +231,10 @@ def test_bad_usage_exits_2():
 
 
 def test_resource_exhaustion_exits_2(capsys, monkeypatch):
-    # the recursive class enumeration overflows the stack on this 1,566-orbit pool
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "enumerate_classes", too_deep)
     code, out, err = run(capsys, "classes", "--h", "4", "--p", "2", "--l", "8")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
@@ -244,12 +247,26 @@ def test_resource_exhaustion_exits_2(capsys, monkeypatch):
     assert (code, err) == (2, "error: out of memory\n")
 
 
+def test_genus_lambda_on_a_deep_orbit_pool(capsys):
+    # once exit 2: class enumeration overflowed the stack on the 1,566 orbits
+    # of size <= 8
+    code, out, err = run(
+        capsys,
+        "genus", "lambda", "--h", "4", "--p", "2", "--n", "8",
+        "--model", "integer:1", "--format", "tsv",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "8\t-85648/315"
+
+
 def test_invalid_mode_prime(capsys):
     code, _, err = run(capsys, "orbits", "--h", "1", "--p", "6", "--size", "6")
     assert code == 2 and "error:" in err
 
 
-# SHA-256 of stdout, recorded while enumerations still sorted their output
+# SHA-256 of stdout, recorded while enumerations still sorted their output;
+# the genus todd, lambda and sigma digests were recorded while those commands
+# still summed over conjugacy classes
 GOLDEN_STDOUT = {
     "orbits --h 3 --size 12":
         "ff7b4f52eb4b06253a3341b11014af2877941657166b24ab5a2ce23625090809",
@@ -263,6 +280,14 @@ GOLDEN_STDOUT = {
         "240b74bdbb9437b14d44b4dda81413ab6b04b587a580cfb43118118b1bc53b98",
     "genus sigma --h 2 --n 6 --format tsv":
         "e9b3aa8b5cb9e7f7039fe8a978f7d91123d433a89066b9a1e9fd2984bbac4f2a",
+    "genus todd --d 3 --n 28":
+        "0f10cfe813097a003ba9150b0329c7e827fdc1968f3933d1a05a6512a791a926",
+    "genus lambda --h 2 --p 2 --n 8":
+        "ad03d55d10776c8c3c193e582f18bdf4aa7228591e71c8fa2394cba8c1c04e14",
+    "genus sigma --h 3 --p 2 --n 6 --model integer:2 --format tsv":
+        "081e2f9b78ca0017c9fc7a213bd80ca0c1d8c95283558632e62aab7becfa136d",
+    "genus sigma --h 2 --p 3 --n 9 --format tsv":
+        "1a1db0acc172b7035a239c32928e18172841f8e979755c0c2cdb88ad2cfa2061",
 }
 
 

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from orbigenus import genus
 from orbigenus.classes import OrbitTypeMultiset, enumerate_classes
 from orbigenus.classfun import augmentation
 from orbigenus.genus import (
@@ -102,16 +103,42 @@ def test_sigma_integer_model_binomials():
             assert sigma(IntegerModel(d), n, 1, ALL_ORDERS) == expected
 
 
+def _table_model(h, mode, prec):
+    """Exact psi values of both signs, some zero, for every orbit of size <= prec."""
+    orbits = [t for s in mode.sizes_up_to(prec) for t in enumerate_orbits(h, s, mode)]
+    return TableModel({t: Fraction((-1) ** i * (i % 4), i % 3 + 1) for i, t in enumerate(orbits)})
+
+
+# (h, mode, prec): the grid on which the orbit-type product must equal the class sum
+PRODUCT_GRID = [
+    (1, ALL_ORDERS, 8), (1, P2, 8), (1, P3, 8),
+    (2, ALL_ORDERS, 8), (2, P2, 8), (2, P3, 8),
+    (3, ALL_ORDERS, 6), (3, P2, 8), (3, P3, 8),
+]
+
+
 def test_symmetric_power_series_matches_sigma():
-    model = SymbolicModel("x")
-    S = symmetric_power_series(model, 4, 2, P2)
-    assert S.prec == 4
-    for n in range(5):
-        assert S.coeffs[n] == sigma(model, n, 2, P2)
+    for h, mode, prec in PRODUCT_GRID:
+        models = [SymbolicModel("x"), *map(IntegerModel, range(4)), _table_model(h, mode, prec)]
+        for model in models:
+            S = symmetric_power_series(model, prec, h, mode)
+            assert S.prec == prec
+            expected = [sigma(model, n, h, mode) for n in range(prec + 1)]
+            assert list(S.coeffs) == expected, (model, h, mode)
+            # the same types too, so the serialized output cannot change
+            assert [type(c) for c in S.coeffs] == [type(c) for c in expected]
     assert symmetric_power_series(IntegerModel(2), 4, 1, ALL_ORDERS) == TruncatedSeries(
         [1, 2, 3, 4, 5], prec=4
     )
     assert symmetric_power_series(IntegerModel(0), 4, 1, ALL_ORDERS) == TruncatedSeries.one(4)
+
+
+def test_symmetric_power_series_rejects_bad_rank():
+    # the class sum raised for h < 1 at every degree, including degree 0
+    for h in (0, -2):
+        for prec in (0, 3):
+            with pytest.raises(ValueError, match="h must be positive"):
+                symmetric_power_series(IntegerModel(1), prec, h, ALL_ORDERS)
 
 
 def test_hecke_operator_values():
@@ -151,6 +178,19 @@ def test_product_formula_integer_model():
     assert report.equal
     for n in range(11):
         assert report.lhs.coeffs[n] == comb(n + 4, n)
+
+
+def test_verifier_left_side_walks_the_classes(monkeypatch):
+    # dropping one class of degree 3 must break the identity at t^3; a left
+    # side taken from the orbit-type product would not notice
+    def one_class_short(h, l, mode=ALL_ORDERS):
+        classes = enumerate_classes(h, l, mode)
+        return classes[:-1] if l == 3 else classes
+
+    monkeypatch.setattr(genus, "enumerate_classes", one_class_short)
+    report = verify_product_formula(SymbolicModel("x"), 5, 2, P2)
+    assert not report.equal
+    assert report.first_mismatch == 3
 
 
 def test_series_comparison_reports_mismatch():

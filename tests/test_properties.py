@@ -1,14 +1,17 @@
-"""Property tests: the canonical order does not depend on how objects were built."""
+"""Property tests: the canonical order does not depend on how objects were built,
+and the orbit-type product for the symmetric-power series equals the class sum."""
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbigenus.classes import OrbitTypeMultiset
-from orbigenus.orbits import Mode, canonicalize, enumerate_orbits
+from orbigenus.genus import TableModel, sigma, symmetric_power_series
+from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 
 P2 = Mode.p_power(2)
+P3 = Mode.p_power(3)
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 POOL = [t for n in (1, 2, 4) for t in enumerate_orbits(2, n, P2)]
@@ -65,3 +68,22 @@ def test_psipolynomial_ignores_term_order(terms, rng):
     b = PsiPolynomial(shuffled)
     assert str(a) == str(b)
     assert a.sorted_terms() == b.sorted_terms()
+
+
+@st.composite
+def table_model(draw):
+    """A small (h, mode, prec) grid with a random exact psi value for each orbit."""
+    h = draw(st.integers(1, 2))
+    mode = draw(st.sampled_from([ALL_ORDERS, P2, P3]))
+    prec = draw(st.integers(0, 5))
+    orbits = [t for s in mode.sizes_up_to(prec) for t in enumerate_orbits(h, s, mode)]
+    values = draw(st.lists(coefficient, min_size=len(orbits), max_size=len(orbits)))
+    return TableModel(zip(orbits, values)), h, mode, prec
+
+
+@SETTINGS
+@given(table_model())
+def test_orbit_type_product_equals_class_sum(case):
+    model, h, mode, prec = case
+    S = symmetric_power_series(model, prec, h, mode)
+    assert list(S.coeffs) == [sigma(model, n, h, mode) for n in range(prec + 1)]
