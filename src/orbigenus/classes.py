@@ -143,9 +143,10 @@ class OrbitTypeMultiset:
         """All ways to split off a sub-multiset of the given total size.
 
         Yields (left, right) pairs with left of the requested degree and
-        left union right == self.  Deterministic order.
+        left union right == self.  Deterministic order.  No orbit is taken
+        more often than fits into the degree on its own.
         """
-        ranges = [range(m + 1) for _, m in self.entries]
+        ranges = [range(min(m, degree // o.size) + 1) for o, m in self.entries]
         for choice in itertools.product(*ranges):
             d = sum(c * self.entries[i][0].size for i, c in enumerate(choice))
             if d != degree:
@@ -259,16 +260,15 @@ def _orbit_type_from_images(h: int, images: list[tuple[int, ...]], mode: Mode) -
     return OrbitTypeMultiset.from_pairs(h, mode, pairs)
 
 
-def orbit_type_of_tuple(perms, mode: Mode = ALL_ORDERS, h: int | None = None) -> OrbitTypeMultiset:
-    """Conjugacy class of a commuting tuple of permutations.
+def orbit_type_of_tuple(perms, mode: Mode = ALL_ORDERS) -> OrbitTypeMultiset:
+    """Conjugacy class of a commuting tuple of permutations; h is the tuple length.
 
     Validates that the permutations commute pairwise and, in p-power mode,
     that each has p-power order.  The result is conjugation invariant.
     """
     perms = list(perms)
-    if h is None:
-        h = len(perms)
-    if len(perms) != h or h < 1:
+    h = len(perms)
+    if h < 1:
         raise ValueError("need a nonempty tuple of permutations")
     l = perms[0].degree
     for a in perms:
@@ -307,7 +307,7 @@ def class_representative(cls: OrbitTypeMultiset) -> tuple[Permutation, ...]:
                     images[i][offset + k] = offset + target
             offset += orbit.size
     out = tuple(Permutation(tuple(img)) for img in images)
-    assert orbit_type_of_tuple(out, cls.mode, cls.h) == cls
+    assert orbit_type_of_tuple(out, cls.mode) == cls
     return out
 
 

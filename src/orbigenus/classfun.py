@@ -165,12 +165,11 @@ def augmentation(chi: ClassFunction):
 
 
 def inner_product(chi: ClassFunction, xi: ClassFunction):
-    """Bilinear pairing: the augmentation of the pointwise product."""
-    chi._check_match(xi)
-    total = Fraction(0)
-    for c, a, b in zip(chi.classes, chi.values, xi.values):
-        total = total + a * b * Fraction(1, centralizer_order(c))
-    return total
+    """Bilinear pairing: augmentation(chi * xi), so ValueError unless (h, l, mode) match.
+
+    Symmetric and unconjugated: the values are exact rationals or polynomials.
+    """
+    return augmentation(chi * xi)
 
 
 def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .classes import brute_force_classes, centralizer_order, class_size, enumerate_classes
+from .classes import brute_force_classes, centralizer_order, class_size, enumerate_classes, hom_count
 from .classfun import (
     ClassFunction,
     augmentation,
@@ -28,7 +28,7 @@ from .genus import (
     IntegerModel,
     SymbolicModel,
     geometric_power_series,
-    hecke_operator,
+    hecke_log_series,
     lambda_series,
     symmetric_power_series,
     todd_orbifold_series,
@@ -74,7 +74,7 @@ def _cmd_orbits(args) -> int:
 def _cmd_classes(args) -> int:
     mode = _mode_from_args(args)
     classes = enumerate_classes(args.h, args.l, mode)
-    total = sum(class_size(c) for c in classes)
+    total = hom_count(args.h, args.l, mode)
     if args.format == "json":
         _emit(
             serialize.dumps(
@@ -123,9 +123,10 @@ def _cmd_verify_frobenius(args) -> int:
             chi = _random_classfunction(args.h, mode, j, rng)
             xi = _random_classfunction(args.h, mode, k, rng)
             zeta = _random_classfunction(args.h, mode, args.l, rng)
-            lhs = inner_product(induce_young(chi, xi), zeta)
+            induced = induce_young(chi, xi)
+            lhs = inner_product(induced, zeta)
             rhs = product_inner_product(chi, xi, restrict_young(zeta, j, k))
-            mult = augmentation(induce_young(chi, xi)) == augmentation(chi) * augmentation(xi)
+            mult = augmentation(induced) == augmentation(chi) * augmentation(xi)
             checked += 1
             if lhs != rhs or not mult:
                 ok = False
@@ -165,12 +166,6 @@ def _cmd_verify_oracle(args) -> int:
     return 0 if ok else 1
 
 
-def _value_str(v) -> str:
-    if isinstance(v, Fraction):
-        return serialize.fraction_to_str(v)
-    return str(v)
-
-
 def _emit_value_rows(rows, fmt: str):
     """rows: list of (n, value); json gives records, tsv a header plus lines."""
     if fmt == "json":
@@ -182,7 +177,7 @@ def _emit_value_rows(rows, fmt: str):
     else:
         _emit("n\tvalue")
         for n, v in rows:
-            _emit(f"{n}\t{_value_str(v)}")
+            _emit(f"{n}\t{v}")
 
 
 def _cmd_genus(args) -> int:
@@ -192,11 +187,8 @@ def _cmd_genus(args) -> int:
         series = symmetric_power_series(model, args.n, args.h, mode)
         _emit_value_rows([(args.n, series.coefficient(args.n))], args.format)
     elif args.kind == "hecke":
-        rows = [
-            (n, hecke_operator(model, n, args.h, mode))
-            for n in mode.sizes_up_to(args.n)
-            if n >= 1
-        ]
+        series = hecke_log_series(model, args.n, args.h, mode)
+        rows = [(n, series.coefficient(n)) for n in mode.sizes_up_to(args.n)]
         _emit_value_rows(rows, args.format)
     elif args.kind == "lambda":
         series = lambda_series(model, args.n, args.h, mode)
@@ -217,9 +209,7 @@ def _cmd_genus(args) -> int:
                 )
             )
         else:
-            _emit("n\tvalue")
-            for n, v in enumerate(series.coeffs):
-                _emit(f"{n}\t{_value_str(v)}")
+            _emit_value_rows(list(enumerate(series.coeffs)), "tsv")
             _emit(f"closed_form\t{'true' if equal else 'false'}")
         return 0 if equal else 1
     return 0

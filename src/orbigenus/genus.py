@@ -142,7 +142,15 @@ def hecke_operator(model, n: int, h: int, mode: Mode = ALL_ORDERS):
 
 
 def hecke_log_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
-    """sum over admissible n >= 1 of T_n t^n, the claimed logarithm of S_t."""
+    """sum over admissible n >= 1 of T_n t^n, the claimed logarithm of S_t.
+
+    `genus hecke` prints its coefficients at mode.sizes_up_to(prec).  h and
+    prec are checked here: at prec 0 no orbit enumeration checks them.
+    """
+    if h < 1:
+        raise ValueError("h must be positive")
+    if prec < 0:
+        raise ValueError("precision must be nonnegative")
     coeffs = [Fraction(0)] * (prec + 1)
     for n in mode.sizes_up_to(prec):
         coeffs[n] = hecke_operator(model, n, h, mode)

@@ -90,6 +90,13 @@ class PsiPolynomial:
         object.__setattr__(self, "_terms", data)
 
     @classmethod
+    def _from_terms(cls, terms: dict) -> "PsiPolynomial":
+        """Wrap a dict of sorted monomials to nonzero Fractions, unchecked."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
+    @classmethod
     def zero(cls) -> "PsiPolynomial":
         return cls()
 
@@ -159,16 +166,12 @@ class PsiPolynomial:
                 merged[mono] = c
             elif mono in merged:
                 del merged[mono]
-        out = PsiPolynomial.__new__(PsiPolynomial)
-        object.__setattr__(out, "_terms", merged)
-        return out
+        return PsiPolynomial._from_terms(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = PsiPolynomial.__new__(PsiPolynomial)
-        object.__setattr__(out, "_terms", {m: -c for m, c in self._terms.items()})
-        return out
+        return PsiPolynomial._from_terms({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -195,9 +198,7 @@ class PsiPolynomial:
                     acc[m] = c
                 elif m in acc:
                     del acc[m]
-        out = PsiPolynomial.__new__(PsiPolynomial)
-        object.__setattr__(out, "_terms", acc)
-        return out
+        return PsiPolynomial._from_terms(acc)
 
     __rmul__ = __mul__
 

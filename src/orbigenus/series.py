@@ -64,11 +64,6 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} outside precision {self.prec}")
         return self.coeffs[n]
 
-    def truncate(self, prec: int) -> "TruncatedSeries":
-        if prec > self.prec:
-            raise ValueError("cannot extend precision")
-        return TruncatedSeries(list(self.coeffs[: prec + 1]), prec=prec)
-
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
             n = min(self.prec, other.prec)

@@ -93,6 +93,31 @@ def test_sub_multisets():
     assert list(m.sub_multisets(0))[0][0].entries == ()
 
 
+def _sub_multisets_reference(m, degree):
+    """Every multiplicity choice up to m, filtered by degree afterwards."""
+    for choice in itertools.product(*(range(k + 1) for _, k in m.entries)):
+        if sum(c * o.size for (o, _), c in zip(m.entries, choice)) != degree:
+            continue
+        yield (
+            OrbitTypeMultiset(m.h, m.mode, tuple((o, c) for (o, _), c in zip(m.entries, choice) if c)),
+            OrbitTypeMultiset(
+                m.h, m.mode, tuple((o, k - c) for (o, k), c in zip(m.entries, choice) if k - c)
+            ),
+        )
+
+
+def test_sub_multisets_matches_product_and_filter():
+    # the capped multiplicity ranges must yield the same splits in the same order
+    for h in (1, 2):
+        for mode in (ALL_ORDERS, P2, P3):
+            for l in range(9):
+                for m in enumerate_classes(h, l, mode):
+                    for degree in range(-1, l + 2):
+                        assert list(m.sub_multisets(degree)) == list(
+                            _sub_multisets_reference(m, degree)
+                        ), (h, mode, m, degree)
+
+
 def test_enumerate_classes_partition_counts():
     # h=1 all orders: classes are cycle types, counted by partitions
     for l, pl in enumerate([1, 1, 2, 3, 5, 7, 11]):

@@ -151,6 +151,17 @@ def test_genus_hecke(capsys):
     assert out.splitlines() == ["n\tvalue", "1\t4", "2\t2", "4\t1"]
 
 
+def test_genus_hecke_bad_rank_or_precision_exits_2(capsys):
+    # once printed [] with exit 0: no orbit size was walked, so nothing checked
+    code, out, err = run(capsys, "genus", "hecke", "--h", "0", "--n", "0")
+    assert (code, out, err) == (2, "", "error: h must be positive\n")
+    code, out, err = run(capsys, "genus", "hecke", "--h", "2", "--n", "-4")
+    assert (code, out, err) == (2, "", "error: precision must be nonnegative\n")
+    # precision 0 is valid and has no Hecke operator to print
+    code, out, err = run(capsys, "genus", "hecke", "--h", "2", "--n", "0")
+    assert (code, out.strip(), err) == (0, "[]", "")
+
+
 def test_genus_lambda(capsys):
     code, out, _ = run(
         capsys, "genus", "lambda", "--h", "1", "--n", "5", "--model", "integer:4"
@@ -288,6 +299,17 @@ GOLDEN_STDOUT = {
         "081e2f9b78ca0017c9fc7a213bd80ca0c1d8c95283558632e62aab7becfa136d",
     "genus sigma --h 2 --p 3 --n 9 --format tsv":
         "1a1db0acc172b7035a239c32928e18172841f8e979755c0c2cdb88ad2cfa2061",
+    # recorded while genus hecke and classes summed on their own,
+    # inner_product had its own loop, and verify frobenius induced every
+    # instance twice
+    "genus hecke --h 3 --n 8 --model integer:1 --format tsv":
+        "1db0e67c31296c2748572fd92e3c90a3f2d7a78651fc299d42adeea4875cf4cb",
+    "genus hecke --h 2 --p 2 --n 8":
+        "1412d1d16974d20d4c71230ecc74cb56e50a8cbb42ff00911e585c22ef3905bf",
+    "verify frobenius --h 2 --p 2 --l 6 --trials 2 --seed 3":
+        "5e4f688ce92f093dd600c1a27f9caca73548087fe12bf7019ad8fdd2630a27d1",
+    "inner-product --h 2 --p 3 --l 6":
+        "82edc602f48edf6d0d047a1d839872802a8df5a44c117b589d8b13bd2c7f94c0",
 }
 
 

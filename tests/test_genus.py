@@ -163,6 +163,17 @@ def test_hecke_log_series_supports():
             assert s.coeffs[n] == 0
 
 
+def test_hecke_log_series_rejects_bad_rank_and_precision():
+    # at prec 0 no orbit is enumerated, so nothing else would check h
+    for h, prec in ((0, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="h must be positive"):
+            hecke_log_series(IntegerModel(1), prec, h, ALL_ORDERS)
+    for mode in (ALL_ORDERS, P2):
+        with pytest.raises(ValueError, match="precision must be nonnegative"):
+            hecke_log_series(IntegerModel(1), -4, 2, mode)
+    assert hecke_log_series(IntegerModel(1), 0, 2, ALL_ORDERS) == TruncatedSeries.zero(0)
+
+
 @pytest.mark.parametrize(
     "h,mode,prec",
     [(1, ALL_ORDERS, 6), (1, P2, 8), (2, P2, 5), (2, P3, 4), (2, ALL_ORDERS, 4), (3, P2, 4)],
