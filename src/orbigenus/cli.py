@@ -194,6 +194,8 @@ def _cmd_genus(args) -> int:
         series = lambda_series(model, args.n, args.h, mode)
         _emit_value_rows(list(enumerate(series.coeffs)), args.format)
     else:  # todd
+        if args.h != 1 or args.p is not None:
+            raise ValueError("genus todd is defined only at h = 1 in all-orders mode")
         series = todd_orbifold_series(args.d, args.n)
         expected = geometric_power_series(args.d, args.n)
         equal = series == expected

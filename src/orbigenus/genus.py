@@ -44,9 +44,10 @@ class IntegerModel:
 
     def __init__(self, d: int):
         self.d = d
+        self._value = Fraction(d)
 
     def psi(self, orbit: TransitiveOrbit) -> Fraction:
-        return Fraction(self.d)
+        return self._value
 
     def __repr__(self):
         return f"IntegerModel({self.d})"

@@ -82,9 +82,10 @@ class _lazy_attribute:
     Unlike functools.cached_property, which writes through ``__dict__``, this
     stores with ``object.__setattr__``, so CPython does not build a dict for
     every instance read.  On Python 3.11, reading ``size`` of the 97,155
-    orbits of h=4 size 32 raised peak RSS from 63 to 68 MiB through
-    cached_property, and by nothing measurable through this.  Having no
-    ``__set__``, it is found only until the stored attribute shadows it.
+    orbits of h=4 size 32, enumerated from shared rows, raised peak RSS
+    from 34 to 39 MiB through cached_property, and by nothing measurable
+    through this.  Having no ``__set__``, it is found only until the stored
+    attribute shadows it.
     """
 
     def __init__(self, func):
@@ -123,14 +124,17 @@ class TransitiveOrbit:
             raise ValueError("h must be positive")
         if len(self.rows) != self.h or any(len(r) != self.h for r in self.rows):
             raise ValueError("rows must form an h x h matrix")
+        diagonal = self.diagonal
         for i, row in enumerate(self.rows):
-            if any(row[j] != 0 for j in range(i)):
-                raise ValueError("matrix is not upper triangular")
-            if row[i] <= 0:
-                raise ValueError("diagonal entries must be positive")
-            for j in range(i + 1, self.h):
-                if not 0 <= row[j] < self.rows[j][j]:
-                    raise ValueError("off-diagonal entry not reduced")
+            _check_hnf_row(row, i, diagonal)
+
+    @classmethod
+    def _from_canonical(cls, h: int, rows: tuple) -> "TransitiveOrbit":
+        """Wrap rows that each passed ``_check_hnf_row``, without checking them again."""
+        orbit = cls.__new__(cls)
+        object.__setattr__(orbit, "h", h)
+        object.__setattr__(orbit, "rows", rows)
+        return orbit
 
     @classmethod
     def trivial(cls, h: int) -> "TransitiveOrbit":
@@ -187,6 +191,25 @@ class TransitiveOrbit:
         return f"T[{self.label()}]"
 
 
+def _check_hnf_row(row, i: int, diagonal) -> None:
+    """Check that ``row`` can be row i of the HNF matrix with this diagonal.
+
+    Canonical form is a condition on single rows: length h, zero left of the
+    diagonal, a positive diagonal entry, and 0 <= row[j] < diagonal[j] for
+    every j > i.
+    """
+    h = len(diagonal)
+    if len(row) != h:
+        raise ValueError("rows must form an h x h matrix")
+    if any(row[j] != 0 for j in range(i)):
+        raise ValueError("matrix is not upper triangular")
+    if row[i] <= 0:
+        raise ValueError("diagonal entries must be positive")
+    for j in range(i + 1, h):
+        if not 0 <= row[j] < diagonal[j]:
+            raise ValueError("off-diagonal entry not reduced")
+
+
 def _diagonal_choices(n: int, h: int):
     """All h-tuples of positive integers with product n, lexicographic."""
     if h == 1:
@@ -202,16 +225,17 @@ def _diagonal_choices(n: int, h: int):
 def _enumerate_orbits_cached(h: int, n: int) -> tuple[TransitiveOrbit, ...]:
     orbits = []
     for diag in _diagonal_choices(n, h):
-        # free positions (i, j) for i < j range over 0..diag[j]-1
-        positions = [(i, j) for i in range(h) for j in range(i + 1, h)]
-        for values in itertools.product(*(range(diag[j]) for (_, j) in positions)):
-            rows = [[0] * h for _ in range(h)]
-            for i in range(h):
-                rows[i][i] = diag[i]
-            for (i, j), v in zip(positions, values):
-                rows[i][j] = v
-            orbits.append(TransitiveOrbit(h, tuple(tuple(r) for r in rows)))
-    # already sorted: diagonals come lexicographically, off-diagonals row-major
+        row_lists = []
+        for i in range(h):
+            head = (0,) * i + (diag[i],)
+            rows = [head + tail for tail in itertools.product(*map(range, diag[i + 1:]))]
+            for row in rows:
+                _check_hnf_row(row, i, diag)
+            row_lists.append(rows)
+        # lexicographic in the row-major off-diagonal entries: already sorted
+        orbits.extend(
+            TransitiveOrbit._from_canonical(h, matrix) for matrix in itertools.product(*row_lists)
+        )
     return tuple(orbits)
 
 
@@ -221,6 +245,13 @@ def enumerate_orbits(h: int, n: int, mode: Mode = ALL_ORDERS) -> tuple[Transitiv
     In p-power mode n must be a power of p (the diagonals then are p-powers
     automatically).  Deterministic order: by diagonal vector, then
     off-diagonal entries lexicographically.
+
+    For each diagonal d, the admissible rows i are (0,)*i + (d_i,) + tail,
+    tail ranging over range(d_j) for j > i; each such row is built once and
+    passes the same row check as the public constructor, and the matrices
+    are the product of these row lists, sharing the row tuples.  So every
+    orbit is checked canonical through its rows, not once more as a whole.
+    The result is cached per (h, n).
     """
     if h < 1:
         raise ValueError("h must be positive")

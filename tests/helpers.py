@@ -1,7 +1,8 @@
 """Independent counting oracles used across the test suite.
 
-Everything here works by exhaustive enumeration inside small finite
-abelian groups, deliberately sharing no code with the lattice machinery
+Most of this works by exhaustive enumeration inside small finite abelian
+groups; the HNF helpers rebuild the orbit enumeration one matrix entry at a
+time.  All of it deliberately shares no code with the lattice machinery
 under test.  Elements of a group prod Z/m_i are tuples under componentwise
 addition.
 """
@@ -163,6 +164,37 @@ def subgroups_bruteforce(h, n):
                 frontier.append(bigger)
     target = n ** (h - 1)
     return [s for s in seen if len(s) == target]
+
+
+def hnf_diagonals(h, n):
+    """Positive h-tuples with product n, in lexicographic order."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return [diag for diag in product(divisors, repeat=h) if prod(diag) == n]
+
+
+def hnf_matrices_by_position(h, n):
+    """Row-style HNF matrices of determinant n, filled one free entry at a time.
+
+    For each diagonal, the free entries (i, j), i < j, range over
+    0..d_j - 1 in row-major order, so the matrices come in the canonical
+    orbit order.
+    """
+    out = []
+    positions = [(i, j) for i in range(h) for j in range(i + 1, h)]
+    for diag in hnf_diagonals(h, n):
+        for values in product(*(range(diag[j]) for _, j in positions)):
+            rows = [[0] * h for _ in range(h)]
+            for i in range(h):
+                rows[i][i] = diag[i]
+            for (i, j), v in zip(positions, values):
+                rows[i][j] = v
+            out.append(tuple(tuple(r) for r in rows))
+    return tuple(out)
+
+
+def sublattice_count(h, n):
+    """Index-n sublattices of Z^h: sum over d_1 ... d_h = n of prod_j d_j^(j-1)."""
+    return sum(prod(d ** j for j, d in enumerate(diag)) for diag in hnf_diagonals(h, n))
 
 
 # Filled by the acceptance suite; conftest prints it after the run so the

@@ -182,6 +182,14 @@ def test_genus_todd(capsys):
     assert out.splitlines()[-1] == "closed_form\ttrue"
 
 
+def test_genus_todd_rejects_rank_and_prime(capsys):
+    # once printed the h = 1 all-orders series with exit 0 whatever --h and --p said
+    for args in (("--h", "0"), ("--h", "3", "--p", "2")):
+        code, out, err = run(capsys, "genus", "todd", *args, "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: genus todd is defined only at h = 1 in all-orders mode\n"
+
+
 def test_genus_symbolic_sigma_json(capsys):
     code, out, _ = run(capsys, "genus", "sigma", "--h", "2", "--p", "2", "--n", "2")
     assert code == 0
@@ -310,6 +318,12 @@ GOLDEN_STDOUT = {
         "5e4f688ce92f093dd600c1a27f9caca73548087fe12bf7019ad8fdd2630a27d1",
     "inner-product --h 2 --p 3 --l 6":
         "82edc602f48edf6d0d047a1d839872802a8df5a44c117b589d8b13bd2c7f94c0",
+    # recorded while every enumerated orbit was built position by position
+    # and re-validated by the public constructor
+    "genus hecke --h 4 --n 10 --model integer:1 --format tsv":
+        "c35c699828bd0c6c82a353495e72ba8ee17a4def4cf84f78a627e734a4bfefb4",
+    "orbits --h 4 --p 2 --size 8 --format tsv":
+        "05ef9e8d8f47547d5416c267b43ce67f619f2aa98e6d989ccbc3da512463b6c0",
 }
 
 

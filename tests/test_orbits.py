@@ -106,6 +106,32 @@ def test_enumerate_deterministic_and_sorted():
                 assert all(s < t for s, t in zip(a, a[1:]))
 
 
+def test_enumeration_matches_position_by_position_builder():
+    for h in (1, 2, 3, 4):
+        for mode in (ALL_ORDERS, P2, P3):
+            for n in mode.sizes_up_to(12 if h == 4 else 16):
+                rows = tuple(t.rows for t in enumerate_orbits(h, n, mode))
+                assert rows == helpers.hnf_matrices_by_position(h, n)
+
+
+def test_enumerated_orbits_pass_the_validating_constructor():
+    # enumeration wraps its matrices unchecked; the public constructor checks all
+    for h in (1, 2, 3, 4):
+        for n in range(1, (12 if h == 4 else 16) + 1):
+            for t in enumerate_orbits(h, n):
+                checked = TransitiveOrbit(t.h, t.rows)
+                assert checked == t and hash(checked) == hash(t)
+                off = tuple(row[j] for i, row in enumerate(t.rows) for j in range(i + 1, h))
+                assert t.size == n
+                assert t.sort_key == checked.sort_key == (h, n, t.diagonal, off)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_counts_match_sublattice_formula(h):
+    for n in range(1, 17):
+        assert len(enumerate_orbits(h, n)) == helpers.sublattice_count(h, n)
+
+
 @pytest.mark.parametrize("h", [1, 2, 3])
 @pytest.mark.parametrize("n", range(1, 11))
 def test_counts_match_subgroup_oracle(h, n):

@@ -1,5 +1,6 @@
 """Property tests: the canonical order does not depend on how objects were built,
-and the orbit-type product for the symmetric-power series equals the class sum."""
+canonicalize lands in the orbit enumeration, and the orbit-type product for the
+symmetric-power series equals the class sum."""
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -19,13 +20,18 @@ SYMBOLS = [PsiSymbol(family, t) for family in ("x", "y") for t in POOL[:4]]
 
 
 @st.composite
-def orbit(draw):
-    """canonicalize of h random generators plus a diagonal that forces finite index."""
-    h = draw(st.integers(1, 3))
+def orbit(draw, max_h=3, max_index=64):
+    """canonicalize of up to h random generators plus a diagonal that forces finite index.
+
+    The diagonal's product, a multiple of the index, is at most ``max_index``.
+    """
+    h = draw(st.integers(1, max_h))
     entry = st.integers(-6, 6)
-    rows = [draw(st.lists(entry, min_size=h, max_size=h)) for _ in range(h)]
-    diag = [draw(st.integers(1, 4)) for _ in range(h)]
-    rows += [[d if i == j else 0 for j in range(h)] for i, d in enumerate(diag)]
+    rows = draw(st.lists(st.lists(entry, min_size=h, max_size=h), max_size=h))
+    for i in range(h):
+        d = min(draw(st.integers(1, 4)), max_index)
+        max_index //= d
+        rows.append([d if i == j else 0 for j in range(h)])
     return canonicalize(h, draw(st.permutations(rows)))
 
 
@@ -33,6 +39,14 @@ def orbit(draw):
 @given(st.lists(orbit(), max_size=12))
 def test_orbit_order_is_the_sort_key_order(orbits):
     assert sorted(orbits) == sorted(orbits, key=lambda t: t.sort_key)
+
+
+@SETTINGS
+@given(orbit(max_h=4, max_index=16))
+def test_canonicalize_lands_in_the_enumeration(t):
+    # enumeration builds its matrices from shared rows; canonicalize reduces
+    # generators by gcd steps, sharing nothing with it
+    assert t in enumerate_orbits(t.h, t.size)
 
 
 @SETTINGS
