@@ -332,7 +332,7 @@ def brute_force_classes(
     admissible = [
         p
         for p in itertools.permutations(range(l))
-        if all(mode.admits_size(n) for n in Permutation(p).cycle_lengths())
+        if Permutation(p).order_admissible(mode)
     ]
 
     def compose(a, b):

@@ -41,8 +41,8 @@ def _mode_from_args(args) -> Mode:
     return ALL_ORDERS if args.p is None else Mode.p_power(args.p)
 
 
-def _model_from_spec(spec: str):
-    if spec == "symbolic":
+def _model_from_spec(spec: str | None):
+    if spec is None or spec == "symbolic":
         return SymbolicModel("x")
     if spec.startswith("integer:"):
         return IntegerModel(int(spec.split(":", 1)[1]))
@@ -182,28 +182,19 @@ def _emit_value_rows(rows, fmt: str):
 
 def _cmd_genus(args) -> int:
     mode = _mode_from_args(args)
-    model = _model_from_spec(args.model)
-    if args.kind == "sigma":
-        series = symmetric_power_series(model, args.n, args.h, mode)
-        _emit_value_rows([(args.n, series.coefficient(args.n))], args.format)
-    elif args.kind == "hecke":
-        series = hecke_log_series(model, args.n, args.h, mode)
-        rows = [(n, series.coefficient(n)) for n in mode.sizes_up_to(args.n)]
-        _emit_value_rows(rows, args.format)
-    elif args.kind == "lambda":
-        series = lambda_series(model, args.n, args.h, mode)
-        _emit_value_rows(list(enumerate(series.coeffs)), args.format)
-    else:  # todd
+    if args.kind == "todd":
         if args.h != 1 or args.p is not None:
             raise ValueError("genus todd is defined only at h = 1 in all-orders mode")
-        series = todd_orbifold_series(args.d, args.n)
-        expected = geometric_power_series(args.d, args.n)
-        equal = series == expected
+        if args.model is not None:
+            raise ValueError("genus todd takes no --model; its psi values are fixed by --d")
+        d = 1 if args.d is None else args.d
+        series = todd_orbifold_series(d, args.n)
+        equal = series == geometric_power_series(d, args.n)
         if args.format == "json":
             _emit(
                 serialize.dumps(
                     {
-                        "d": args.d,
+                        "d": d,
                         "precision": args.n,
                         "series": serialize.series_to_json(series),
                         "closed_form": equal,
@@ -214,6 +205,19 @@ def _cmd_genus(args) -> int:
             _emit_value_rows(list(enumerate(series.coeffs)), "tsv")
             _emit(f"closed_form\t{'true' if equal else 'false'}")
         return 0 if equal else 1
+    if args.d is not None:
+        raise ValueError(f"genus {args.kind} takes no --d; only genus todd reads it")
+    model = _model_from_spec(args.model)
+    if args.kind == "sigma":
+        series = symmetric_power_series(model, args.n, args.h, mode)
+        _emit_value_rows([(args.n, series.coefficient(args.n))], args.format)
+    elif args.kind == "hecke":
+        series = hecke_log_series(model, args.n, args.h, mode)
+        rows = [(n, series.coefficient(n)) for n in mode.sizes_up_to(args.n)]
+        _emit_value_rows(rows, args.format)
+    else:  # lambda
+        series = lambda_series(model, args.n, args.h, mode)
+        _emit_value_rows(list(enumerate(series.coeffs)), args.format)
     return 0
 
 
@@ -242,12 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
         if size:
             p.add_argument("--size", type=int, required=True, help="orbit size")
         if d:
-            p.add_argument("--d", type=int, default=1, help="dimension parameter")
+            p.add_argument("--d", type=int, help="dimension parameter of genus todd (default 1)")
         if model:
             p.add_argument(
                 "--model",
-                default="symbolic",
-                help="psi model: 'symbolic', 'integer:D', or 'table:PATH'",
+                help="psi model: 'symbolic' (the default), 'integer:D', or 'table:PATH'",
             )
         if fmt:
             p.add_argument("--format", choices=("json", "tsv"), default="json")

@@ -171,12 +171,7 @@ class TransitiveOrbit:
         Returns the unique w = v mod L with 0 <= w[i] < rows[i][i].
         """
         w = list(v)
-        for i in range(self.h):
-            q = w[i] // self.rows[i][i]
-            if q:
-                row = self.rows[i]
-                for j in range(i, self.h):
-                    w[j] -= q * row[j]
+        _reduce(w, self.rows, 0)
         return tuple(w)
 
     def points(self) -> list[tuple[int, ...]]:
@@ -189,6 +184,16 @@ class TransitiveOrbit:
 
     def __str__(self) -> str:
         return f"T[{self.label()}]"
+
+
+def _reduce(w: list, rows, start: int) -> None:
+    """Reduce w in place modulo the triangular rows[start:], into 0 <= w[i] < rows[i][i]."""
+    for i in range(start, len(rows)):
+        row = rows[i]
+        q = w[i] // row[i]
+        if q:
+            for j in range(i, len(row)):
+                w[j] -= q * row[j]
 
 
 def _check_hnf_row(row, i: int, diagonal) -> None:
@@ -299,11 +304,7 @@ def canonicalize(h: int, generators) -> TransitiveOrbit:
         work = [r for r in work if r is not live[0] and any(r)]
 
     # reduce above-diagonal entries: 0 <= entry < column pivot
-    for j in range(h):
-        for i in range(j):
-            q = pivots[i][j] // pivots[j][j]
-            if q:
-                for jj in range(j, h):
-                    pivots[i][jj] -= q * pivots[j][jj]
+    for i in range(h):
+        _reduce(pivots[i], pivots, i + 1)
     return TransitiveOrbit(h, tuple(tuple(r) for r in pivots))
 

@@ -3,6 +3,10 @@
 Symbols are indexed by a family tag (the name of a formal variable, "x",
 "y", ...) and a transitive orbit.  Polynomials coerce freely with int and
 Fraction scalars, so they can serve as series coefficients.
+
+A monomial has one normal form: a tuple of (symbol, exponent) pairs, one
+pair per symbol, sorted by symbol, every exponent an int >= 1; () is the
+constant monomial.  Construction, lookup and multiplication all use it.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbits import TransitiveOrbit
-from .series import _SCALARS, exact
+from .series import _SCALARS, _power, exact
 
 
 @dataclass(frozen=True, order=True)
@@ -29,22 +33,15 @@ class PsiSymbol:
         return f"psi[{self.orbit.label()}]({self.family})"
 
 
-# a monomial is a tuple of (symbol, exponent) pairs, sorted by symbol,
-# exponents >= 1; the empty tuple is the constant monomial
 Monomial = tuple[tuple[PsiSymbol, int], ...]
 
 
-def _mono_sorted(pairs) -> Monomial:
-    return tuple(sorted(pairs))
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+def _monomial(pairs) -> Monomial:
+    """The normal form of (symbol, exponent) pairs: repeated symbols merged, sorted."""
     exps: dict[PsiSymbol, int] = {}
-    for sym, e in a:
+    for sym, e in pairs:
         exps[sym] = exps.get(sym, 0) + e
-    for sym, e in b:
-        exps[sym] = exps.get(sym, 0) + e
-    return _mono_sorted(exps.items())
+    return tuple(sorted(exps.items()))
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -67,6 +64,9 @@ def _mono_str(m: Monomial) -> str:
 class PsiPolynomial:
     """Immutable polynomial with Fraction coefficients and structural equality.
 
+    ``terms`` maps monomials of (symbol, exponent) pairs, exponents ints >= 1
+    (else ValueError), to coefficients; ``((s, 1), (s, 1))`` means ``((s, 2),)``.
+
     Equality against a bare int or Fraction means "is that constant", and the
     hash agrees, so constant polynomials can stand in for scalars.
     """
@@ -81,7 +81,10 @@ class PsiPolynomial:
                 c = exact(coeff)
                 if not isinstance(c, Fraction):
                     raise TypeError(f"coefficient must be exact, got {type(coeff).__name__}")
-                mono = _mono_sorted(mono)
+                mono = tuple(mono)
+                if not all(isinstance(e, int) and e >= 1 for _, e in mono):
+                    raise ValueError(f"exponents must be ints >= 1, got {mono!r}")
+                mono = _monomial(mono)
                 c = data.get(mono, Fraction(0)) + c
                 if c:
                     data[mono] = c
@@ -91,7 +94,7 @@ class PsiPolynomial:
 
     @classmethod
     def _from_terms(cls, terms: dict) -> "PsiPolynomial":
-        """Wrap a dict of sorted monomials to nonzero Fractions, unchecked."""
+        """Wrap a dict of normal-form monomials to nonzero Fractions, unchecked."""
         out = cls.__new__(cls)
         object.__setattr__(out, "_terms", terms)
         return out
@@ -117,7 +120,7 @@ class PsiPolynomial:
         return sorted(self._terms.items(), key=lambda mc: _mono_key(mc[0]))
 
     def coefficient(self, mono) -> Fraction:
-        return self._terms.get(_mono_sorted(mono), Fraction(0))
+        return self._terms.get(_monomial(mono), Fraction(0))
 
     @property
     def is_zero(self) -> bool:
@@ -192,7 +195,7 @@ class PsiPolynomial:
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
-                m = _mono_mul(m1, m2)
+                m = _monomial(m1 + m2)
                 c = acc.get(m, Fraction(0)) + c1 * c2
                 if c:
                     acc[m] = c
@@ -210,16 +213,7 @@ class PsiPolynomial:
         return NotImplemented
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = PsiPolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, lambda: PsiPolynomial.constant(1))
 
     def __eq__(self, other):
         if isinstance(other, PsiPolynomial):

@@ -68,8 +68,6 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             n = min(self.prec, other.prec)
             return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], prec=n)
-        if isinstance(other, float):
-            return NotImplemented
         c = exact(other)
         out = list(self.coeffs)
         out[0] = out[0] + c
@@ -100,24 +98,13 @@ class TruncatedSeries:
                         continue
                     out[i + j] = out[i + j] + a * b
             return TruncatedSeries(out, prec=n)
-        if isinstance(other, float):
-            return NotImplemented
         c = exact(other)
         return TruncatedSeries([c * a for a in self.coeffs], prec=self.prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = TruncatedSeries.one(self.prec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, lambda: TruncatedSeries.one(self.prec))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -198,6 +185,20 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r}, prec={self.prec})"
+
+
+def _power(x, n, one):
+    """x ** n by square-and-multiply; the unit ``one()`` is built only for n = 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one() if out is None else out
 
 
 def _unit_inverse(c):

@@ -190,6 +190,24 @@ def test_genus_todd_rejects_rank_and_prime(capsys):
         assert err == "error: genus todd is defined only at h = 1 in all-orders mode\n"
 
 
+def test_genus_rejects_options_the_kind_does_not_read(capsys):
+    # once exit 0: sigma, hecke and lambda ignored --d, and todd ignored --model
+    for kind in ("sigma", "hecke", "lambda"):
+        for d in ("7", "1"):
+            code, out, err = run(capsys, "genus", kind, "--h", "1", "--n", "3", "--d", d)
+            assert (code, out) == (2, "")
+            assert err == f"error: genus {kind} takes no --d; only genus todd reads it\n"
+    for model in ("integer:5", "symbolic"):
+        code, out, err = run(capsys, "genus", "todd", "--d", "2", "--n", "3", "--model", model)
+        assert (code, out) == (2, "")
+        assert err == "error: genus todd takes no --model; its psi values are fixed by --d\n"
+    # without them, each kind still runs with its defaults
+    code, out, _ = run(capsys, "genus", "todd", "--n", "2")
+    assert code == 0 and json.loads(out)["d"] == 1
+    code, out, _ = run(capsys, "genus", "sigma", "--h", "1", "--n", "1", "--format", "tsv")
+    assert (code, out) == (0, "n\tvalue\n1\tx\n")
+
+
 def test_genus_symbolic_sigma_json(capsys):
     code, out, _ = run(capsys, "genus", "sigma", "--h", "2", "--p", "2", "--n", "2")
     assert code == 0
@@ -324,6 +342,16 @@ GOLDEN_STDOUT = {
         "c35c699828bd0c6c82a353495e72ba8ee17a4def4cf84f78a627e734a4bfefb4",
     "orbits --h 4 --p 2 --size 8 --format tsv":
         "05ef9e8d8f47547d5416c267b43ce67f619f2aa98e6d989ccbc3da512463b6c0",
+    # recorded while PsiPolynomial and TruncatedSeries each had their own
+    # square-and-multiply and canonicalize reduced its columns on its own:
+    # multiplicities up to 10, a series power 5 = 0b101, and a brute-force
+    # side that canonicalizes every stabilizer
+    "verify dmvv --h 1 --n 10":
+        "a5267ccf73e02d1fb5e513474c3c110d19b3ca2cec433ed54cb83fa3f565b229",
+    "genus todd --d 5 --n 12 --format tsv":
+        "891bdc572f3dc62b2a72acb2e888ce01e25084bca5aa6ad132b3f943d53e7669",
+    "verify oracle --h 3 --l 4":
+        "67b9ea1a65ea3c83d1b9b87d52b76e29a76b0e69e7ad146700b2371d3c40fead",
 }
 
 

@@ -1,6 +1,7 @@
 """Property tests: the canonical order does not depend on how objects were built,
-canonicalize lands in the orbit enumeration, and the orbit-type product for the
-symmetric-power series equals the class sum."""
+canonicalize lands in the orbit enumeration and agrees with reduce, monomials
+have one normal form, and the orbit-type product for the symmetric-power series
+equals the class sum."""
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -50,6 +51,16 @@ def test_canonicalize_lands_in_the_enumeration(t):
 
 
 @SETTINGS
+@given(orbit(max_h=4, max_index=32), st.data())
+def test_reduce_lands_in_the_box_and_stays_in_the_coset(t, data):
+    v = data.draw(st.lists(st.integers(-40, 40), min_size=t.h, max_size=t.h))
+    w = t.reduce(v)
+    assert all(0 <= w_i < d_i for w_i, d_i in zip(w, t.diagonal))
+    # v - w lies in the lattice, so adding it to the basis changes nothing
+    assert canonicalize(t.h, list(t.rows) + [[a - b for a, b in zip(v, w)]]) == t
+
+
+@SETTINGS
 @given(
     st.lists(st.tuples(st.sampled_from(POOL), st.integers(1, 3)), max_size=10),
     st.randoms(use_true_random=False),
@@ -82,6 +93,18 @@ def test_psipolynomial_ignores_term_order(terms, rng):
     b = PsiPolynomial(shuffled)
     assert str(a) == str(b)
     assert a.sorted_terms() == b.sorted_terms()
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.sampled_from(SYMBOLS[:3]), st.integers(1, 3)), max_size=6),
+       coefficient)
+def test_repeated_symbols_merge_into_one_monomial(pairs, coeff):
+    expected = PsiPolynomial.constant(coeff)
+    for sym, e in pairs:
+        expected = expected * PsiPolynomial.symbol(sym) ** e
+    assert PsiPolynomial([(tuple(pairs), coeff)]) == expected
+    if coeff:
+        assert expected.coefficient(pairs) == coeff
 
 
 @st.composite

@@ -80,8 +80,35 @@ def test_pow():
     assert x ** 0 == 1
     assert x ** 3 == x * x * x
     assert (x + 1) ** 2 == x * x + 2 * x + 1
+    # every bit pattern of n <= 9, against repeated multiplication
+    t1 = enumerate_orbits(2, 2, P2)[0]
+    f = x + Fraction(1, 2) * PsiPolynomial.symbol(PsiSymbol("x", t1)) - 1
+    expected = PsiPolynomial.constant(1)
+    for n in range(10):
+        assert f ** n == expected, n
+        assert str(f ** n) == str(expected), n
+        expected = expected * f
     with pytest.raises(ValueError):
         x ** -1
+    with pytest.raises(ValueError):
+        x ** 1.0
+
+
+def test_monomials_have_one_normal_form():
+    x = PsiPolynomial.variable("x", 2)
+    s = PsiSymbol("x", enumerate_orbits(2, 1, P2)[0])
+    t = PsiSymbol("x", enumerate_orbits(2, 2, P2)[0])
+    # a repeated symbol is merged, in the constructor and in coefficient()
+    assert PsiPolynomial([(((s, 1), (s, 1)), 1)]) == x ** 2
+    assert PsiPolynomial({((s, 1), (t, 2), (s, 2)): 3}) == 3 * x ** 3 * PsiPolynomial.symbol(t) ** 2
+    assert (x ** 2).coefficient(((s, 1), (s, 1))) == 1
+    assert (x ** 3).coefficient(((s, 2), (s, 1))) == 1
+    # exponents are ints >= 1
+    for e in (0, -1, 1.5):
+        with pytest.raises(ValueError):
+            PsiPolynomial({((s, e),): 3})
+    with pytest.raises(ValueError):
+        PsiPolynomial({((s, 2), (t, 0)): 1})
 
 
 def test_degree_and_constant_value():

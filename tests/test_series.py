@@ -139,8 +139,23 @@ def test_pow_matches_repeated_mul():
     s = rand_series(rng, 5)
     assert s ** 3 == s * s * s
     assert s ** 0 == TruncatedSeries.one(5)
+    # every bit pattern of n <= 9
+    expected = TruncatedSeries.one(5)
+    for n in range(10):
+        assert s ** n == expected, n
+        expected = expected * s
     with pytest.raises(ValueError):
         s ** -1
+    with pytest.raises(ValueError):
+        s ** 2.0
+
+
+def test_float_operands_raise_type_error():
+    s = TruncatedSeries([1, 2], prec=2)
+    for op in (lambda: s + 0.5, lambda: 0.5 + s, lambda: s * 0.5, lambda: 0.5 * s,
+               lambda: s - 0.5, lambda: 0.5 - s):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_equality_requires_same_precision():
