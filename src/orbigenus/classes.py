@@ -186,31 +186,56 @@ def class_size(cls: OrbitTypeMultiset) -> int:
     return n // z
 
 
+def _orbit_pool(h: int, top: int, mode: Mode) -> list[TransitiveOrbit]:
+    """The orbits of every admissible size <= top, by size, each size in canonical order."""
+    pool: list[TransitiveOrbit] = []
+    for s in mode.sizes_up_to(top):
+        pool.extend(enumerate_orbits(h, s, mode))
+    return pool
+
+
+def _walk_classes(pool: list[TransitiveOrbit], top: int):
+    """Walk the tree of orbit multisets from the pool of total size <= top, depth first.
+
+    A node adds mult copies of pool[i] to its parent, whose entries all come
+    from pool[:i]; the root is the empty class and is not yielded.  Every
+    other node is yielded once, on the way down, as (depth, i, mult, degree):
+    the node's entries are those of the last node yielded at each smaller
+    depth, then (pool[i], mult).  Taking pool[i] before pool[i + 1], and
+    fewer copies before more, visits the classes of each degree in canonical
+    order: lexicographic in their (orbit, multiplicity) entries.
+    """
+    sizes = [orbit.size for orbit in pool]
+    n = len(sizes)
+    stack: list[tuple[int, int, int]] = []  # (i, mult, parent degree) per depth
+    i, mult, base = 0, 1, 0  # the next node to try: the root's first child
+    while True:
+        degree = base + mult * sizes[i] if i < n else top + 1
+        if degree <= top:
+            stack.append((i, mult, base))
+            yield len(stack), i, mult, degree
+            i, mult, base = i + 1, 1, degree  # its first child
+        elif mult > 1:
+            i, mult = i + 1, 1  # no more copies fit: the next orbit
+        elif stack:
+            # pool[i] does not fit once, and the pool is sorted by size, so
+            # nothing later fits either: the parent's next sibling
+            i, mult, base = stack.pop()
+            mult += 1
+        else:
+            return
+
+
 @lru_cache(maxsize=None)
 def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> tuple[OrbitTypeMultiset, ...]:
-    pool: list[TransitiveOrbit] = []
-    for s in mode.sizes_up_to(l):
-        pool.extend(enumerate_orbits(h, s, mode))
-    out: list[OrbitTypeMultiset] = []
+    pool = _orbit_pool(h, l, mode)
+    out = [OrbitTypeMultiset(h, mode, ())] if l == 0 else []
     picked: list[tuple[TransitiveOrbit, int]] = []
-
-    def rec(start: int, remaining: int):
-        # one level per orbit picked, so the depth is at most l + 1
-        if remaining == 0:
+    for depth, i, mult, degree in _walk_classes(pool, l):
+        del picked[depth - 1:]
+        picked.append((pool[i], mult))
+        if degree == l:
             out.append(OrbitTypeMultiset(h, mode, tuple(picked)))
-            return
-        # taking pool[i] before moving on to pool[i + 1] emits the classes in
-        # canonical order: lexicographic in their (orbit, multiplicity) entries
-        for i in range(start, len(pool)):
-            size = pool[i].size
-            if size > remaining:
-                break  # pool is sorted by size, nothing later fits either
-            for mult in range(1, remaining // size + 1):
-                picked.append((pool[i], mult))
-                rec(i + 1, remaining - mult * size)
-                picked.pop()
-
-    rec(0, l)
     return tuple(out)
 
 

@@ -59,11 +59,21 @@ def _emit(text: str):
         sys.stdout.write("\n")
 
 
+def _emit_json(obj):
+    """Write obj as indented JSON and a newline; lists may be generators.
+
+    The text goes out in chunks while it is rendered, so everything that can
+    fail must be computed before this is called.
+    """
+    serialize.dump(obj, sys.stdout)
+    sys.stdout.write("\n")
+
+
 def _cmd_orbits(args) -> int:
     mode = _mode_from_args(args)
     orbits = enumerate_orbits(args.h, args.size, mode)
     if args.format == "json":
-        _emit(serialize.dumps([serialize.orbit_to_json(t) for t in orbits]))
+        _emit_json(serialize.orbit_to_json(t) for t in orbits)
     else:
         _emit("size\thnf")
         for t in orbits:
@@ -76,14 +86,12 @@ def _cmd_classes(args) -> int:
     classes = enumerate_classes(args.h, args.l, mode)
     total = hom_count(args.h, args.l, mode)
     if args.format == "json":
-        _emit(
-            serialize.dumps(
-                {
-                    "classes": [serialize.class_to_json(c) for c in classes],
-                    "count": len(classes),
-                    "total_tuples": str(total),
-                }
-            )
+        _emit_json(
+            {
+                "classes": (serialize.class_to_json(c) for c in classes),
+                "count": len(classes),
+                "total_tuples": str(total),
+            }
         )
     else:
         _emit("type\tcentralizer_order\tclass_size")
@@ -98,7 +106,7 @@ def _cmd_verify_dmvv(args) -> int:
     mode = _mode_from_args(args)
     model = _model_from_spec(args.model)
     report = verify_product_formula(model, args.n, args.h, mode)
-    _emit(serialize.dumps(serialize.comparison_to_json(report)))
+    _emit_json(serialize.comparison_to_json(report))
     return 0 if report.equal else 1
 
 
@@ -132,16 +140,14 @@ def _cmd_verify_frobenius(args) -> int:
                 ok = False
     if not checked:
         raise ValueError("nothing to check: frobenius needs --l >= 2 and --trials >= 1")
-    _emit(
-        serialize.dumps(
-            {
-                "h": args.h,
-                "mode": serialize.mode_to_json(mode),
-                "l": args.l,
-                "trials": checked,
-                "equal": ok,
-            }
-        )
+    _emit_json(
+        {
+            "h": args.h,
+            "mode": serialize.mode_to_json(mode),
+            "l": args.l,
+            "trials": checked,
+            "equal": ok,
+        }
     )
     return 0 if ok else 1
 
@@ -151,17 +157,15 @@ def _cmd_verify_oracle(args) -> int:
     counted = brute_force_classes(args.h, args.l, mode, guard=args.guard)
     expected = {c: class_size(c) for c in enumerate_classes(args.h, args.l, mode)}
     ok = counted == expected
-    _emit(
-        serialize.dumps(
-            {
-                "h": args.h,
-                "mode": serialize.mode_to_json(mode),
-                "l": args.l,
-                "classes": len(expected),
-                "tuples": str(sum(expected.values())),
-                "equal": ok,
-            }
-        )
+    _emit_json(
+        {
+            "h": args.h,
+            "mode": serialize.mode_to_json(mode),
+            "l": args.l,
+            "classes": len(expected),
+            "tuples": str(sum(expected.values())),
+            "equal": ok,
+        }
     )
     return 0 if ok else 1
 
@@ -169,11 +173,7 @@ def _cmd_verify_oracle(args) -> int:
 def _emit_value_rows(rows, fmt: str):
     """rows: list of (n, value); json gives records, tsv a header plus lines."""
     if fmt == "json":
-        _emit(
-            serialize.dumps(
-                [{"n": n, "value": serialize.value_to_json(v)} for n, v in rows]
-            )
-        )
+        _emit_json([{"n": n, "value": serialize.value_to_json(v)} for n, v in rows])
     else:
         _emit("n\tvalue")
         for n, v in rows:
@@ -191,15 +191,13 @@ def _cmd_genus(args) -> int:
         series = todd_orbifold_series(d, args.n)
         equal = series == geometric_power_series(d, args.n)
         if args.format == "json":
-            _emit(
-                serialize.dumps(
-                    {
-                        "d": d,
-                        "precision": args.n,
-                        "series": serialize.series_to_json(series),
-                        "closed_form": equal,
-                    }
-                )
+            _emit_json(
+                {
+                    "d": d,
+                    "precision": args.n,
+                    "series": serialize.series_to_json(series),
+                    "closed_form": equal,
+                }
             )
         else:
             _emit_value_rows(list(enumerate(series.coeffs)), "tsv")

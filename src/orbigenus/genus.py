@@ -10,16 +10,18 @@ together by the exponential product formula
     sum_n sigma_n t^n  =  exp( sum_T psi(T) t^|T| / |T| ).
 
 The verifier checks that identity coefficient by coefficient, exactly,
-with the class sum as its left side.  The genus series themselves take the
-same coefficients from a product over orbit types, which enumerates no
-classes.
+with the class sum as its left side: one depth-first walk of every class
+of degree <= prec, which carries each class's psi product and centralizer
+order down to the classes that extend it and keeps no class.  The genus
+series themselves take the same coefficients from a product over orbit
+types, which enumerates no classes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import OrbitTypeMultiset, centralizer_order, enumerate_classes
+from .classes import OrbitTypeMultiset, _orbit_pool, _walk_classes, enumerate_classes
 from .classfun import ClassFunction
 from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
 from .psipoly import PsiPolynomial, PsiSymbol
@@ -79,21 +81,70 @@ def psi_of_class(model, cls: OrbitTypeMultiset):
     return value
 
 
+def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
+    """[sigma_0, ..., sigma_prec]: psi(c) / z(c) summed over the classes c, in one walk.
+
+    The walk visits every class of degree <= prec once, depth first, and
+    carries two values down from each class to the classes that extend it:
+    the psi product, and the centralizer order z as an int.  A class that
+    adds m copies of an orbit T of size s to its parent costs one ring
+    multiplication, by the precomputed psi(T)^m, and multiplies z by s * k for
+    the k-th copy, so by s^m m!.  Its psi / z is added in place into one
+    accumulator per degree.  Classes are summed one by one, never regrouped by
+    orbit type, so the sum stays independent of symmetric_power_series.  A
+    degree sums to a Fraction unless some class of it has a PsiPolynomial
+    product.
+    """
+    if prec < 0:
+        raise ValueError("precision must be nonnegative")
+    if h < 1:
+        # checked here because at prec 0 no orbit enumeration checks it
+        raise ValueError("h must be positive")
+    pool = _orbit_pool(h, prec, mode)
+    # powers[i][m] = (psi(T)^m, s^m m!) for T = pool[i] of size s
+    powers = []
+    for orbit in pool:
+        psi, s = model.psi(orbit), orbit.size
+        row = [None, (psi, s)]
+        for m in range(2, prec // s + 1):
+            value, z = row[-1]
+            row.append((value * psi, z * s * m))
+        powers.append(row)
+    scalars = [Fraction(1)] + [Fraction(0)] * prec  # degree 0: the empty class
+    terms: list[dict | None] = [None] * (prec + 1)  # each degree's polynomial part
+    values = [Fraction(1)] * (prec + 1)  # the psi product at each depth of the walk
+    orders = [1] * (prec + 1)  # the centralizer order at each depth
+    for depth, i, mult, degree in _walk_classes(pool, prec):
+        psi_power, z_factor = powers[i][mult]
+        value = values[depth] = values[depth - 1] * psi_power
+        z = orders[depth] = orders[depth - 1] * z_factor
+        if isinstance(value, PsiPolynomial):
+            if terms[degree] is None:
+                terms[degree] = {}
+            value._add_scaled_into(terms[degree], Fraction(1, z))
+        else:
+            scalars[degree] += value * Fraction(1, z)
+    sums = []
+    for c, t in zip(scalars, terms):
+        if t is not None:
+            poly = PsiPolynomial._from_terms(t)
+            c = poly + c if c else poly
+        sums.append(c)
+    return sums
+
+
 def sigma(model, n: int, h: int, mode: Mode = ALL_ORDERS):
     """Coefficient of the n-th symmetric power: sum over classes of psi/centralizer.
 
-    This is the definition, summed class by class over enumerate_classes.
-    The genus commands take the faster orbit-type product of
-    symmetric_power_series instead; verify_product_formula builds its left
-    side from this class sum, so the product formula stays tested against
-    the classes rather than assumed.
+    This is the definition, summed class by class: coefficient n of the
+    class sum that verify_product_formula takes as its left side, so one walk
+    of the classes of degree <= n.  The genus commands take the faster
+    orbit-type product of symmetric_power_series instead, so the product
+    formula stays tested against the classes rather than assumed.
     """
     if n < 0:
         raise ValueError("symmetric power degree must be nonnegative")
-    total = Fraction(0)
-    for cls in enumerate_classes(h, n, mode):
-        total = total + psi_of_class(model, cls) * Fraction(1, centralizer_order(cls))
-    return total
+    return _class_sum(model, n, h, mode)[n]
 
 
 def symmetric_power_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
@@ -185,10 +236,11 @@ class SeriesComparison:
 def verify_product_formula(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> SeriesComparison:
     """Check S_t = exp(sum_n T_n t^n) through the given precision, exactly.
 
-    The left side is assembled from conjugacy classes by sigma, the right
-    side from single orbits; their agreement is the product-formula identity.
+    The left side is the class sum of sigma_0 .. sigma_prec, taken in one
+    walk of the conjugacy classes; the right side is built from single
+    orbits.  Their agreement is the product-formula identity.
     """
-    lhs = TruncatedSeries([sigma(model, n, h, mode) for n in range(prec + 1)], prec=prec)
+    lhs = TruncatedSeries(_class_sum(model, prec, h, mode), prec=prec)
     rhs = hecke_log_series(model, prec, h, mode).exp()
     return SeriesComparison.compare(h, mode, lhs, rhs)
 

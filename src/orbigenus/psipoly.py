@@ -6,7 +6,9 @@ Fraction scalars, so they can serve as series coefficients.
 
 A monomial has one normal form: a tuple of (symbol, exponent) pairs, one
 pair per symbol, sorted by symbol, every exponent an int >= 1; () is the
-constant monomial.  Construction, lookup and multiplication all use it.
+constant monomial.  Construction, lookup and multiplication all use it, and
+construction and lookup both raise ValueError on a monomial given with an
+exponent that is not an int >= 1.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbits import TransitiveOrbit
-from .series import _SCALARS, _power, exact
+from .series import _SCALARS, _ZERO, _power, exact
 
 
 @dataclass(frozen=True, order=True)
@@ -34,6 +36,14 @@ class PsiSymbol:
 
 
 Monomial = tuple[tuple[PsiSymbol, int], ...]
+
+
+def _checked_monomial(mono) -> Monomial:
+    """The normal form of a monomial given from outside; ValueError unless every exponent is an int >= 1."""
+    mono = tuple(mono)
+    if not all(isinstance(e, int) and e >= 1 for _, e in mono):
+        raise ValueError(f"exponents must be ints >= 1, got {mono!r}")
+    return _monomial(mono)
 
 
 def _monomial(pairs) -> Monomial:
@@ -81,10 +91,7 @@ class PsiPolynomial:
                 c = exact(coeff)
                 if not isinstance(c, Fraction):
                     raise TypeError(f"coefficient must be exact, got {type(coeff).__name__}")
-                mono = tuple(mono)
-                if not all(isinstance(e, int) and e >= 1 for _, e in mono):
-                    raise ValueError(f"exponents must be ints >= 1, got {mono!r}")
-                mono = _monomial(mono)
+                mono = _checked_monomial(mono)
                 c = data.get(mono, Fraction(0)) + c
                 if c:
                     data[mono] = c
@@ -98,6 +105,15 @@ class PsiPolynomial:
         out = cls.__new__(cls)
         object.__setattr__(out, "_terms", terms)
         return out
+
+    def _add_scaled_into(self, terms: dict, scale: Fraction) -> None:
+        """Add scale * self into a dict that _from_terms can wrap, in place; scale is nonzero."""
+        for mono, c in self._terms.items():
+            v = terms.get(mono, _ZERO) + c * scale
+            if v:
+                terms[mono] = v
+            else:
+                del terms[mono]
 
     @classmethod
     def zero(cls) -> "PsiPolynomial":
@@ -120,7 +136,7 @@ class PsiPolynomial:
         return sorted(self._terms.items(), key=lambda mc: _mono_key(mc[0]))
 
     def coefficient(self, mono) -> Fraction:
-        return self._terms.get(_monomial(mono), Fraction(0))
+        return self._terms.get(_checked_monomial(mono), Fraction(0))
 
     @property
     def is_zero(self) -> bool:

@@ -4,6 +4,11 @@ Counts and sizes are emitted as decimal strings so arbitrarily large exact
 integers survive any JSON reader; rationals are "num/den" with the
 denominator omitted when it is one.  All list orders are the canonical
 enumeration orders, so equal objects serialize to identical bytes.
+
+``dumps`` and ``dump`` render the layout of ``json.dumps(obj, indent=2)``
+with their own writer: CPython's C encoder does not handle ``indent``, and
+its pure-Python fallback rebuilds every repeated orbit object.  ``dump``
+streams, so the CLI writes long orbit and class lists as it produces them.
 """
 from __future__ import annotations
 
@@ -33,12 +38,20 @@ def fraction_from_str(s: str) -> Fraction:
         raise ValueError(f"not a rational literal: {s!r}") from e
 
 
+class _OrbitJSON(dict):
+    """The JSON object of one orbit, a plain dict that also remembers the orbit.
+
+    The writer keys its cache of rendered orbits on ``orbit``: orbit objects
+    live on, where the dicts built for them may be freed and their ids reused.
+    """
+
+    __slots__ = ("orbit",)
+
+
 def orbit_to_json(orbit: TransitiveOrbit) -> dict:
-    return {
-        "h": orbit.h,
-        "size": str(orbit.size),
-        "hnf": [list(row) for row in orbit.rows],
-    }
+    obj = _OrbitJSON(h=orbit.h, size=str(orbit.size), hnf=[list(row) for row in orbit.rows])
+    obj.orbit = orbit
+    return obj
 
 
 def orbit_from_json(obj) -> TransitiveOrbit:
@@ -82,15 +95,22 @@ def value_to_json(value):
     if isinstance(value, (int, Fraction)):
         return fraction_to_str(Fraction(value))
     if isinstance(value, PsiPolynomial):
+        # one object per distinct orbit, shared by every monomial that has it
+        terms = value.sorted_terms()
+        orbits: dict[TransitiveOrbit, dict] = {}
+        for mono, _ in terms:
+            for sym, _ in mono:
+                if sym.orbit not in orbits:
+                    orbits[sym.orbit] = orbit_to_json(sym.orbit)
         return [
             {
                 "monomial": [
-                    {"family": sym.family, "orbit": orbit_to_json(sym.orbit), "power": e}
+                    {"family": sym.family, "orbit": orbits[sym.orbit], "power": e}
                     for sym, e in mono
                 ],
                 "value": fraction_to_str(coeff),
             }
-            for mono, coeff in value.sorted_terms()
+            for mono, coeff in terms
         ]
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
@@ -121,7 +141,9 @@ def comparison_to_json(report: SeriesComparison) -> dict:
         "rhs": series_to_json(report.rhs),
     }
     if not report.equal:
-        out["first_mismatch"] = report.first_mismatch
+        n = report.first_mismatch
+        out["first_mismatch"] = n
+        out["difference"] = value_to_json(report.lhs.coeffs[n] - report.rhs.coeffs[n])
     return out
 
 
@@ -149,6 +171,126 @@ def load_table_model(path: str) -> TableModel:
     return table_model_from_json(obj)
 
 
+def dump(obj, fp) -> None:
+    """Write ``dumps(obj)`` to the text stream fp, in chunks of at least 64 KiB but the last.
+
+    Lists may be given as any iterable, generators included, so a long list
+    is written while it is produced and never held whole.
+    """
+    _write(obj, fp.write)
+
+
 def dumps(obj) -> str:
-    """Serialize an already-encoded JSON object deterministically."""
-    return json.dumps(obj, indent=2, sort_keys=False)
+    """Serialize an already-encoded JSON object deterministically.
+
+    The text is that of ``json.dumps(obj, indent=2)``, ASCII only; lists may
+    be any iterable.
+    """
+    chunks: list[str] = []
+    _write(obj, chunks.append)
+    return "".join(chunks)
+
+
+_CHUNK_CHARS = 1 << 16  # write() gets at least this much text at a time
+_CHECK_PARTS = 256  # rendered fragments between two looks at the buffered size
+_MAX_CACHED = 4096  # rendered orbits kept by one _write call
+
+
+def _write(obj, write) -> None:
+    """Render obj in the layout of ``json.dumps(obj, indent=2)``, passing the text to write().
+
+    Strings, ints, bools, None, dicts with string keys, and any other
+    iterable as a list; anything else, floats included, raises TypeError.
+    An orbit object (from orbit_to_json) is rendered once per nesting depth
+    and then copied, while the same orbit comes with the same fields.
+    """
+    encode_str = json.encoder.encode_basestring_ascii
+    parts: list[str] = []  # rendered text, not yet joined
+    joined: list[str] = []  # joined runs of parts, not yet written
+    size = 0  # characters in joined
+    orbits: dict[tuple, tuple[dict, str]] = {}  # (orbit, depth) -> (object, text)
+
+    def flush(final: bool = False):
+        nonlocal size
+        text = "".join(parts)
+        parts.clear()
+        joined.append(text)
+        size += len(text)
+        if final or size >= _CHUNK_CHARS:
+            write("".join(joined))
+            joined.clear()
+            size = 0
+
+    def value(o, depth: int, out: list):
+        if isinstance(o, dict):
+            if isinstance(o, _OrbitJSON):
+                orbit(o, depth, out)
+            else:
+                mapping(o, depth, out)
+        elif isinstance(o, str):
+            out.append(encode_str(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        else:
+            sequence(o, depth, out)
+
+    def orbit(o: _OrbitJSON, depth: int, out: list):
+        key = (o.orbit, depth)
+        hit = orbits.get(key)
+        if hit is not None and (hit[0] is o or hit[0] == o):
+            out.append(hit[1])
+            return
+        own: list[str] = []
+        mapping(o, depth, own)
+        text = "".join(own)
+        if hit is None:
+            if len(orbits) >= _MAX_CACHED:
+                orbits.clear()
+            orbits[key] = (o, text)
+        out.append(text)
+
+    def mapping(o: dict, depth: int, out: list):
+        if not o:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        for k, v in o.items():
+            head = sep + encode_str(k) + ": "  # TypeError unless k is a str
+            # the common leaves inline, one fragment per item
+            if type(v) is str:
+                out.append(head + encode_str(v))
+            elif type(v) is int:
+                out.append(head + int.__repr__(v))
+            else:
+                out.append(head)
+                value(v, depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * depth + "}")
+
+    def sequence(o, depth: int, out: list):
+        try:
+            items = iter(o)
+        except TypeError:
+            raise TypeError(f"cannot serialize value of type {type(o).__name__}") from None
+        inner = "\n" + "  " * (depth + 1)
+        sep = "[" + inner
+        for item in items:
+            out.append(sep)
+            value(item, depth + 1, out)
+            sep = "," + inner
+            if out is parts and len(parts) >= _CHECK_PARTS:
+                flush()
+        if sep[0] == "[":
+            out.append("[]")
+        else:
+            out.append("\n" + "  " * depth + "]")
+
+    value(obj, 0, parts)
+    flush(final=True)

@@ -197,6 +197,29 @@ def sublattice_count(h, n):
     return sum(prod(d ** j for j, d in enumerate(diag)) for diag in hnf_diagonals(h, n))
 
 
+def class_count(h, l, p=None):
+    """Classes of commuting h-tuples of degree l, as the Euler transform of the orbit counts.
+
+    A class is a multiset of orbits, and a(s) = sublattice_count(h, s) orbits
+    of size s may be picked (s a power of p in p-power mode), so the count is
+    [t^l] prod_s (1 - t^s)^(-a(s)).  Each factor is multiplied in as a(s)
+    geometric series 1 / (1 - t^s).
+    """
+    def admissible(s):
+        while p is not None and s % p == 0:
+            s //= p
+        return p is None or s == 1
+
+    coeffs = [1] + [0] * l
+    for s in range(1, l + 1):
+        if not admissible(s):
+            continue
+        for _ in range(sublattice_count(h, s)):
+            for n in range(s, l + 1):
+                coeffs[n] += coeffs[n - s]
+    return coeffs[l]
+
+
 # Filled by the acceptance suite; conftest prints it after the run so the
 # per-criterion verdict lines survive pytest's output capture.
 ACCEPTANCE_RESULTS: list = []

@@ -20,6 +20,8 @@ from orbigenus.classes import (
 )
 from orbigenus.orbits import ALL_ORDERS, Mode, ModeError, TransitiveOrbit, enumerate_orbits
 
+from helpers import class_count
+
 P2 = Mode.p_power(2)
 P3 = Mode.p_power(3)
 
@@ -137,6 +139,18 @@ def test_enumerate_classes_frozen_counts():
 def test_enumerate_classes_deep_pool():
     # the 1,566 orbits of size <= 8 at h=4 p=2 once set the recursion depth
     assert len(enumerate_classes(4, 8, P2)) == 38441
+
+
+@pytest.mark.parametrize(
+    "h,l,p,count",
+    [(1, 20, None, 627), (4, 8, 2, 38441), (1, 0, None, 1), (2, 8, 2, 148),
+     (2, 9, 3, 48), (3, 6, None, 717), (2, 7, None, 170), (3, 10, 2, 11272)],
+)
+def test_enumerate_classes_counts_match_the_euler_transform(h, l, p, count):
+    # the class walk against a count that enumerates no class
+    mode = ALL_ORDERS if p is None else Mode.p_power(p)
+    assert class_count(h, l, p) == count
+    assert len(enumerate_classes(h, l, mode)) == count
 
 
 def test_enumerate_classes_degree_zero():

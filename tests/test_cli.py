@@ -1,12 +1,13 @@
 """CLI behavior: output shapes, exit codes, determinism, error paths."""
 import hashlib
 import json
+import sys
 
 import pytest
 
 from orbigenus import cli
 from orbigenus.cli import main
-from orbigenus.orbits import TransitiveOrbit
+from orbigenus.orbits import TransitiveOrbit, enumerate_orbits
 from orbigenus.serialize import dumps, orbit_to_json
 
 
@@ -352,7 +353,50 @@ GOLDEN_STDOUT = {
         "891bdc572f3dc62b2a72acb2e888ce01e25084bca5aa6ad132b3f943d53e7669",
     "verify oracle --h 3 --l 4":
         "67b9ea1a65ea3c83d1b9b87d52b76e29a76b0e69e7ad146700b2371d3c40fead",
+    # recorded while sigma enumerated the classes of each degree on its own
+    # and every report was built as one dict tree, then one string: a
+    # Fraction left side, a root-only class walk, streamed orbit and class
+    # lists, and an empty "type": [] list
+    "verify dmvv --h 3 --p 2 --n 8 --model integer:1":
+        "68655cb10cf9843ac63d1e8b2116f34c02aaabdd4d9158295ccd05f4ee69b6d3",
+    "verify dmvv --h 2 --p 3 --n 9":
+        "d6c76ae316ed15d9d1b1541fd650cbfe4d1b75835af96edaee04bb7c59c574cb",
+    "verify dmvv --h 1 --n 0":
+        "cf7d19073da3312a2db1f21bc765256f32bd2e0b3bcbc9388446d178c59dfa42",
+    "orbits --h 2 --size 6":
+        "cf970030de145882354918b79eb750c8de9cef513f051ee7c6c8088458a0f62c",
+    "classes --h 2 --l 0 --format json":
+        "d61d1d8be87de39c4491365c2101dc09967b5509e1d1d1973dad1ceefa0ee050",
+    "classes --h 1 --p 3 --l 6 --format json":
+        "27db87d4ae1b3242afc9f0a9b7368d7b1a60bce849b2042ef2ae763abb521f97",
 }
+
+
+def test_json_streams_in_chunks_and_errors_write_nothing(capsys, monkeypatch):
+    # everything that can fail is computed before the first byte goes out
+    for argv in (
+        ("orbits", "--h", "2", "--p", "2", "--size", "6"),
+        ("classes", "--h", "0", "--l", "3"),
+        ("verify", "dmvv", "--h", "0", "--n", "3"),
+        ("verify", "dmvv", "--h", "2", "--n", "3", "--model", "table:/nonexistent.json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:")
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["orbits", "--h", "4", "--size", "8"]) == 0
+    monkeypatch.undo()
+    expected = [orbit_to_json(t) for t in enumerate_orbits(4, 8)]
+    assert "".join(writes) == json.dumps(expected, indent=2) + "\n"
+    # the JSON in chunks of at least 64 KiB, then the last chunk and a newline
+    assert len(writes) > 4
+    assert all(len(w) >= 1 << 16 for w in writes[:-2])
 
 
 def test_determinism(capsys):

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from orbigenus import genus
-from orbigenus.classes import OrbitTypeMultiset, enumerate_classes
+from orbigenus.classes import OrbitTypeMultiset, centralizer_order, enumerate_classes
+from orbigenus.classes import _walk_classes as walk_classes
 from orbigenus.classfun import augmentation
 from orbigenus.genus import (
     IntegerModel,
@@ -27,6 +28,7 @@ from orbigenus.genus import (
 )
 from orbigenus.orbits import ALL_ORDERS, Mode, ModeError, TransitiveOrbit, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
+from orbigenus.serialize import comparison_to_json, value_to_json
 from orbigenus.series import TruncatedSeries
 
 P2 = Mode.p_power(2)
@@ -192,16 +194,72 @@ def test_product_formula_integer_model():
 
 
 def test_verifier_left_side_walks_the_classes(monkeypatch):
-    # dropping one class of degree 3 must break the identity at t^3; a left
-    # side taken from the orbit-type product would not notice
-    def one_class_short(h, l, mode=ALL_ORDERS):
-        classes = enumerate_classes(h, l, mode)
-        return classes[:-1] if l == 3 else classes
+    # dropping one class of degree 3 from the walk must break the identity at
+    # t^3, by exactly that class's term; a left side taken from the
+    # orbit-type product would not notice
+    dropped = []
 
-    monkeypatch.setattr(genus, "enumerate_classes", one_class_short)
-    report = verify_product_formula(SymbolicModel("x"), 5, 2, P2)
+    def one_class_short(pool, top):
+        path = []
+        for node in walk_classes(pool, top):
+            depth, i, mult, degree = node
+            del path[depth - 1:]
+            path.append((pool[i], mult))
+            if degree == 3 and not dropped:
+                dropped.append(OrbitTypeMultiset(2, P2, tuple(path)))
+                continue
+            yield node
+
+    monkeypatch.setattr(genus, "_walk_classes", one_class_short)
+    model = SymbolicModel("x")
+    report = verify_product_formula(model, 5, 2, P2)
     assert not report.equal
     assert report.first_mismatch == 3
+    (cls,) = dropped
+    difference = -psi_of_class(model, cls) * Fraction(1, centralizer_order(cls))
+    assert report.lhs.coeffs[3] - report.rhs.coeffs[3] == difference
+    assert comparison_to_json(report)["difference"] == value_to_json(difference)
+
+
+def _mixed_model(h, mode, prec):
+    # scalar psi on the trivial orbit, a symbol elsewhere: degrees mix both
+    return TableModel(
+        (t, Fraction(2, 3) if t.size == 1 else sym("x", t))
+        for s in mode.sizes_up_to(prec)
+        for t in enumerate_orbits(h, s, mode)
+    )
+
+
+@pytest.mark.parametrize(
+    "model,h,mode,prec",
+    [(SymbolicModel("x"), 2, P2, 6), (SymbolicModel("y"), 1, ALL_ORDERS, 7),
+     (IntegerModel(3), 3, P2, 5), (IntegerModel(2), 2, P3, 6),
+     (_mixed_model(2, P2, 5), 2, P2, 5)],
+)
+def test_sigma_is_the_sum_over_enumerated_classes(model, h, mode, prec):
+    # the walk's carried products and orders against each class on its own
+    for n in range(prec + 1):
+        expected = Fraction(0)
+        for cls in enumerate_classes(h, n, mode):
+            expected = expected + psi_of_class(model, cls) * Fraction(1, centralizer_order(cls))
+        got = sigma(model, n, h, mode)
+        assert got == expected and type(got) is type(expected), (n, got, expected)
+    lhs = verify_product_formula(model, prec, h, mode).lhs
+    assert lhs.coeffs == tuple(sigma(model, n, h, mode) for n in range(prec + 1))
+
+
+def test_class_sum_rejects_bad_rank_and_precision():
+    # at prec 0 the walk visits only the empty class, so it checks h itself
+    for prec in (0, 2):
+        with pytest.raises(ValueError, match="h must be positive"):
+            verify_product_formula(IntegerModel(1), prec, 0, ALL_ORDERS)
+        with pytest.raises(ValueError, match="h must be positive"):
+            sigma(IntegerModel(1), prec, 0)
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        verify_product_formula(IntegerModel(1), -1, 1, ALL_ORDERS)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        sigma(IntegerModel(1), -1, 1)
+    assert verify_product_formula(IntegerModel(1), 0, 1, ALL_ORDERS).lhs.coeffs == (1,)
 
 
 def test_series_comparison_reports_mismatch():

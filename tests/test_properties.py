@@ -1,16 +1,27 @@
 """Property tests: the canonical order does not depend on how objects were built,
 canonicalize lands in the orbit enumeration and agrees with reduce, monomials
-have one normal form, and the orbit-type product for the symmetric-power series
-equals the class sum."""
+have one normal form, the orbit-type product for the symmetric-power series
+equals the class sum, the JSON writer matches json.dumps, series inversion,
+exp and log undo each other, rational strings round-trip, and the class of a
+commuting tuple is invariant under conjugation."""
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbigenus.classes import OrbitTypeMultiset
+from orbigenus.classes import (
+    OrbitTypeMultiset,
+    Permutation,
+    class_representative,
+    enumerate_classes,
+    orbit_type_of_tuple,
+)
 from orbigenus.genus import TableModel, sigma, symmetric_power_series
 from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
+from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit_to_json
+from orbigenus.series import TruncatedSeries
 
 P2 = Mode.p_power(2)
 P3 = Mode.p_power(3)
@@ -124,3 +135,104 @@ def test_orbit_type_product_equals_class_sum(case):
     model, h, mode, prec = case
     S = symmetric_power_series(model, prec, h, mode)
     assert list(S.coeffs) == [sigma(model, n, h, mode) for n in range(prec + 1)]
+
+
+# JSON values as the writer takes them: every scalar kind, strings with
+# control and non-ASCII characters, ints past 64 bits, and orbit objects,
+# whose rendered text the writer reuses
+json_scalar = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x7F), max_size=4)
+    | st.sampled_from(POOL).map(orbit_to_json)
+)
+json_value = st.recursive(
+    json_scalar,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=40,
+)
+
+
+def lazy(obj, generators):
+    """obj with each list replaced by a generator, or else by a tuple."""
+    if isinstance(obj, list):
+        items = [lazy(x, generators) for x in obj]
+        return (x for x in items) if generators else tuple(items)
+    if type(obj) is dict:
+        return {k: lazy(v, generators) for k, v in obj.items()}
+    return obj
+
+
+@SETTINGS
+@given(json_value, st.booleans())
+def test_writer_matches_json_dumps(obj, generators):
+    expected = json.dumps(obj, indent=2)
+    assert dumps(obj) == expected
+    assert dumps(lazy(obj, generators)) == expected
+
+
+@SETTINGS
+@given(st.integers(1, 200))
+def test_writer_matches_json_dumps_deeply_nested(depth):
+    obj = "leaf"
+    for i in range(depth):
+        obj = [obj, i] if i % 2 else {"k": obj, "": []}
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+@SETTINGS
+@given(st.fractions(max_denominator=10**12) | st.fractions())
+def test_fraction_strings_round_trip(q):
+    assert fraction_from_str(fraction_to_str(q)) == q
+
+
+@st.composite
+def series(draw, constant):
+    prec = draw(st.integers(0, 7))
+    coeffs = draw(st.lists(coefficient, min_size=prec + 1, max_size=prec + 1))
+    if constant is not None:
+        coeffs[0] = constant
+    elif coeffs[0] == 0:
+        coeffs[0] = Fraction(1)
+    return TruncatedSeries(coeffs, prec=prec)
+
+
+@SETTINGS
+@given(series(None), series(Fraction(0)), series(Fraction(1)))
+def test_invert_exp_and_log_undo_each_other(unit, a, b):
+    one = TruncatedSeries.one(unit.prec)
+    assert unit * unit.invert() == one
+    assert unit.invert().invert() == unit
+    assert a.exp().log() == a
+    assert b.log().exp() == b
+    assert (a + a).exp() == a.exp() * a.exp()
+
+
+@SETTINGS
+@given(
+    st.sampled_from([(h, l, mode) for h in (1, 2, 3) for l in range(1, 6) for mode in (ALL_ORDERS, P2)]),
+    st.data(),
+)
+def test_orbit_type_of_tuple_is_invariant_under_conjugation(grid, data):
+    h, l, mode = grid
+    cls = data.draw(st.sampled_from(enumerate_classes(h, l, mode)))
+    g = Permutation(tuple(data.draw(st.permutations(range(l)))))
+    g_inv = g.inverse()
+    rep = class_representative(cls)
+    conjugated = [g * a * g_inv for a in rep]
+    assert orbit_type_of_tuple(conjugated, mode) == cls
+    # a tuple of powers of one permutation commutes, whoever built it
+    x = Permutation(tuple(data.draw(st.permutations(range(l)))))
+    exponents = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    powers = [_power(x, e) for e in exponents]
+    assert orbit_type_of_tuple([g * a * g_inv for a in powers]) == orbit_type_of_tuple(powers)
+
+
+def _power(x, e):
+    out = Permutation.identity(x.degree)
+    for _ in range(e):
+        out = out * x
+    return out

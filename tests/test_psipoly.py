@@ -111,6 +111,20 @@ def test_monomials_have_one_normal_form():
         PsiPolynomial({((s, 2), (t, 0)): 1})
 
 
+def test_coefficient_checks_exponents_like_the_constructor():
+    s = PsiSymbol("x", enumerate_orbits(2, 1, P2)[0])
+    p = 3 + 2 * PsiPolynomial.symbol(s)
+    assert p.coefficient(()) == 3
+    assert p.coefficient(((s, 1),)) == 2
+    assert p.coefficient(((s, 2),)) == 0
+    # x^0 is not a way to spell the constant monomial, in either place
+    for mono in (((s, 0),), ((s, -1), (s, 1)), ((s, 1.0),), ((s, True), (s, 0))):
+        with pytest.raises(ValueError):
+            PsiPolynomial({mono: 1})
+        with pytest.raises(ValueError):
+            p.coefficient(mono)
+
+
 def test_degree_and_constant_value():
     x = PsiPolynomial.variable("x", 2)
     assert PsiPolynomial.zero().degree() == -1

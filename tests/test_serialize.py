@@ -13,6 +13,7 @@ from orbigenus.serialize import (
     class_to_json,
     classfunction_to_json,
     comparison_to_json,
+    dump,
     dumps,
     fraction_from_str,
     fraction_to_str,
@@ -141,6 +142,7 @@ def test_comparison_json():
     assert bad["p"] is None
     assert bad["equal"] is False
     assert bad["first_mismatch"] == 1
+    assert bad["difference"] == "-1"  # lhs - rhs at the first mismatch
 
 
 def test_table_model_round_trip(tmp_path):
@@ -183,3 +185,39 @@ def test_dumps_deterministic():
     two = dumps(series_to_json(symmetric_power_series(SymbolicModel("x"), 3, 2, P2)))
     assert one == two
     json.loads(one)
+
+
+class _Recorder:
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+
+def test_dump_streams_in_big_chunks():
+    orbits = enumerate_orbits(4, 8, ALL_ORDERS)  # 0.4 MB of JSON
+    obj = {"orbits": [orbit_to_json(t) for t in orbits], "count": len(orbits)}
+    out = _Recorder()
+    dump({"orbits": (orbit_to_json(t) for t in orbits), "count": len(orbits)}, out)
+    assert "".join(out.chunks) == json.dumps(obj, indent=2) == dumps(obj)
+    assert len(out.chunks) > 4
+    assert all(len(c) >= 1 << 16 for c in out.chunks[:-1])
+    small = _Recorder()
+    dump([], small)
+    assert small.chunks == ["[]"]
+
+
+def test_writer_renders_each_orbit_object_by_its_fields():
+    t, u = enumerate_orbits(2, 2, P2)[:2]
+    a, b = orbit_to_json(t), orbit_to_json(t)
+    b["size"] = "99"  # same orbit, other fields: must not reuse a's text
+    obj = [a, {"k": [a, b]}, b, a, orbit_to_json(u), [[a]], orbit_to_json(t)]
+    assert dumps(obj) == json.dumps(obj, indent=2)
+    assert dumps(iter(obj)) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("bad", [0.5, [1, 2.0], {1: "x"}, {"a": Fraction(1, 2)}, object()])
+def test_writer_rejects_what_is_not_json(bad):
+    with pytest.raises(TypeError):
+        dumps(bad)
