@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .orbits import ALL_ORDERS, Mode, ModeError, TransitiveOrbit, canonicalize, enumerate_orbits
 
@@ -142,9 +142,12 @@ class OrbitTypeMultiset:
     def sub_multisets(self, degree: int):
         """All ways to split off a sub-multiset of the given total size.
 
-        Yields (left, right) pairs with left of the requested degree and
-        left union right == self.  Deterministic order.  No orbit is taken
-        more often than fits into the degree on its own.
+        Yields (left, right, ways) with left of the requested degree, left
+        union right == self, and ways = prod_T C(m_T, left_T), an int: the
+        number of sub-Z^h-sets of type left in a Z^h-set of type self.  It
+        equals z(self) / (z(left) z(right)), z the centralizer order.
+        Deterministic order.  No orbit is taken more often than fits into the
+        degree on its own.
         """
         ranges = [range(min(m, degree // o.size) + 1) for o, m in self.entries]
         for choice in itertools.product(*ranges):
@@ -160,6 +163,7 @@ class OrbitTypeMultiset:
             yield (
                 OrbitTypeMultiset(self.h, self.mode, left),
                 OrbitTypeMultiset(self.h, self.mode, right),
+                prod(comb(m, c) for (_, m), c in zip(self.entries, choice)),
             )
 
     def __str__(self) -> str:

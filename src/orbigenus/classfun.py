@@ -10,6 +10,7 @@ with a literal group-averaging oracle for cross-checking.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -89,10 +90,10 @@ class ClassFunction:
         return enumerate_classes(self.h, self.l, self.mode)
 
     def value(self, cls: OrbitTypeMultiset):
-        index = _class_index(self.h, self.l, self.mode)
-        if cls not in index:
+        i = _class_index(self.h, self.l, self.mode).get(cls)
+        if i is None:
             raise KeyError(f"not a class of (h={self.h}, l={self.l}, {self.mode}): {cls}")
-        return self.values[index[cls]]
+        return self.values[i]
 
     def items(self):
         return list(zip(self.classes, self.values))
@@ -101,17 +102,20 @@ class ClassFunction:
         if (self.h, self.mode, self.l) != (other.h, other.mode, other.l):
             raise ValueError("class function parameters do not match")
 
-    def __add__(self, other):
+    def _pointwise(self, other, op):
+        """op applied value by value, against a matching ClassFunction or a scalar."""
         if isinstance(other, ClassFunction):
             self._check_match(other)
-            return ClassFunction(
-                self.h, self.mode, self.l,
-                [a + b for a, b in zip(self.values, other.values)],
-            )
-        if isinstance(other, _SCALARS):
+            values = map(op, self.values, other.values)
+        elif isinstance(other, _SCALARS):
             c = exact(other)
-            return ClassFunction(self.h, self.mode, self.l, [a + c for a in self.values])
-        return NotImplemented
+            values = (op(a, c) for a in self.values)
+        else:
+            return NotImplemented
+        return ClassFunction(self.h, self.mode, self.l, values)
+
+    def __add__(self, other):
+        return self._pointwise(other, operator.add)
 
     __radd__ = __add__
 
@@ -119,21 +123,10 @@ class ClassFunction:
         return ClassFunction(self.h, self.mode, self.l, [-a for a in self.values])
 
     def __sub__(self, other):
-        if isinstance(other, (ClassFunction, *_SCALARS)):
-            return self + (-other if isinstance(other, ClassFunction) else -exact(other))
-        return NotImplemented
+        return self._pointwise(other, operator.sub)
 
     def __mul__(self, other):
-        if isinstance(other, ClassFunction):
-            self._check_match(other)
-            return ClassFunction(
-                self.h, self.mode, self.l,
-                [a * b for a, b in zip(self.values, other.values)],
-            )
-        if isinstance(other, _SCALARS):
-            c = exact(other)
-            return ClassFunction(self.h, self.mode, self.l, [c * a for a in self.values])
-        return NotImplemented
+        return self._pointwise(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -175,8 +168,9 @@ def inner_product(chi: ClassFunction, xi: ClassFunction):
 def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
     """Induction from the Young subgroup Sigma_j x Sigma_k up to Sigma_{j+k}.
 
-    The value on a class m sums over the ways of splitting the orbit
-    multiset as a disjoint union a + b with |a| = j, weighted by the
+    The value on a class m sums chi(a) xi(b) over the splits of the orbit
+    multiset as a disjoint union a + b with |a| = j, weighted by the integer
+    prod_T C(m_T, a_T) that ``sub_multisets`` yields with each split: the
     centralizer ratio z(m) / (z(a) z(b)).
     """
     if (chi.h, chi.mode) != (xi.h, xi.mode):
@@ -185,11 +179,9 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
     j, k = chi.l, xi.l
     values = []
     for m in enumerate_classes(h, j + k, mode):
-        zm = centralizer_order(m)
         total = Fraction(0)
-        for a, b in m.sub_multisets(j):
-            ratio = Fraction(zm, centralizer_order(a) * centralizer_order(b))
-            total = total + ratio * chi.value(a) * xi.value(b)
+        for a, b, ways in m.sub_multisets(j):
+            total = total + ways * chi.value(a) * xi.value(b)
         values.append(total)
     return ClassFunction(h, mode, j + k, values)
 
@@ -215,21 +207,22 @@ def product_inner_product(chi: ClassFunction, xi: ClassFunction, table: dict):
 
     ``table`` maps (class_j, class_k) pairs to values, as produced by
     restrict_young; chi and xi supply the degree-j and degree-k factors of
-    the other side.
+    the other side.  Sums chi(a) xi(b) table[(a, b)] / (z(a) z(b)), reading
+    both class functions in class order and each z once per class.
     """
     if (chi.h, chi.mode) != (xi.h, xi.mode):
         raise ValueError("class function parameters do not match")
+    xi_z = [(b, vb, centralizer_order(b)) for b, vb in zip(xi.classes, xi.values)]
     total = Fraction(0)
-    for a in chi.classes:
-        za = centralizer_order(a)
-        va = chi.value(a)
+    for a, va in zip(chi.classes, chi.values):
         if va == 0:
             continue
-        for b in xi.classes:
+        za = centralizer_order(a)
+        for b, vb, zb in xi_z:
             w = table[(a, b)]
             if w == 0:
                 continue
-            total = total + va * xi.value(b) * w * Fraction(1, za * centralizer_order(b))
+            total = total + va * vb * w * Fraction(1, za * zb)
     return total
 
 

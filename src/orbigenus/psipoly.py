@@ -59,7 +59,8 @@ def _mono_degree(m: Monomial) -> int:
 
 
 def _mono_key(m: Monomial):
-    return (_mono_degree(m), m)
+    """Degree, then the monomial in its own order: an orbit's sort_key determines it."""
+    return (_mono_degree(m), tuple((s.family, s.orbit.sort_key, e) for s, e in m))
 
 
 def _mono_str(m: Monomial) -> str:

@@ -1,6 +1,7 @@
 """Commuting-tuple classes: enumeration, sizes, decomposition, brute-force oracle."""
 import itertools
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -89,35 +90,42 @@ def test_sub_multisets():
     splits = list(m.sub_multisets(2))
     # degree-2 sub-multisets: {2 trivial} and {t1}
     assert len(splits) == 2
-    for a, b in splits:
+    for a, b, ways in splits:
         assert a.degree == 2 and b.degree == 2
         assert a.union(b) == m
+    # one way each to take t1 or both trivial orbits, C(2, 1) to take one trivial orbit
+    assert [ways for _, _, ways in splits] == [1, 1]
+    assert [ways for _, _, ways in m.sub_multisets(1)] == [2]
     assert list(m.sub_multisets(0))[0][0].entries == ()
 
 
 def _sub_multisets_reference(m, degree):
-    """Every multiplicity choice up to m, filtered by degree afterwards."""
+    """Every multiplicity choice up to m, filtered by degree, with z(m) / (z(a) z(b))."""
     for choice in itertools.product(*(range(k + 1) for _, k in m.entries)):
         if sum(c * o.size for (o, _), c in zip(m.entries, choice)) != degree:
             continue
-        yield (
-            OrbitTypeMultiset(m.h, m.mode, tuple((o, c) for (o, _), c in zip(m.entries, choice) if c)),
-            OrbitTypeMultiset(
-                m.h, m.mode, tuple((o, k - c) for (o, k), c in zip(m.entries, choice) if k - c)
-            ),
+        a = OrbitTypeMultiset(
+            m.h, m.mode, tuple((o, c) for (o, _), c in zip(m.entries, choice) if c)
         )
+        b = OrbitTypeMultiset(
+            m.h, m.mode, tuple((o, k - c) for (o, k), c in zip(m.entries, choice) if k - c)
+        )
+        yield a, b, Fraction(centralizer_order(m), centralizer_order(a) * centralizer_order(b))
 
 
 def test_sub_multisets_matches_product_and_filter():
-    # the capped multiplicity ranges must yield the same splits in the same order
+    # the capped multiplicity ranges must yield the same splits in the same
+    # order, each with the integer weight equal to the centralizer ratio
     for h in (1, 2):
         for mode in (ALL_ORDERS, P2, P3):
             for l in range(9):
                 for m in enumerate_classes(h, l, mode):
                     for degree in range(-1, l + 2):
-                        assert list(m.sub_multisets(degree)) == list(
-                            _sub_multisets_reference(m, degree)
-                        ), (h, mode, m, degree)
+                        splits = list(m.sub_multisets(degree))
+                        assert splits == list(_sub_multisets_reference(m, degree)), (
+                            h, mode, m, degree
+                        )
+                        assert all(type(ways) is int for _, _, ways in splits)
 
 
 def test_enumerate_classes_partition_counts():

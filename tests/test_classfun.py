@@ -1,4 +1,5 @@
 """Class-function algebra: augmentation, inner product, Young induction."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from orbigenus.classfun import (
     restrict_young,
     thm_d_induction_oracle,
 )
+from orbigenus.genus import SymbolicModel, equivariant_power_classfunction
 from orbigenus.orbits import ALL_ORDERS, Mode, TransitiveOrbit
+from orbigenus.psipoly import PsiPolynomial
 
 P2 = Mode.p_power(2)
 P3 = Mode.p_power(3)
@@ -72,6 +75,19 @@ def test_pointwise_algebra():
     assert (chi - chi).values == (0,) * len(chi.values)
     c = ClassFunction.constant(2, P2, 2, 3) * ClassFunction.constant(2, P2, 2, 5)
     assert c == ClassFunction.constant(2, P2, 2, 15)
+    half = Fraction(1, 2)
+    assert (chi + 3).values == (3 + chi).values == tuple(a + 3 for a in chi.values)
+    assert (chi - 3).values == tuple(a - 3 for a in chi.values)
+    assert (chi * half).values == (half * chi).values == tuple(a / 2 for a in chi.values)
+    # polynomial values times a scalar, on either side
+    psi = equivariant_power_classfunction(SymbolicModel("x"), 3, 2, P2)
+    assert any(isinstance(v, PsiPolynomial) and not v.is_constant for v in psi.values)
+    assert (psi * half).values == (half * psi).values == tuple(v * half for v in psi.values)
+    assert (psi * 3).values == (3 * psi).values == tuple(v * 3 for v in psi.values)
+    with pytest.raises(TypeError):
+        chi + 0.5
+    with pytest.raises(TypeError):
+        chi * "x"
 
 
 def test_parameter_mismatch_raises():
@@ -197,6 +213,39 @@ def test_induce_matches_group_sum_oracle(h, mode, j, k):
     rng = random.Random(1000 * h + 10 * j + k)
     chi, xi = rand_cf(rng, h, mode, j), rand_cf(rng, h, mode, k)
     assert induce_young(chi, xi) == thm_d_induction_oracle(chi, xi)
+
+
+def _induce_reference(chi, xi):
+    """Induction from product-and-filter splits, each weighted by Fraction(z(m), z(a) z(b))."""
+    h, mode, j = chi.h, chi.mode, chi.l
+    chi_at, xi_at = dict(chi.items()), dict(xi.items())
+    values = []
+    for m in enumerate_classes(h, j + xi.l, mode):
+        total = Fraction(0)
+        for choice in itertools.product(*(range(c + 1) for _, c in m.entries)):
+            a = OrbitTypeMultiset.from_pairs(
+                h, mode, [(o, c) for (o, _), c in zip(m.entries, choice)]
+            )
+            if a.degree != j:
+                continue
+            b = OrbitTypeMultiset.from_pairs(
+                h, mode, [(o, n - c) for (o, n), c in zip(m.entries, choice)]
+            )
+            ratio = Fraction(centralizer_order(m), centralizer_order(a) * centralizer_order(b))
+            total += ratio * chi_at[a] * xi_at[b]
+        values.append(total)
+    return ClassFunction(h, mode, j + xi.l, values)
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("mode", [ALL_ORDERS, P2, P3], ids=str)
+def test_induce_young_matches_centralizer_ratio_reference(h, mode):
+    # every split of every degree up to 8, beyond the averaging oracle's guard
+    rng = random.Random(100 * h + (mode.p or 0))
+    for n in range(9):
+        for j in range(n + 1):
+            chi, xi = rand_cf(rng, h, mode, j), rand_cf(rng, h, mode, n - j)
+            assert induce_young(chi, xi) == _induce_reference(chi, xi), (h, mode, j, n - j)
 
 
 def test_oracle_of_zero_is_zero():

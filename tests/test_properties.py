@@ -2,8 +2,9 @@
 canonicalize lands in the orbit enumeration and agrees with reduce, monomials
 have one normal form, the orbit-type product for the symmetric-power series
 equals the class sum, the JSON writer matches json.dumps, series inversion,
-exp and log undo each other, rational strings round-trip, and the class of a
-commuting tuple is invariant under conjugation."""
+exp and log undo each other, sorted_terms keeps the monomial order, rational
+strings round-trip, and the class of a commuting tuple is invariant under
+conjugation."""
 import json
 from fractions import Fraction
 
@@ -104,6 +105,29 @@ def test_psipolynomial_ignores_term_order(terms, rng):
     b = PsiPolynomial(shuffled)
     assert str(a) == str(b)
     assert a.sorted_terms() == b.sorted_terms()
+
+
+@st.composite
+def polynomial(draw):
+    """Up to 10 terms of low degree, so that degrees tie, in symbols of two families.
+
+    The orbits are some of one rank and index 4, which share a size and often
+    a diagonal, and some random ones of rank <= 3.
+    """
+    h = draw(st.integers(1, 3))
+    orbits = draw(st.lists(st.sampled_from(enumerate_orbits(h, 4)), min_size=1, max_size=3))
+    orbits += draw(st.lists(orbit(max_h=3, max_index=16), min_size=1, max_size=3))
+    symbol = st.builds(PsiSymbol, st.sampled_from(("x", "y")), st.sampled_from(orbits))
+    mono = st.lists(st.tuples(symbol, st.integers(1, 2)), max_size=2, unique_by=lambda se: se[0])
+    return PsiPolynomial(draw(st.lists(st.tuples(mono, coefficient), min_size=2, max_size=10)))
+
+
+@SETTINGS
+@given(polynomial())
+def test_sorted_terms_orders_by_degree_then_monomial(p):
+    # the reference compares monomials through the dataclass order of symbols and orbits
+    terms = p.sorted_terms()
+    assert terms == sorted(terms, key=lambda mc: (sum(e for _, e in mc[0]), mc[0]))
 
 
 @SETTINGS
