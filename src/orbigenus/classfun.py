@@ -18,6 +18,7 @@ from math import factorial
 from .classes import (
     GuardExceededError,
     OrbitTypeMultiset,
+    _orbit_type_from_images,
     centralizer_order,
     class_representative,
     enumerate_classes,
@@ -242,8 +243,6 @@ def thm_d_induction_oracle(
     n = j + k
     if n > guard:
         raise GuardExceededError(f"degree {n} exceeds induction oracle guard {guard}")
-
-    from .classes import _orbit_type_from_images
 
     values = []
     for m in enumerate_classes(h, n, mode):

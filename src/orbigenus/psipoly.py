@@ -1,8 +1,9 @@
 """Sparse exact-rational polynomials in formal power-operation symbols.
 
 Symbols are indexed by a family tag (the name of a formal variable, "x",
-"y", ...) and a transitive orbit.  Polynomials coerce freely with int and
-Fraction scalars, so they can serve as series coefficients.
+"y", ...) and a transitive orbit.  Polynomials combine freely with int and
+Fraction scalars, so they can serve as series coefficients: scalar *, / and -
+scale the coefficients, and one accumulator adds every term and drops zeros.
 
 A monomial has one normal form: a tuple of (symbol, exponent) pairs, one
 pair per symbol, sorted by symbol, every exponent an int >= 1; () is the
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbits import TransitiveOrbit
-from .series import _SCALARS, _ZERO, _power, exact
+from .series import _ONE, _SCALARS, _ZERO, _power, exact
 
 
 @dataclass(frozen=True, order=True)
@@ -54,6 +55,15 @@ def _monomial(pairs) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def _accumulate(terms: dict, mono: Monomial, c) -> None:
+    """Add c at mono in a sparse dict of terms, dropping mono if the sum is zero."""
+    v = terms.get(mono, _ZERO) + c
+    if v:
+        terms[mono] = v
+    else:
+        terms.pop(mono, None)
+
+
 def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -79,7 +89,8 @@ class PsiPolynomial:
     (else ValueError), to coefficients; ``((s, 1), (s, 1))`` means ``((s, 2),)``.
 
     Equality against a bare int or Fraction means "is that constant", and the
-    hash agrees, so constant polynomials can stand in for scalars.
+    hash agrees, so constant polynomials can stand in for scalars.  A scalar
+    operand is never made a polynomial: it is added at the constant monomial, or scales each term.
     """
 
     __slots__ = ("_terms",)
@@ -92,12 +103,7 @@ class PsiPolynomial:
                 c = exact(coeff)
                 if not isinstance(c, Fraction):
                     raise TypeError(f"coefficient must be exact, got {type(coeff).__name__}")
-                mono = _checked_monomial(mono)
-                c = data.get(mono, Fraction(0)) + c
-                if c:
-                    data[mono] = c
-                elif mono in data:
-                    del data[mono]
+                _accumulate(data, _checked_monomial(mono), c)
         object.__setattr__(self, "_terms", data)
 
     @classmethod
@@ -107,14 +113,14 @@ class PsiPolynomial:
         object.__setattr__(out, "_terms", terms)
         return out
 
-    def _add_scaled_into(self, terms: dict, scale: Fraction) -> None:
+    def _add_scaled_into(self, terms: dict, scale) -> None:
         """Add scale * self into a dict that _from_terms can wrap, in place; scale is nonzero."""
         for mono, c in self._terms.items():
-            v = terms.get(mono, _ZERO) + c * scale
-            if v:
-                terms[mono] = v
-            else:
-                del terms[mono]
+            _accumulate(terms, mono, c * scale)
+
+    def _scaled(self, c) -> "PsiPolynomial":
+        """c * self for an exact scalar c, coefficient by coefficient."""
+        return PsiPolynomial._from_terms({m: a * c for m, a in self._terms.items()} if c else {})
 
     @classmethod
     def zero(cls) -> "PsiPolynomial":
@@ -168,56 +174,42 @@ class PsiPolynomial:
             total += v
         return total
 
-    def _coerce(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign * other, for a polynomial or an exact scalar other."""
+        terms = dict(self._terms)
         if isinstance(other, PsiPolynomial):
-            return other
-        if isinstance(other, _SCALARS):
-            return PsiPolynomial.constant(other)
-        return None
+            other._add_scaled_into(terms, sign)
+        elif isinstance(other, _SCALARS):
+            _accumulate(terms, (), sign * other)
+        else:
+            return NotImplemented
+        return PsiPolynomial._from_terms(terms)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        merged = dict(self._terms)
-        for mono, coeff in o._terms.items():
-            c = merged.get(mono, Fraction(0)) + coeff
-            if c:
-                merged[mono] = c
-            elif mono in merged:
-                del merged[mono]
-        return PsiPolynomial._from_terms(merged)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PsiPolynomial._from_terms({m: -c for m, c in self._terms.items()})
+        return self._scaled(-1)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        return o + (-self)
+        return PsiPolynomial._from_terms({(): Fraction(other)} if other else {})._sum(self, -1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, _SCALARS):
+            return self._scaled(other)
+        if not isinstance(other, PsiPolynomial):
             return NotImplemented
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                m = _monomial(m1 + m2)
-                c = acc.get(m, Fraction(0)) + c1 * c2
-                if c:
-                    acc[m] = c
-                elif m in acc:
-                    del acc[m]
+            for m2, c2 in other._terms.items():
+                _accumulate(acc, _monomial(m1 + m2), c1 * c2)
         return PsiPolynomial._from_terms(acc)
 
     __rmul__ = __mul__
@@ -226,7 +218,7 @@ class PsiPolynomial:
         if isinstance(other, _SCALARS):
             if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * (Fraction(1) / Fraction(other))
+            return self._scaled(_ONE / other)
         return NotImplemented
 
     def __pow__(self, n):

@@ -13,6 +13,7 @@ streams, so the CLI writes long orbit and class lists as it produces them.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .classes import OrbitTypeMultiset, centralizer_order, class_size
@@ -28,14 +29,21 @@ def fraction_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # "n" or "n/d", d nonzero
+
+
 def fraction_from_str(s: str) -> Fraction:
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"not a rational literal: {s!r}") from e
+    """Read "n" or "n/d": ASCII digits, an optional leading minus, d nonzero; else ValueError."""
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
+        return Fraction(s)
+    raise ValueError(f"not a rational literal: {s!r}")
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer, read exactly: floats, strings and booleans raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
 
 
 class _OrbitJSON(dict):
@@ -59,10 +67,11 @@ def orbit_from_json(obj) -> TransitiveOrbit:
         raise ValueError(f"not an orbit object: {obj!r}")
     try:
         orbit = TransitiveOrbit(
-            int(obj["h"]), tuple(tuple(int(x) for x in row) for row in obj["hnf"])
+            _json_int(obj["h"], "'h'"),
+            tuple(tuple(_json_int(x, "each 'hnf' entry") for x in row) for row in obj["hnf"]),
         )
     except (TypeError, ValueError) as e:
-        raise ValueError(f"invalid orbit matrix: {e}") from e
+        raise ValueError(f"invalid orbit: {e}") from e
     if "size" in obj and str(orbit.size) != str(obj["size"]):
         raise ValueError(f"orbit size field {obj['size']!r} does not match matrix")
     return orbit
@@ -76,7 +85,7 @@ def mode_from_json(obj) -> Mode:
     if obj is None:
         return ALL_ORDERS
     if isinstance(obj, dict) and set(obj) == {"p"}:
-        return Mode.p_power(int(obj["p"]))
+        return Mode.p_power(_json_int(obj["p"], "mode field 'p'"))
     raise ValueError(f"not a mode object: {obj!r}")
 
 
@@ -148,7 +157,8 @@ def comparison_to_json(report: SeriesComparison) -> dict:
 
 
 def table_model_from_json(obj) -> TableModel:
-    """Parse a psi table: a JSON list of {"orbit": ..., "psi": "num/den"}."""
+    """Parse a psi table: a JSON list of {"orbit": ..., "psi": "num/den"}, read exactly:
+    orbit fields h and hnf must be JSON integers, and psi as fraction_from_str reads it."""
     if not isinstance(obj, list):
         raise ValueError("psi table must be a JSON list")
     table = {}
@@ -158,7 +168,10 @@ def table_model_from_json(obj) -> TableModel:
         orbit = orbit_from_json(entry["orbit"])
         if orbit in table:
             raise ValueError(f"duplicate psi table entry for orbit {orbit}")
-        table[orbit] = fraction_from_str(entry["psi"])
+        try:
+            table[orbit] = fraction_from_str(entry["psi"])
+        except ValueError as e:
+            raise ValueError(f"psi table field 'psi': {e}") from None
     return TableModel(table)
 
 

@@ -125,19 +125,21 @@ class TruncatedSeries:
             [c if n % 2 == 0 else -c for n, c in enumerate(self.coeffs)], prec=self.prec
         )
 
+    def _recurrence(self, first, weight, finish) -> "TruncatedSeries":
+        """The recurrence of invert and exp: b_0 = first, b_n = finish(n, sum_k w_k b_{n-k}).
+
+        k runs over 1..n; w_k = weight(k, a_k) is formed once, and only for a_k != 0.
+        """
+        weights = [(k, weight(k, a)) for k, a in enumerate(self.coeffs[1:], 1) if a != 0]
+        out = [first]
+        for n in range(1, self.prec + 1):
+            out.append(finish(n, sum((w * out[n - k] for k, w in weights if k <= n), _ZERO)))
+        return TruncatedSeries(out, prec=self.prec)
+
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be an invertible scalar."""
         u = _unit_inverse(self.coeffs[0])
-        out = [u] + [_ZERO] * self.prec
-        for n in range(1, self.prec + 1):
-            s = _ZERO
-            for k in range(1, n + 1):
-                a = self.coeffs[k]
-                if a == 0:
-                    continue
-                s = s + a * out[n - k]
-            out[n] = -(u * s)
-        return TruncatedSeries(out, prec=self.prec)
+        return self._recurrence(u, lambda k, a: a, lambda n, s: -(u * s))
 
     def exp(self) -> "TruncatedSeries":
         """Exponential of a series with zero constant term.
@@ -147,16 +149,7 @@ class TruncatedSeries:
         """
         if not self.coeffs[0] == 0:
             raise ValueError("exp requires zero constant term")
-        out = [_ONE] + [_ZERO] * self.prec
-        for n in range(1, self.prec + 1):
-            s = _ZERO
-            for k in range(1, n + 1):
-                a = self.coeffs[k]
-                if a == 0:
-                    continue
-                s = s + (k * a) * out[n - k]
-            out[n] = Fraction(1, n) * s
-        return TruncatedSeries(out, prec=self.prec)
+        return self._recurrence(_ONE, lambda k, a: k * a, lambda n, s: Fraction(1, n) * s)
 
     def log(self) -> "TruncatedSeries":
         """Logarithm of a series with constant term one."""

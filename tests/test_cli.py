@@ -260,6 +260,17 @@ def test_table_model_cli(capsys, tmp_path):
     assert code == 2 and "psi value" in err
 
 
+def test_table_model_cli_rejects_inexact_entries(capsys, tmp_path):
+    # a non-integer hnf entry is an error, not truncated to a valid orbit
+    table = tmp_path / "psi.json"
+    table.write_text('[{"orbit": {"h": 1, "size": "1", "hnf": [[1.9]]}, "psi": "5"}]')
+    code, out, err = run(
+        capsys, "genus", "sigma", "--h", "1", "--n", "1", "--model", f"table:{table}",
+        "--format", "tsv",
+    )
+    assert code == 2 and out == "" and "'hnf'" in err
+
+
 def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["orbits", "--h", "2"])  # --size is required

@@ -109,6 +109,9 @@ def test_monomials_have_one_normal_form():
             PsiPolynomial({((s, e),): 3})
     with pytest.raises(ValueError):
         PsiPolynomial({((s, 2), (t, 0)): 1})
+    # even when its coefficient is zero, so the term would not be stored
+    with pytest.raises(ValueError):
+        PsiPolynomial([(((s, 0),), 0)])
 
 
 def test_coefficient_checks_exponents_like_the_constructor():
@@ -170,12 +173,30 @@ def test_evaluation_is_a_ring_homomorphism(seed):
     }
     assert (f + g).evaluate(assignment) == f.evaluate(assignment) + g.evaluate(assignment)
     assert (f * g).evaluate(assignment) == f.evaluate(assignment) * g.evaluate(assignment)
+    fv, gv = f.evaluate(assignment), g.evaluate(assignment)
+    c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+    assert (f - g).evaluate(assignment) == fv - gv
+    assert (g - f).evaluate(assignment) == gv - fv
+    assert (c - f).evaluate(assignment) == c - fv
+    assert (f - c).evaluate(assignment) == fv - c
+    assert (-f).evaluate(assignment) == -fv
+    assert (c * f).evaluate(assignment) == c * fv
+    assert (f * c).evaluate(assignment) == fv * c
+    assert (f / c).evaluate(assignment) == fv / c
 
 
 def test_evaluate_missing_symbol_raises():
     x = PsiPolynomial.variable("x", 2)
     with pytest.raises(KeyError):
         x.evaluate({})
+
+
+def _at(series, assignment):
+    """The Fraction series obtained by evaluating every coefficient."""
+    return TruncatedSeries(
+        [c.evaluate(assignment) if isinstance(c, PsiPolynomial) else c for c in series.coeffs],
+        prec=series.prec,
+    )
 
 
 def test_polynomials_work_as_series_coefficients():
@@ -195,3 +216,16 @@ def test_polynomials_work_as_series_coefficients():
         c = s.coeffs[n]
         val = c.evaluate({sym: Fraction(2)}) if isinstance(c, PsiPolynomial) else Fraction(c)
         assert val == two.coeffs[n]
+    # invert: s = 1 + x t + x^2 t^2 has a unit constant term
+    at_two = {sym: Fraction(2)}
+    s = TruncatedSeries([PsiPolynomial.constant(1), x, x * x], prec=5)
+    inv = s.invert()
+    assert s * inv == TruncatedSeries.one(5)
+    assert inv.coeffs[1] == -x and inv.coeffs[2] == 0 and inv.coeffs[3] == x ** 3
+    assert _at(inv, at_two) == TruncatedSeries([1, 2, 4], prec=5).invert()
+    # exp of a series with nonzero t and t^2 coefficients
+    a = TruncatedSeries([PsiPolynomial.zero(), x, Fraction(1, 3) * x * x - 1], prec=5)
+    e = a.exp()
+    assert e.coeffs[2] == x * x * Fraction(1, 2) + Fraction(1, 3) * x * x - 1
+    assert _at(e, at_two) == TruncatedSeries([0, 2, Fraction(4, 3) - 1], prec=5).exp()
+    assert e.log() == a

@@ -41,7 +41,10 @@ def test_fraction_strings():
         assert fraction_from_str(fraction_to_str(q)) == q
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "x", "1/0", "1/2/3", "1.5", "5_0", " 5", "5 ", "+3", "1/-2", "1/00", "\u0663", 5, None],
+)
 def test_fraction_from_str_rejects(bad):
     with pytest.raises(ValueError):
         fraction_from_str(bad)
@@ -67,6 +70,12 @@ def test_orbit_json_errors():
         orbit_from_json([1, 2])
     with pytest.raises(ValueError):
         orbit_from_json({"h": 2, "hnf": [[0, 0], [0, 1]]})
+    # h and every hnf entry are JSON integers, read exactly
+    with pytest.raises(ValueError, match="'h'"):
+        orbit_from_json({"h": 1.0, "hnf": [[1]]})
+    for entry in (1.9, "2", True):
+        with pytest.raises(ValueError, match="'hnf'"):
+            orbit_from_json({"h": 1, "hnf": [[entry]]})
 
 
 def test_mode_json():
@@ -78,6 +87,9 @@ def test_mode_json():
         mode_from_json({"prime": 3})
     with pytest.raises(ValueError):
         mode_from_json(2)
+    for p in (2.9, 2.0, "2", True):
+        with pytest.raises(ValueError, match="'p'"):
+            mode_from_json({"p": p})
 
 
 def test_class_json_frozen():
@@ -171,6 +183,8 @@ def test_table_model_errors(tmp_path):
         table_model_from_json([{"orbit": orbit, "psi": "1"}, {"orbit": orbit, "psi": "2"}])
     with pytest.raises(ValueError, match="rational"):
         table_model_from_json([{"orbit": orbit, "psi": "0.5"}])
+    with pytest.raises(ValueError, match="'psi'"):
+        table_model_from_json([{"orbit": orbit, "psi": 5}])
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ValueError, match="JSON"):
