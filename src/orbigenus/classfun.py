@@ -24,7 +24,7 @@ from .classes import (
     enumerate_classes,
 )
 from .orbits import ALL_ORDERS, Mode
-from .series import _SCALARS, exact
+from .series import _SCALARS, _ExactSum, _ratio, exact
 
 
 @lru_cache(maxsize=None)
@@ -148,14 +148,14 @@ class ClassFunction:
 def augmentation(chi: ClassFunction):
     """Sum of chi over the group, divided by the group order.
 
-    Equals sum over classes of chi(c)/centralizer_order(c); for the
-    constant function 1 of degree l it gives the number of commuting
-    h-tuples divided by l!.
+    Equals sum over classes of chi(c)/centralizer_order(c), scalars summed as
+    integer numerators; for the constant function 1 of degree l it gives the
+    number of commuting h-tuples divided by l!.
     """
-    total = Fraction(0)
+    total = _ExactSum()
     for c, v in zip(chi.classes, chi.values):
-        total = total + v * Fraction(1, centralizer_order(c))
-    return total
+        total.add(v, centralizer_order(c))
+    return total.value()
 
 
 def inner_product(chi: ClassFunction, xi: ClassFunction):
@@ -178,12 +178,15 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
         raise ValueError("class function parameters do not match")
     h, mode = chi.h, chi.mode
     j, k = chi.l, xi.l
+    chi_ratios = dict(zip(chi.classes, map(_ratio, chi.values)))
+    xi_ratios = dict(zip(xi.classes, map(_ratio, xi.values)))
     values = []
     for m in enumerate_classes(h, j + k, mode):
-        total = Fraction(0)
+        total = _ExactSum()
         for a, b, ways in m.sub_multisets(j):
-            total = total + ways * chi.value(a) * xi.value(b)
-        values.append(total)
+            (xa, da), (xb, db) = chi_ratios[a], xi_ratios[b]
+            total.add(ways * xa * xb, da * db)
+        values.append(total.value())
     return ClassFunction(h, mode, j + k, values)
 
 
@@ -213,18 +216,16 @@ def product_inner_product(chi: ClassFunction, xi: ClassFunction, table: dict):
     """
     if (chi.h, chi.mode) != (xi.h, xi.mode):
         raise ValueError("class function parameters do not match")
-    xi_z = [(b, vb, centralizer_order(b)) for b, vb in zip(xi.classes, xi.values)]
-    total = Fraction(0)
+    xi_z = [(b, *_ratio(vb, centralizer_order(b))) for b, vb in zip(xi.classes, xi.values)]
+    total = _ExactSum()
     for a, va in zip(chi.classes, chi.values):
         if va == 0:
             continue
-        za = centralizer_order(a)
-        for b, vb, zb in xi_z:
-            w = table[(a, b)]
-            if w == 0:
-                continue
-            total = total + va * vb * w * Fraction(1, za * zb)
-    return total
+        xa, da = _ratio(va, centralizer_order(a))
+        for b, xb, db in xi_z:
+            xw, dw = _ratio(table[(a, b)])
+            total.add(xa * xb * xw, da * db * dw)
+    return total.value()
 
 
 def thm_d_induction_oracle(

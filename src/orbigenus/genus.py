@@ -25,7 +25,7 @@ from .classes import OrbitTypeMultiset, _orbit_pool, _walk_classes, enumerate_cl
 from .classfun import ClassFunction
 from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
 from .psipoly import PsiPolynomial, PsiSymbol
-from .series import TruncatedSeries, exact
+from .series import TruncatedSeries, _ExactSum, _ratio, exact
 
 
 class SymbolicModel:
@@ -85,15 +85,15 @@ def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
     """[sigma_0, ..., sigma_prec]: psi(c) / z(c) summed over the classes c, in one walk.
 
     The walk visits every class of degree <= prec once, depth first, and
-    carries two values down from each class to the classes that extend it:
-    the psi product, and the centralizer order z as an int.  A class that
-    adds m copies of an orbit T of size s to its parent costs one ring
-    multiplication, by the precomputed psi(T)^m, and multiplies z by s * k for
-    the k-th copy, so by s^m m!.  Its psi / z is added in place into one
-    accumulator per degree.  Classes are summed one by one, never regrouped by
-    orbit type, so the sum stays independent of symmetric_power_series.  A
-    degree sums to a Fraction unless some class of it has a PsiPolynomial
-    product.
+    carries its psi / z down to the classes that extend it as x / d: x an int
+    or, for a PsiPolynomial product, the polynomial, d an int.  A class that
+    adds m copies of an orbit T of size s to its parent multiplies x and d by
+    the precomputed parts of psi(T)^m / (s^m m!).  Its x / d goes into its
+    degree's _ExactSum: scalars are summed as integer numerators, so a degree
+    builds a Fraction per distinct denominator, not per class, and sums to a
+    Fraction unless some class of it has a PsiPolynomial product.  Classes
+    are summed one by one, never regrouped by orbit type, so the sum stays
+    independent of symmetric_power_series.
     """
     if prec < 0:
         raise ValueError("precision must be nonnegative")
@@ -101,36 +101,23 @@ def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
         # checked here because at prec 0 no orbit enumeration checks it
         raise ValueError("h must be positive")
     pool = _orbit_pool(h, prec, mode)
-    # powers[i][m] = (psi(T)^m, s^m m!) for T = pool[i] of size s
+    # powers[i][m] = psi(T)^m / (s^m m!) as (x, d), for T = pool[i] of size s
     powers = []
     for orbit in pool:
         psi, s = model.psi(orbit), orbit.size
-        row = [None, (psi, s)]
-        for m in range(2, prec // s + 1):
-            value, z = row[-1]
-            row.append((value * psi, z * s * m))
+        row, value, z = [None], Fraction(1), 1
+        for m in range(1, prec // s + 1):
+            value, z = value * psi, z * s * m
+            row.append(_ratio(value, z))
         powers.append(row)
-    scalars = [Fraction(1)] + [Fraction(0)] * prec  # degree 0: the empty class
-    terms: list[dict | None] = [None] * (prec + 1)  # each degree's polynomial part
-    values = [Fraction(1)] * (prec + 1)  # the psi product at each depth of the walk
-    orders = [1] * (prec + 1)  # the centralizer order at each depth
+    sums = [_ExactSum({1: 1})] + [_ExactSum() for _ in range(prec)]  # degree 0: the empty class
+    xs, ds = [1] * (prec + 1), [1] * (prec + 1)  # psi / z as x / d at each depth of the walk
     for depth, i, mult, degree in _walk_classes(pool, prec):
-        psi_power, z_factor = powers[i][mult]
-        value = values[depth] = values[depth - 1] * psi_power
-        z = orders[depth] = orders[depth - 1] * z_factor
-        if isinstance(value, PsiPolynomial):
-            if terms[degree] is None:
-                terms[degree] = {}
-            value._add_scaled_into(terms[degree], Fraction(1, z))
-        else:
-            scalars[degree] += value * Fraction(1, z)
-    sums = []
-    for c, t in zip(scalars, terms):
-        if t is not None:
-            poly = PsiPolynomial._from_terms(t)
-            c = poly + c if c else poly
-        sums.append(c)
-    return sums
+        x, d = powers[i][mult]
+        x = xs[depth] = xs[depth - 1] * x
+        d = ds[depth] = ds[depth - 1] * d
+        sums[degree].add(x, d)
+    return [s.value() for s in sums]
 
 
 def sigma(model, n: int, h: int, mode: Mode = ALL_ORDERS):
@@ -182,15 +169,15 @@ def symmetric_power_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) ->
 
 
 def hecke_operator(model, n: int, h: int, mode: Mode = ALL_ORDERS):
-    """T_n = (1/n) * sum over orbits of size n of psi(T).
+    """T_n = (1/n) * sum over orbits of size n of psi(T), scalars summed as integer numerators.
 
     The orbit size must be admissible for the mode; in p-power mode the
     operators exist only for n a power of p.
     """
-    total = Fraction(0)
+    total = _ExactSum()
     for orbit in enumerate_orbits(h, n, mode):
-        total = total + model.psi(orbit)
-    return Fraction(1, n) * total
+        total.add(model.psi(orbit), n)
+    return total.value()
 
 
 def hecke_log_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:

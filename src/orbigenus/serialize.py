@@ -72,8 +72,8 @@ def orbit_from_json(obj) -> TransitiveOrbit:
         )
     except (TypeError, ValueError) as e:
         raise ValueError(f"invalid orbit: {e}") from e
-    if "size" in obj and str(orbit.size) != str(obj["size"]):
-        raise ValueError(f"orbit size field {obj['size']!r} does not match matrix")
+    if "size" in obj and obj["size"] != str(orbit.size):
+        raise ValueError(f"orbit field 'size' must be {str(orbit.size)!r}, got {obj['size']!r}")
     return orbit
 
 

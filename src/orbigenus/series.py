@@ -23,6 +23,31 @@ def exact(c):
     return Fraction(c) if isinstance(c, int) else c
 
 
+def _ratio(v, d=1):
+    """v / d as (x, e), e an int: (numerator, d * denominator) for a Fraction, else (v, d)."""
+    return (v.numerator, v.denominator * d) if isinstance(v, Fraction) else (v, d)
+
+
+class _ExactSum(dict):
+    """A sum of terms x / d, d an int > 0: an int or Fraction x adds its int numerator at d, so
+    value() builds a Fraction per distinct d, not per term; a PsiPolynomial x adds into one dict."""
+
+    terms = kind = None
+
+    def add(self, x, d=1):
+        if not isinstance(x, int):  # an int first: isinstance(x, Fraction) is slow on one
+            if not isinstance(x, Fraction):
+                if self.terms is None:
+                    self.terms, self.kind = {}, type(x)
+                return x._add_scaled_into(self.terms, Fraction(1, d))
+            x, d = x.numerator, x.denominator * d
+        self[d] = self.get(d, 0) + x
+
+    def value(self):
+        total = sum((Fraction(n, d) for d, n in self.items()), _ZERO)
+        return total if self.terms is None else self.kind._from_terms(self.terms) + total
+
+
 class TruncatedSeries:
     """A series known through degree ``prec`` inclusive."""
 

@@ -271,6 +271,30 @@ def test_table_model_cli_rejects_inexact_entries(capsys, tmp_path):
     assert code == 2 and out == "" and "'hnf'" in err
 
 
+def test_table_model_cli_rejects_a_numeric_size(capsys, tmp_path):
+    table = tmp_path / "psi.json"
+    table.write_text('[{"orbit": {"h": 1, "size": 1, "hnf": [[1]]}, "psi": "5"}]')
+    code, out, err = run(
+        capsys, "genus", "sigma", "--h", "1", "--n", "1", "--model", f"table:{table}"
+    )
+    assert code == 2 and out == "" and "'size'" in err
+
+
+def test_values_past_the_int_string_limit_print_in_full(capsys):
+    # sigma_5 of a trivial class of dimension D at h = 1 is C(D + 4, 5): 5,000 digits
+    d = 10**1000 - 1
+    code, out, err = run(
+        capsys, "genus", "sigma", "--h", "1", "--n", "5", "--model", f"integer:{d}",
+        "--format", "tsv",
+    )
+    expected = d * (d + 1) * (d + 2) * (d + 3) * (d + 4) // 120
+    assert code == 0 and err == ""
+    header, row = out.splitlines()
+    assert header == "n\tvalue"
+    n, value = row.split("\t")
+    assert n == "5" and len(value) == 4998 and int(value) == expected
+
+
 def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["orbits", "--h", "2"])  # --size is required

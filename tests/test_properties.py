@@ -1,12 +1,14 @@
 """Property tests: the canonical order does not depend on how objects were built,
 canonicalize lands in the orbit enumeration and agrees with reduce, monomials
 have one normal form, the orbit-type product for the symmetric-power series
-equals the class sum, the JSON writer matches json.dumps, series inversion,
-exp and log undo each other, sorted_terms keeps the monomial order, rational
-strings round-trip, and the class of a commuting tuple is invariant under
-conjugation."""
+equals the class sum, the integer-numerator sums (the summing helper, the
+Hecke operators, sigma and the Young sums) equal plain Fraction sums, the
+JSON writer matches json.dumps, series inversion, exp and log undo each
+other, sorted_terms keeps the monomial order, rational strings round-trip,
+and the class of a commuting tuple is invariant under conjugation."""
 import json
 from fractions import Fraction
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,15 +16,23 @@ from hypothesis import strategies as st
 from orbigenus.classes import (
     OrbitTypeMultiset,
     Permutation,
+    centralizer_order,
     class_representative,
     enumerate_classes,
     orbit_type_of_tuple,
 )
-from orbigenus.genus import TableModel, sigma, symmetric_power_series
+from orbigenus.classfun import (
+    ClassFunction,
+    augmentation,
+    induce_young,
+    product_inner_product,
+    restrict_young,
+)
+from orbigenus.genus import TableModel, hecke_operator, sigma, symmetric_power_series
 from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit_to_json
-from orbigenus.series import TruncatedSeries
+from orbigenus.series import TruncatedSeries, _ExactSum
 
 P2 = Mode.p_power(2)
 P3 = Mode.p_power(3)
@@ -159,6 +169,113 @@ def test_orbit_type_product_equals_class_sum(case):
     model, h, mode, prec = case
     S = symmetric_power_series(model, prec, h, mode)
     assert list(S.coeffs) == [sigma(model, n, h, mode) for n in range(prec + 1)]
+
+
+def _fold(values):
+    """The plain left-to-right Fraction sum that the integer-numerator sums must equal."""
+    total = Fraction(0)
+    for v in values:
+        total = total + v
+    return total
+
+
+@st.composite
+def scalar_terms(draw):
+    """Terms (x, d) of mixed signs and denominators; a list may end in terms that
+    cancel its sum to 0 or reduce it to denominator 1."""
+    numerator = st.integers(-30, 30) | st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+    terms = draw(st.lists(st.tuples(numerator, st.integers(1, 12)), max_size=12))
+    total = _fold(Fraction(x) / d for x, d in terms)
+    ending = draw(st.sampled_from(["none", "cancel", "integer"]))
+    if ending == "cancel":
+        terms += [(-x, d) for x, d in terms]
+    elif ending == "integer":
+        terms.append((-(total.numerator % total.denominator), total.denominator))
+    return draw(st.permutations(terms))
+
+
+@SETTINGS
+@given(scalar_terms())
+def test_exact_sum_equals_a_fraction_fold(terms):
+    acc = _ExactSum()
+    for x, d in terms:
+        acc.add(x, d)
+    total = acc.value()
+    assert type(total) is Fraction
+    assert total == _fold(Fraction(x) / d for x, d in terms)
+
+
+@SETTINGS
+@given(table_model())
+def test_hecke_operator_equals_a_fraction_fold(case):
+    model, h, mode, prec = case
+    for n in mode.sizes_up_to(prec):
+        T = hecke_operator(model, n, h, mode)
+        assert type(T) is Fraction
+        assert T == _fold(model.psi(t) for t in enumerate_orbits(h, n, mode)) / n
+
+
+@SETTINGS
+@given(table_model())
+def test_sigma_equals_a_fraction_fold(case):
+    model, h, mode, prec = case
+    s = sigma(model, prec, h, mode)
+    assert type(s) is Fraction
+    assert s == _fold(
+        prod((model.psi(t) ** m for t, m in c.entries), start=Fraction(1)) / centralizer_order(c)
+        for c in enumerate_classes(h, prec, mode)
+    )
+
+
+@st.composite
+def young_case(draw):
+    """chi, xi and zeta of degrees j, k and j + k <= 6 at h <= 2, with random exact values."""
+    h = draw(st.integers(1, 2))
+    mode = draw(st.sampled_from([ALL_ORDERS, P2, P3]))
+    j = draw(st.integers(0, 3))
+    k = draw(st.integers(0, 6 - j))
+
+    def class_function(l):
+        n = len(enumerate_classes(h, l, mode))
+        return ClassFunction(h, mode, l, draw(st.lists(coefficient, min_size=n, max_size=n)))
+
+    return class_function(j), class_function(k), class_function(j + k)
+
+
+@SETTINGS
+@given(young_case())
+def test_augmentation_equals_a_fraction_fold(case):
+    _, _, zeta = case
+    aug = augmentation(zeta)
+    assert type(aug) is Fraction
+    assert aug == _fold(v / centralizer_order(c) for c, v in zip(zeta.classes, zeta.values))
+
+
+@SETTINGS
+@given(young_case())
+def test_induce_young_equals_a_fraction_fold(case):
+    chi, xi, _ = case
+    induced = induce_young(chi, xi)
+    assert all(type(v) is Fraction for v in induced.values)
+    assert list(induced.values) == [
+        _fold(ways * chi.value(a) * xi.value(b) for a, b, ways in m.sub_multisets(chi.l))
+        for m in induced.classes
+    ]
+
+
+@SETTINGS
+@given(young_case())
+def test_product_inner_product_equals_a_fraction_fold(case):
+    chi, xi, zeta = case
+    z = centralizer_order
+    table = restrict_young(zeta, chi.l, xi.l)
+    pairing = product_inner_product(chi, xi, table)
+    assert type(pairing) is Fraction
+    assert pairing == _fold(
+        va * vb * table[(a, b)] / (z(a) * z(b))
+        for a, va in zip(chi.classes, chi.values)
+        for b, vb in zip(xi.classes, xi.values)
+    )
 
 
 # JSON values as the writer takes them: every scalar kind, strings with

@@ -78,6 +78,14 @@ def test_orbit_json_errors():
             orbit_from_json({"h": 1, "hnf": [[entry]]})
 
 
+def test_orbit_json_size_is_a_decimal_string():
+    # the writer emits "4"; a JSON number is not the format, even if it matches
+    assert orbit_from_json({"h": 1, "hnf": [[4]], "size": "4"}) == TransitiveOrbit(1, ((4,),))
+    for size in (4, 4.0, [4], " 4", "04"):
+        with pytest.raises(ValueError, match="'size'"):
+            orbit_from_json({"h": 1, "hnf": [[4]], "size": size})
+
+
 def test_mode_json():
     assert mode_to_json(ALL_ORDERS) is None
     assert mode_to_json(P2) == {"p": 2}
