@@ -13,8 +13,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
+from typing import NamedTuple
 
-from .orbits import ALL_ORDERS, Mode, ModeError, TransitiveOrbit, canonicalize, enumerate_orbits
+from .orbits import (
+    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _lazy_attribute, canonicalize, enumerate_orbits,
+)
 
 
 class GuardExceededError(ValueError):
@@ -30,10 +33,6 @@ class Permutation:
     def __post_init__(self):
         if sorted(self.image) != list(range(len(self.image))):
             raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image!r}")
-
-    @classmethod
-    def identity(cls, l: int) -> "Permutation":
-        return cls(tuple(range(l)))
 
     @classmethod
     def from_cycles(cls, l: int, cycles) -> "Permutation":
@@ -54,12 +53,6 @@ class Permutation:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         return Permutation(tuple(self.image[other.image[i]] for i in range(self.degree)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
 
     def cycle_lengths(self) -> list[int]:
         seen = [False] * self.degree
@@ -110,9 +103,15 @@ class OrbitTypeMultiset:
         if not all(a < b for (a, _), (b, _) in zip(self.entries, self.entries[1:])):
             raise ValueError("entries must be sorted by orbit and duplicate-free")
 
-    @classmethod
-    def empty(cls, h: int, mode: Mode = ALL_ORDERS) -> "OrbitTypeMultiset":
-        return cls(h, mode, ())
+    @_lazy_attribute
+    def _hash(self) -> int:  # kept: hashing the fields walks every orbit's rows
+        return hash((self.h, self.mode, self.entries))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so a copy in another process does not keep this one's hash
+        return OrbitTypeMultiset, (self.h, self.mode, self.entries)
 
     @classmethod
     def from_pairs(cls, h: int, mode: Mode, pairs) -> "OrbitTypeMultiset":
@@ -124,47 +123,6 @@ class OrbitTypeMultiset:
     @property
     def degree(self) -> int:
         return sum(orbit.size * mult for orbit, mult in self.entries)
-
-    def multiplicity(self, orbit: TransitiveOrbit) -> int:
-        for o, m in self.entries:
-            if o == orbit:
-                return m
-        return 0
-
-    def union(self, other: "OrbitTypeMultiset") -> "OrbitTypeMultiset":
-        """Disjoint union of the underlying Z^h-sets (add multiplicities)."""
-        if self.h != other.h or self.mode != other.mode:
-            raise ValueError("cannot union classes with different h or mode")
-        return OrbitTypeMultiset.from_pairs(
-            self.h, self.mode, list(self.entries) + list(other.entries)
-        )
-
-    def sub_multisets(self, degree: int):
-        """All ways to split off a sub-multiset of the given total size.
-
-        Yields (left, right, ways) with left of the requested degree, left
-        union right == self, and ways = prod_T C(m_T, left_T), an int: the
-        number of sub-Z^h-sets of type left in a Z^h-set of type self.  It
-        equals z(self) / (z(left) z(right)), z the centralizer order.
-        Deterministic order.  No orbit is taken more often than fits into the
-        degree on its own.
-        """
-        ranges = [range(min(m, degree // o.size) + 1) for o, m in self.entries]
-        for choice in itertools.product(*ranges):
-            d = sum(c * self.entries[i][0].size for i, c in enumerate(choice))
-            if d != degree:
-                continue
-            left = tuple(
-                (o, c) for (o, _), c in zip(self.entries, choice) if c
-            )
-            right = tuple(
-                (o, m - c) for (o, m), c in zip(self.entries, choice) if m - c
-            )
-            yield (
-                OrbitTypeMultiset(self.h, self.mode, left),
-                OrbitTypeMultiset(self.h, self.mode, right),
-                prod(comb(m, c) for (_, m), c in zip(self.entries, choice)),
-            )
 
     def __str__(self) -> str:
         if not self.entries:
@@ -230,17 +188,75 @@ def _walk_classes(pool: list[TransitiveOrbit], top: int):
             return
 
 
+class _ClassTable(NamedTuple):
+    """The classes of one (h, l, mode) in canonical order, with int keys and z.
+
+    A key is ((pool index, multiplicity), ...).  Each degree's orbit pool is a
+    prefix of the next one's, so keys of all degrees share one numbering.
+    """
+
+    classes: tuple[OrbitTypeMultiset, ...]
+    keys: tuple[tuple[tuple[int, int], ...], ...]
+    positions: dict  # key -> position
+    z: tuple[int, ...]  # centralizer orders
+    sizes: tuple[int, ...]  # orbit size by pool index
+    ids: dict  # orbit -> pool index
+
+    def find(self, cls: OrbitTypeMultiset) -> int | None:
+        """The position of cls among the classes, or None if it is not one of them."""
+        i = self.positions.get(tuple((self.ids.get(o), m) for o, m in cls.entries))
+        return i if i is not None and self.classes[i] == cls else None
+
+
 @lru_cache(maxsize=None)
-def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> tuple[OrbitTypeMultiset, ...]:
+def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> _ClassTable:
+    """The class table of (h, l, mode), from one walk of the class tree."""
     pool = _orbit_pool(h, l, mode)
-    out = [OrbitTypeMultiset(h, mode, ())] if l == 0 else []
+    classes, keys = ([OrbitTypeMultiset(h, mode, ())], [()]) if l == 0 else ([], [])
     picked: list[tuple[TransitiveOrbit, int]] = []
+    key: list[tuple[int, int]] = []
     for depth, i, mult, degree in _walk_classes(pool, l):
-        del picked[depth - 1:]
+        del picked[depth - 1:], key[depth - 1:]
         picked.append((pool[i], mult))
+        key.append((i, mult))
         if degree == l:
-            out.append(OrbitTypeMultiset(h, mode, tuple(picked)))
-    return tuple(out)
+            classes.append(OrbitTypeMultiset(h, mode, tuple(picked)))
+            keys.append(tuple(key))
+    return _ClassTable(
+        tuple(classes), tuple(keys), {k: n for n, k in enumerate(keys)},
+        tuple(map(centralizer_order, classes)), tuple(orbit.size for orbit in pool),
+        {orbit: i for i, orbit in enumerate(pool)},
+    )
+
+
+def _split_key(key, sizes, degree: int) -> list:
+    """The splits of a class key as (left, right, ways), left of the given degree.
+
+    left and right are keys that merge into key; ways = prod_T C(m_T, left_T)
+    is the centralizer ratio z(key) / (z(left) z(right)).  Splits come in
+    lexicographic order of the multiplicities that left takes.
+    """
+    partial = [((), (), 1, degree)]  # splits of the entries so far, and the degree left to take
+    room = sum(m * sizes[i] for i, m in key)
+    for i, m in key:
+        s = sizes[i]
+        room -= m * s  # what the later entries can still take
+        partial = [
+            (left + ((i, c),) if c else left, right + ((i, m - c),) if c < m else right,
+             ways * comb(m, c), rest - c * s)
+            for left, right, ways, rest in partial
+            # c copies of this orbit, so that 0 <= rest - c * s <= room
+            for c in range(max(0, -((room - rest) // s)), min(m, rest // s) + 1)
+        ]
+    return [(left, right, ways) for left, right, ways, rest in partial if not rest]
+
+
+def _merge_keys(a, b) -> tuple:
+    """The key of the union of the classes with keys a and b: multiplicities add."""
+    merged = dict(a)
+    for i, m in b:
+        merged[i] = merged.get(i, 0) + m
+    return tuple(sorted(merged.items()))
 
 
 def enumerate_classes(h: int, l: int, mode: Mode = ALL_ORDERS) -> tuple[OrbitTypeMultiset, ...]:
@@ -253,7 +269,7 @@ def enumerate_classes(h: int, l: int, mode: Mode = ALL_ORDERS) -> tuple[OrbitTyp
         raise ValueError("h must be positive")
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    return _enumerate_classes_cached(h, l, mode)
+    return _enumerate_classes_cached(h, l, mode).classes
 
 
 def _orbit_type_from_images(h: int, images: list[tuple[int, ...]], mode: Mode) -> OrbitTypeMultiset:

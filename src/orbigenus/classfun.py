@@ -12,24 +12,20 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .classes import (
     GuardExceededError,
     OrbitTypeMultiset,
+    _enumerate_classes_cached,
+    _merge_keys,
     _orbit_type_from_images,
-    centralizer_order,
+    _split_key,
     class_representative,
     enumerate_classes,
 )
-from .orbits import ALL_ORDERS, Mode
+from .orbits import Mode
 from .series import _SCALARS, _ExactSum, _ratio, exact
-
-
-@lru_cache(maxsize=None)
-def _class_index(h: int, l: int, mode: Mode) -> dict:
-    return {c: i for i, c in enumerate(enumerate_classes(h, l, mode))}
 
 
 class ClassFunction:
@@ -76,28 +72,18 @@ class ClassFunction:
         """The constant class function 1 (the trivial character)."""
         return cls.constant(h, mode, l, 1)
 
-    @classmethod
-    def indicator(cls, target: OrbitTypeMultiset) -> "ClassFunction":
-        return cls(
-            target.h,
-            target.mode,
-            target.degree,
-            [Fraction(1) if c == target else Fraction(0) for c in
-             enumerate_classes(target.h, target.degree, target.mode)],
-        )
-
     @property
     def classes(self) -> tuple[OrbitTypeMultiset, ...]:
         return enumerate_classes(self.h, self.l, self.mode)
 
+    def _table(self):
+        return _enumerate_classes_cached(self.h, self.l, self.mode)
+
     def value(self, cls: OrbitTypeMultiset):
-        i = _class_index(self.h, self.l, self.mode).get(cls)
+        i = self._table().find(cls)
         if i is None:
             raise KeyError(f"not a class of (h={self.h}, l={self.l}, {self.mode}): {cls}")
         return self.values[i]
-
-    def items(self):
-        return list(zip(self.classes, self.values))
 
     def _check_match(self, other: "ClassFunction"):
         if (self.h, self.mode, self.l) != (other.h, other.mode, other.l):
@@ -148,13 +134,13 @@ class ClassFunction:
 def augmentation(chi: ClassFunction):
     """Sum of chi over the group, divided by the group order.
 
-    Equals sum over classes of chi(c)/centralizer_order(c), scalars summed as
-    integer numerators; for the constant function 1 of degree l it gives the
-    number of commuting h-tuples divided by l!.
+    Equals sum over classes of chi(c)/z(c), z read from the class table,
+    scalars summed as integer numerators; for the constant function 1 of
+    degree l it gives the number of commuting h-tuples divided by l!.
     """
     total = _ExactSum()
-    for c, v in zip(chi.classes, chi.values):
-        total.add(v, centralizer_order(c))
+    for v, z in zip(chi.values, chi._table().z):
+        total.add(v, z)
     return total.value()
 
 
@@ -171,19 +157,20 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
 
     The value on a class m sums chi(a) xi(b) over the splits of the orbit
     multiset as a disjoint union a + b with |a| = j, weighted by the integer
-    prod_T C(m_T, a_T) that ``sub_multisets`` yields with each split: the
-    centralizer ratio z(m) / (z(a) z(b)).
+    prod_T C(m_T, a_T), the centralizer ratio z(m) / (z(a) z(b)).  It splits
+    the int keys of the class table and reads chi and xi by key.
     """
     if (chi.h, chi.mode) != (xi.h, xi.mode):
         raise ValueError("class function parameters do not match")
     h, mode = chi.h, chi.mode
     j, k = chi.l, xi.l
-    chi_ratios = dict(zip(chi.classes, map(_ratio, chi.values)))
-    xi_ratios = dict(zip(xi.classes, map(_ratio, xi.values)))
+    chi_ratios = dict(zip(chi._table().keys, map(_ratio, chi.values)))
+    xi_ratios = dict(zip(xi._table().keys, map(_ratio, xi.values)))
+    table = _enumerate_classes_cached(h, j + k, mode)
     values = []
-    for m in enumerate_classes(h, j + k, mode):
+    for key in table.keys:
         total = _ExactSum()
-        for a, b, ways in m.sub_multisets(j):
+        for a, b, ways in _split_key(key, table.sizes, j):
             (xa, da), (xb, db) = chi_ratios[a], xi_ratios[b]
             total.add(ways * xa * xb, da * db)
         values.append(total.value())
@@ -194,15 +181,18 @@ def restrict_young(zeta: ClassFunction, j: int, k: int) -> dict:
     """Restriction to the Young subgroup, as a table on pairs of classes.
 
     Keys are (class of degree j, class of degree k); the value is zeta on
-    their disjoint union.
+    their disjoint union: the merge of their int keys, looked up in the
+    class table.  No split is used, so it checks induce_young independently.
     """
     if j < 0 or k < 0 or j + k != zeta.l:
         raise ValueError(f"split {j}+{k} does not match degree {zeta.l}")
     h, mode = zeta.h, zeta.mode
+    tj, tk = (_enumerate_classes_cached(h, d, mode) for d in (j, k))
+    positions = zeta._table().positions
     out = {}
-    for a in enumerate_classes(h, j, mode):
-        for b in enumerate_classes(h, k, mode):
-            out[(a, b)] = zeta.value(a.union(b))
+    for a, ka in zip(tj.classes, tj.keys):
+        for b, kb in zip(tk.classes, tk.keys):
+            out[(a, b)] = zeta.values[positions[_merge_keys(ka, kb)]]
     return out
 
 
@@ -212,18 +202,22 @@ def product_inner_product(chi: ClassFunction, xi: ClassFunction, table: dict):
     ``table`` maps (class_j, class_k) pairs to values, as produced by
     restrict_young; chi and xi supply the degree-j and degree-k factors of
     the other side.  Sums chi(a) xi(b) table[(a, b)] / (z(a) z(b)), reading
-    both class functions in class order and each z once per class.
+    both class functions and z from their class tables in class order.
+    ValueError names the first pair of classes that ``table`` lacks.
     """
     if (chi.h, chi.mode) != (xi.h, xi.mode):
         raise ValueError("class function parameters do not match")
-    xi_z = [(b, *_ratio(vb, centralizer_order(b))) for b, vb in zip(xi.classes, xi.values)]
+    tj, tk = chi._table(), xi._table()
+    xi_z = [(b, *_ratio(vb, z)) for b, vb, z in zip(tk.classes, xi.values, tk.z)]
     total = _ExactSum()
-    for a, va in zip(chi.classes, chi.values):
-        if va == 0:
-            continue
-        xa, da = _ratio(va, centralizer_order(a))
+    for a, va, za in zip(tj.classes, chi.values, tj.z):
+        xa, da = _ratio(va, za)
         for b, xb, db in xi_z:
-            xw, dw = _ratio(table[(a, b)])
+            try:
+                w = table[(a, b)]
+            except KeyError:
+                raise ValueError(f"table has no value for the pair ({a}, {b})") from None
+            xw, dw = _ratio(w)
             total.add(xa * xb * xw, da * db * dw)
     return total.value()
 

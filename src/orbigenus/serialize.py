@@ -17,7 +17,6 @@ import re
 from fractions import Fraction
 
 from .classes import OrbitTypeMultiset, centralizer_order, class_size
-from .classfun import ClassFunction
 from .genus import SeriesComparison, TableModel
 from .orbits import ALL_ORDERS, Mode, TransitiveOrbit
 from .psipoly import PsiPolynomial
@@ -126,18 +125,6 @@ def value_to_json(value):
 
 def series_to_json(series: TruncatedSeries) -> list:
     return [value_to_json(c) for c in series.coeffs]
-
-
-def classfunction_to_json(chi: ClassFunction) -> dict:
-    return {
-        "h": chi.h,
-        "mode": mode_to_json(chi.mode),
-        "l": chi.l,
-        "values": [
-            {"class": class_to_json(c), "value": value_to_json(v)}
-            for c, v in zip(chi.classes, chi.values)
-        ],
-    }
 
 
 def comparison_to_json(report: SeriesComparison) -> dict:

@@ -4,12 +4,25 @@ Most of this works by exhaustive enumeration inside small finite abelian
 groups; the HNF helpers rebuild the orbit enumeration one matrix entry at a
 time.  All of it deliberately shares no code with the lattice machinery
 under test.  Elements of a group prod Z/m_i are tuples under componentwise
-addition.
+addition.  The functions after class_count use the library's own types:
+conveniences that several tests share, and the product-and-filter
+reference that the keyed class split is checked against.
 """
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
+
+from orbigenus.classes import (
+    OrbitTypeMultiset,
+    Permutation,
+    _enumerate_classes_cached,
+    _split_key,
+    centralizer_order,
+    enumerate_classes,
+)
+from orbigenus.classfun import ClassFunction
+from orbigenus.serialize import class_to_json, mode_to_json, value_to_json
 
 
 def partitions(n):
@@ -218,6 +231,97 @@ def class_count(h, l, p=None):
             for n in range(s, l + 1):
                 coeffs[n] += coeffs[n - s]
     return coeffs[l]
+
+
+def identity(l):
+    """The identity permutation of degree l."""
+    return Permutation(tuple(range(l)))
+
+
+def inverse(p):
+    """The inverse of the permutation p."""
+    inv = [0] * p.degree
+    for i, j in enumerate(p.image):
+        inv[j] = i
+    return Permutation(tuple(inv))
+
+
+def union(a, b):
+    """The disjoint union of two classes: multiplicities add."""
+    return OrbitTypeMultiset.from_pairs(a.h, a.mode, a.entries + b.entries)
+
+
+def multiplicity(cls, orbit):
+    """How often orbit occurs in the class cls, 0 if it does not."""
+    return dict(cls.entries).get(orbit, 0)
+
+
+def class_items(chi):
+    """The (class, value) pairs of a class function, in canonical class order."""
+    return list(zip(chi.classes, chi.values))
+
+
+def indicator(target):
+    """The class function that is 1 on the class target and 0 on the other classes of its degree."""
+    return ClassFunction(
+        target.h,
+        target.mode,
+        target.degree,
+        [Fraction(1) if c == target else Fraction(0) for c in
+         enumerate_classes(target.h, target.degree, target.mode)],
+    )
+
+
+def classfunction_to_json(chi):
+    """A class function as JSON: h, mode, l, and its values with their classes in class order."""
+    return {
+        "h": chi.h,
+        "mode": mode_to_json(chi.mode),
+        "l": chi.l,
+        "values": [
+            {"class": class_to_json(c), "value": value_to_json(v)}
+            for c, v in zip(chi.classes, chi.values)
+        ],
+    }
+
+
+def key_of(cls):
+    """The int key of an enumerated class, read from its class table."""
+    table = _enumerate_classes_cached(cls.h, cls.degree, cls.mode)
+    return table.keys[table.find(cls)]
+
+
+def class_of_key(h, mode, pool, key):
+    """The class with this int key, rebuilt from the orbit pool as a checked OrbitTypeMultiset."""
+    return OrbitTypeMultiset(h, mode, tuple((pool[i], m) for i, m in key))
+
+
+def keyed_splits(m, degree):
+    """The keyed splits of the class m off the given degree, as (class, class, ways) triples.
+
+    The halves are rebuilt with class_of_key, so a half that is not a valid
+    sorted key raises.
+    """
+    table = _enumerate_classes_cached(m.h, m.degree, m.mode)
+    pool = list(table.ids)
+    return [
+        (class_of_key(m.h, m.mode, pool, a), class_of_key(m.h, m.mode, pool, b), ways)
+        for a, b, ways in _split_key(key_of(m), table.sizes, degree)
+    ]
+
+
+def sub_multisets_reference(m, degree):
+    """Every multiplicity choice up to m, filtered by degree, with z(m) / (z(a) z(b))."""
+    for choice in product(*(range(k + 1) for _, k in m.entries)):
+        if sum(c * o.size for (o, _), c in zip(m.entries, choice)) != degree:
+            continue
+        a = OrbitTypeMultiset(
+            m.h, m.mode, tuple((o, c) for (o, _), c in zip(m.entries, choice) if c)
+        )
+        b = OrbitTypeMultiset(
+            m.h, m.mode, tuple((o, k - c) for (o, k), c in zip(m.entries, choice) if k - c)
+        )
+        yield a, b, Fraction(centralizer_order(m), centralizer_order(a) * centralizer_order(b))
 
 
 # Filled by the acceptance suite; conftest prints it after the run so the

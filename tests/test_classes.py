@@ -1,7 +1,7 @@
 """Commuting-tuple classes: enumeration, sizes, decomposition, brute-force oracle."""
 import itertools
+import pickle
 import random
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -21,7 +21,15 @@ from orbigenus.classes import (
 )
 from orbigenus.orbits import ALL_ORDERS, Mode, ModeError, TransitiveOrbit, enumerate_orbits
 
-from helpers import class_count
+from helpers import (
+    class_count,
+    identity,
+    inverse,
+    keyed_splits,
+    multiplicity,
+    sub_multisets_reference,
+    union,
+)
 
 P2 = Mode.p_power(2)
 P3 = Mode.p_power(3)
@@ -31,12 +39,12 @@ def test_permutation_basics():
     p = Permutation.from_cycles(4, [(0, 1, 2)])
     assert p.image == (1, 2, 0, 3)
     assert p(0) == 1
-    assert p.inverse() * p == Permutation.identity(4)
+    assert inverse(p) * p == identity(4)
     assert sorted(p.cycle_lengths()) == [1, 3]
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
     with pytest.raises(ValueError):
-        Permutation.identity(2) * Permutation.identity(3)
+        identity(2) * identity(3)
 
 
 def test_order_admissible():
@@ -74,55 +82,53 @@ def test_multiset_degree_union_and_from_pairs():
     triv = TransitiveOrbit.trivial(2)
     a = OrbitTypeMultiset.from_pairs(2, P2, [(t1, 1), (triv, 2)])
     assert a.degree == 4
-    assert a.multiplicity(triv) == 2 and a.multiplicity(t2) == 0
+    assert multiplicity(a, triv) == 2 and multiplicity(a, t2) == 0
     b = OrbitTypeMultiset.from_pairs(2, P2, [(t1, 1)])
-    u = a.union(b)
-    assert u.degree == 6 and u.multiplicity(t1) == 2
+    u = union(a, b)
+    assert u.degree == 6 and multiplicity(u, t1) == 2
     # from_pairs merges duplicates regardless of order
     c = OrbitTypeMultiset.from_pairs(2, P2, [(triv, 1), (t1, 1), (triv, 1), (t1, 1)])
     assert c == OrbitTypeMultiset.from_pairs(2, P2, [(t1, 2), (triv, 2)])
 
 
+def test_pickled_class_does_not_carry_its_stored_hash():
+    # a class keeps its hash once computed; hash(None), inside ALL_ORDERS,
+    # may differ in another process, so a pickle must not carry the value
+    for cls in enumerate_classes(2, 3, ALL_ORDERS):
+        hash(cls)
+        copy = pickle.loads(pickle.dumps(cls))
+        assert copy == cls and "_hash" not in vars(copy)
+        assert hash(copy) == hash(cls)
+
+
 def test_sub_multisets():
+    # the keyed split of a class, its halves mapped back to classes
     t1 = enumerate_orbits(2, 2, P2)[0]
     triv = TransitiveOrbit.trivial(2)
     m = OrbitTypeMultiset.from_pairs(2, P2, [(triv, 2), (t1, 1)])
-    splits = list(m.sub_multisets(2))
+    splits = keyed_splits(m, 2)
     # degree-2 sub-multisets: {2 trivial} and {t1}
     assert len(splits) == 2
     for a, b, ways in splits:
         assert a.degree == 2 and b.degree == 2
-        assert a.union(b) == m
+        assert union(a, b) == m
     # one way each to take t1 or both trivial orbits, C(2, 1) to take one trivial orbit
     assert [ways for _, _, ways in splits] == [1, 1]
-    assert [ways for _, _, ways in m.sub_multisets(1)] == [2]
-    assert list(m.sub_multisets(0))[0][0].entries == ()
-
-
-def _sub_multisets_reference(m, degree):
-    """Every multiplicity choice up to m, filtered by degree, with z(m) / (z(a) z(b))."""
-    for choice in itertools.product(*(range(k + 1) for _, k in m.entries)):
-        if sum(c * o.size for (o, _), c in zip(m.entries, choice)) != degree:
-            continue
-        a = OrbitTypeMultiset(
-            m.h, m.mode, tuple((o, c) for (o, _), c in zip(m.entries, choice) if c)
-        )
-        b = OrbitTypeMultiset(
-            m.h, m.mode, tuple((o, k - c) for (o, k), c in zip(m.entries, choice) if k - c)
-        )
-        yield a, b, Fraction(centralizer_order(m), centralizer_order(a) * centralizer_order(b))
+    assert [ways for _, _, ways in keyed_splits(m, 1)] == [2]
+    assert keyed_splits(m, 0)[0][0].entries == ()
 
 
 def test_sub_multisets_matches_product_and_filter():
-    # the capped multiplicity ranges must yield the same splits in the same
-    # order, each with the integer weight equal to the centralizer ratio
+    # the keyed split, pruned to the multiplicities that can reach the degree,
+    # must give the same splits in the same order, each with the integer
+    # weight equal to the centralizer ratio
     for h in (1, 2):
         for mode in (ALL_ORDERS, P2, P3):
             for l in range(9):
                 for m in enumerate_classes(h, l, mode):
                     for degree in range(-1, l + 2):
-                        splits = list(m.sub_multisets(degree))
-                        assert splits == list(_sub_multisets_reference(m, degree)), (
+                        splits = keyed_splits(m, degree)
+                        assert splits == list(sub_multisets_reference(m, degree)), (
                             h, mode, m, degree
                         )
                         assert all(type(ways) is int for _, _, ways in splits)
@@ -225,7 +231,7 @@ def test_class_sizes_sum_to_hom_count():
 
 def test_orbit_type_of_tuple_frozen():
     # identity tuple
-    ident = orbit_type_of_tuple([Permutation.identity(3)] * 2)
+    ident = orbit_type_of_tuple([identity(3)] * 2)
     triv = TransitiveOrbit.trivial(2)
     assert ident == OrbitTypeMultiset.from_pairs(2, ALL_ORDERS, [(triv, 3)])
     # single 3-cycle at h=1
@@ -252,7 +258,7 @@ def test_orbit_type_rejects_bad_input():
     with pytest.raises(ValueError):
         orbit_type_of_tuple([])
     with pytest.raises(ValueError):
-        orbit_type_of_tuple([a, Permutation.identity(4)])
+        orbit_type_of_tuple([a, identity(4)])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -264,7 +270,7 @@ def test_orbit_type_conjugation_invariant(seed):
     img = list(range(l))
     rng.shuffle(img)
     g = Permutation(tuple(img))
-    conj = [g * p * g.inverse() for p in rep]
+    conj = [g * p * inverse(g) for p in rep]
     assert orbit_type_of_tuple(conj, mode) == cls
 
 

@@ -1,6 +1,7 @@
 """Class-function algebra: augmentation, inner product, Young induction."""
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from orbigenus.classfun import (
 from orbigenus.genus import SymbolicModel, equivariant_power_classfunction
 from orbigenus.orbits import ALL_ORDERS, Mode, TransitiveOrbit
 from orbigenus.psipoly import PsiPolynomial
+
+from helpers import class_items, indicator, union
 
 P2 = Mode.p_power(2)
 P3 = Mode.p_power(3)
@@ -109,14 +112,14 @@ def test_augmentation_frozen_values():
     # indicator of the trivial class of S_3 at h=2, p=3: class size 1 over 6
     triv = TransitiveOrbit.trivial(2)
     ident = OrbitTypeMultiset.from_pairs(2, P3, [(triv, 3)])
-    assert augmentation(ClassFunction.indicator(ident)) == Fraction(1, 6)
+    assert augmentation(indicator(ident)) == Fraction(1, 6)
 
 
 def test_augmentation_equals_classwise_sum():
     rng = random.Random(1)
     chi = rand_cf(rng, 2, P2, 4)
     total = sum(
-        (v * Fraction(1, centralizer_order(c)) for c, v in chi.items()),
+        (v * Fraction(1, centralizer_order(c)) for c, v in class_items(chi)),
         Fraction(0),
     )
     assert augmentation(chi) == total
@@ -145,12 +148,12 @@ def test_induce_frozen_classical_values():
     one2 = ClassFunction.one(1, ALL_ORDERS, 2)
     ind = induce_young(one1, one2)
     by_class = {tuple(sorted(o.size for o, m in c.entries for _ in range(m))): v
-                for c, v in ind.items()}
+                for c, v in class_items(ind)}
     assert by_class == {(1, 1, 1): 3, (1, 2): 1, (3,): 0}
     # S_1 x S_1 up to S_2: values (2, 0)
     ind2 = induce_young(one1, ClassFunction.one(1, ALL_ORDERS, 1))
     vals = {tuple(sorted(o.size for o, m in c.entries for _ in range(m))): v
-            for c, v in ind2.items()}
+            for c, v in class_items(ind2)}
     assert vals == {(1, 1): 2, (2,): 0}
 
 
@@ -166,12 +169,22 @@ def test_restrict_young():
     zeta = rand_cf(rng, 2, P2, 4)
     table = restrict_young(zeta, 2, 2)
     for (a, b), v in table.items():
-        assert v == zeta.value(a.union(b))
+        assert v == zeta.value(union(a, b))
     with pytest.raises(ValueError):
         restrict_young(zeta, 1, 2)
     # restriction of the constant 1 is constant 1
     ones = restrict_young(ClassFunction.one(2, P2, 4), 1, 3)
     assert all(v == 1 for v in ones.values())
+
+
+def test_product_inner_product_names_the_first_missing_pair():
+    # a table of degrees 1 x 2 does not cover the 2 x 2 pairs
+    one = ClassFunction.one(2, P2, 2)
+    table = restrict_young(ClassFunction.one(2, P2, 3), 1, 2)
+    first = enumerate_classes(2, 2, P2)[0]
+    with pytest.raises(ValueError, match=re.escape(f"no value for the pair ({first}, {first})")):
+        product_inner_product(one, one, table)
+    assert product_inner_product(one, one, restrict_young(ClassFunction.one(2, P2, 4), 2, 2)) == 4
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -218,7 +231,7 @@ def test_induce_matches_group_sum_oracle(h, mode, j, k):
 def _induce_reference(chi, xi):
     """Induction from product-and-filter splits, each weighted by Fraction(z(m), z(a) z(b))."""
     h, mode, j = chi.h, chi.mode, chi.l
-    chi_at, xi_at = dict(chi.items()), dict(xi.items())
+    chi_at, xi_at = dict(class_items(chi)), dict(class_items(xi))
     values = []
     for m in enumerate_classes(h, j + xi.l, mode):
         total = Fraction(0)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from orbigenus.classes import (
     OrbitTypeMultiset,
     Permutation,
+    _enumerate_classes_cached,
+    _merge_keys,
     centralizer_order,
     class_representative,
     enumerate_classes,
@@ -33,6 +35,8 @@ from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit_to_json
 from orbigenus.series import TruncatedSeries, _ExactSum
+
+from helpers import class_of_key, identity, inverse, key_of, keyed_splits, sub_multisets_reference
 
 P2 = Mode.p_power(2)
 P3 = Mode.p_power(3)
@@ -228,6 +232,63 @@ def test_sigma_equals_a_fraction_fold(case):
 
 
 @st.composite
+def class_params(draw, max_l=8):
+    """(h, mode, l) with h <= 3, l <= max_l, and a mode of all orders, 2-power or 3-power."""
+    return (
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from([ALL_ORDERS, P2, P3])),
+        draw(st.integers(0, max_l)),
+    )
+
+
+@st.composite
+def a_class(draw, max_l=8):
+    h, mode, l = draw(class_params(max_l))
+    return draw(st.sampled_from(enumerate_classes(h, l, mode)))
+
+
+@SETTINGS
+@given(a_class(), st.data())
+def test_keyed_splits_equal_product_and_filter(m, data):
+    degree = data.draw(st.integers(-1, m.degree + 1))
+    splits = keyed_splits(m, degree)
+    assert splits == list(sub_multisets_reference(m, degree))
+    assert all(type(ways) is int for _, _, ways in splits)
+
+
+@SETTINGS
+@given(class_params(), st.data())
+def test_keyed_merge_equals_the_union(params, data):
+    h, mode, l = params
+    j = data.draw(st.integers(0, l))
+    a = data.draw(st.sampled_from(enumerate_classes(h, j, mode)))
+    b = data.draw(st.sampled_from(enumerate_classes(h, l - j, mode)))
+    merged = _merge_keys(key_of(a), key_of(b))
+    table = _enumerate_classes_cached(h, l, mode)
+    union = OrbitTypeMultiset.from_pairs(h, mode, a.entries + b.entries)
+    assert class_of_key(h, mode, list(table.ids), merged) == union
+    assert table.classes[table.positions[merged]] == union
+
+
+@SETTINGS
+@given(class_params())
+def test_class_table_round_trips_keys_in_canonical_order(params):
+    h, mode, l = params
+    table = _enumerate_classes_cached(h, l, mode)
+    pool = list(table.ids)
+    assert table.classes == enumerate_classes(h, l, mode)
+    assert pool == sorted(pool)
+    canonical = sorted(table.classes, key=lambda c: [(o.sort_key, m) for o, m in c.entries])
+    assert list(table.classes) == canonical
+    assert list(table.keys) == sorted(table.keys)
+    assert table.sizes == tuple(orbit.size for orbit in pool)
+    for n, (cls, key) in enumerate(zip(table.classes, table.keys)):
+        assert class_of_key(h, mode, pool, key) == cls
+        assert table.positions[key] == table.find(cls) == n
+        assert table.z[n] == centralizer_order(cls)
+
+
+@st.composite
 def young_case(draw):
     """chi, xi and zeta of degrees j, k and j + k <= 6 at h <= 2, with random exact values."""
     h = draw(st.integers(1, 2))
@@ -258,7 +319,7 @@ def test_induce_young_equals_a_fraction_fold(case):
     induced = induce_young(chi, xi)
     assert all(type(v) is Fraction for v in induced.values)
     assert list(induced.values) == [
-        _fold(ways * chi.value(a) * xi.value(b) for a, b, ways in m.sub_multisets(chi.l))
+        _fold(ways * chi.value(a) * xi.value(b) for a, b, ways in keyed_splits(m, chi.l))
         for m in induced.classes
     ]
 
@@ -361,7 +422,7 @@ def test_orbit_type_of_tuple_is_invariant_under_conjugation(grid, data):
     h, l, mode = grid
     cls = data.draw(st.sampled_from(enumerate_classes(h, l, mode)))
     g = Permutation(tuple(data.draw(st.permutations(range(l)))))
-    g_inv = g.inverse()
+    g_inv = inverse(g)
     rep = class_representative(cls)
     conjugated = [g * a * g_inv for a in rep]
     assert orbit_type_of_tuple(conjugated, mode) == cls
@@ -373,7 +434,7 @@ def test_orbit_type_of_tuple_is_invariant_under_conjugation(grid, data):
 
 
 def _power(x, e):
-    out = Permutation.identity(x.degree)
+    out = identity(x.degree)
     for _ in range(e):
         out = out * x
     return out

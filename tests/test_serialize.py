@@ -11,7 +11,6 @@ from orbigenus.orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import (
     class_to_json,
-    classfunction_to_json,
     comparison_to_json,
     dump,
     dumps,
@@ -27,6 +26,8 @@ from orbigenus.serialize import (
     value_to_json,
 )
 from orbigenus.series import TruncatedSeries
+
+from helpers import classfunction_to_json
 
 P2 = Mode.p_power(2)
 
