@@ -39,7 +39,6 @@ from .genus import (
     geometric_power_series,
     hecke_log_series,
     hecke_operator,
-    lambda_operation,
     lambda_series,
     psi_of_class,
     sigma,
@@ -93,7 +92,6 @@ __all__ = [
     "hom_count",
     "induce_young",
     "inner_product",
-    "lambda_operation",
     "lambda_series",
     "orbit_type_of_tuple",
     "product_inner_product",

@@ -237,11 +237,6 @@ def lambda_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> Truncate
     return symmetric_power_series(model, prec, h, mode).negate_t().invert()
 
 
-def lambda_operation(model, n: int, h: int = 1, mode: Mode = ALL_ORDERS):
-    """Coefficient of t^n in Lambda_t."""
-    return lambda_series(model, n, h, mode).coefficient(n)
-
-
 def adams_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
     """sum_n psi_n t^n computed as -t d/dt log Lambda_{-t}.
 

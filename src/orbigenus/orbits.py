@@ -45,10 +45,6 @@ class Mode:
     def p_power(cls, p: int) -> "Mode":
         return cls(p)
 
-    @property
-    def is_p_typical(self) -> bool:
-        return self.p is not None
-
     def admits_size(self, n: int) -> bool:
         if n < 1:
             return False

@@ -5,14 +5,15 @@ Symbols are indexed by a family tag (the name of a formal variable, "x",
 Fraction scalars, so they can serve as series coefficients: scalar *, / and -
 scale the coefficients, and one accumulator adds every term and drops zeros.
 
-A monomial has one normal form: a tuple of (symbol, exponent) pairs, one
-pair per symbol, sorted by symbol, every exponent an int >= 1; () is the
-constant monomial.  Construction, lookup and multiplication all use it, and
-construction and lookup both raise ValueError on a monomial given with an
-exponent that is not an int >= 1.
+Symbols are stored as dense int ids, given on first use.  A monomial has one
+normal form: a tuple of (id, exponent) pairs sorted by id, one per symbol, each
+exponent an int >= 1 (else ValueError); () is the constant monomial.  Ids stay
+inside: sorted_terms gives (PsiSymbol, exponent) pairs in canonical symbol
+order, so no result depends on the order of first use.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,22 +37,54 @@ class PsiSymbol:
         return f"psi[{self.orbit.label()}]({self.family})"
 
 
-Monomial = tuple[tuple[PsiSymbol, int], ...]
+# The intern table of every polynomial; the lock keeps one id per symbol across threads.
+_SYMBOLS: list[PsiSymbol] = []  # id -> symbol
+_IDS: dict[PsiSymbol, int] = {}  # symbol -> id
+_LOCK = threading.Lock()
+_RANKS: list = [[], []]  # rank by id and symbol by rank, of the first len(rank) ids
 
 
-def _checked_monomial(mono) -> Monomial:
-    """The normal form of a monomial given from outside; ValueError unless every exponent is an int >= 1."""
+def _intern(sym) -> int:
+    """The id of sym, the next free one if sym is new; TypeError unless sym is a PsiSymbol."""
+    i = _IDS.get(sym)
+    if i is None:
+        if not (isinstance(sym, PsiSymbol) and isinstance(sym.family, str)
+                and isinstance(sym.orbit, TransitiveOrbit)):
+            raise TypeError(f"not a psi symbol: {sym!r}")
+        with _LOCK:
+            i = _IDS.setdefault(sym, len(_SYMBOLS))
+            if i == len(_SYMBOLS):
+                _SYMBOLS.append(sym)
+    return i
+
+
+def _ranks():
+    """(rank by id, symbol by rank): ranks order the ids as their symbols order, by family, then orbit."""
+    if len(_RANKS[0]) != len(_SYMBOLS):
+        symbols = _SYMBOLS[:]
+        order = sorted(range(len(symbols)), key=lambda i: (symbols[i].family, symbols[i].orbit.sort_key))
+        _RANKS[:] = sorted(range(len(order)), key=order.__getitem__), [symbols[i] for i in order]
+    return _RANKS
+
+
+Monomial = tuple[tuple[int, int], ...]
+
+
+def _checked_monomial(mono, symbol_id) -> Monomial | None:
+    """The normal form of (symbol, exponent) pairs given from outside, ids from symbol_id;
+    None if symbol_id gives None for a symbol, ValueError unless every exponent is an int >= 1."""
     mono = tuple(mono)
     if not all(isinstance(e, int) and e >= 1 for _, e in mono):
         raise ValueError(f"exponents must be ints >= 1, got {mono!r}")
-    return _monomial(mono)
+    pairs = [(symbol_id(sym), e) for sym, e in mono]
+    return None if any(i is None for i, _ in pairs) else _monomial(pairs)
 
 
 def _monomial(pairs) -> Monomial:
-    """The normal form of (symbol, exponent) pairs: repeated symbols merged, sorted."""
-    exps: dict[PsiSymbol, int] = {}
-    for sym, e in pairs:
-        exps[sym] = exps.get(sym, 0) + e
+    """The normal form of (id, exponent) pairs: repeated ids merged, sorted."""
+    exps: dict[int, int] = {}
+    for i, e in pairs:
+        exps[i] = exps.get(i, 0) + e
     return tuple(sorted(exps.items()))
 
 
@@ -64,16 +97,7 @@ def _accumulate(terms: dict, mono: Monomial, c) -> None:
         terms.pop(mono, None)
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_key(m: Monomial):
-    """Degree, then the monomial in its own order: an orbit's sort_key determines it."""
-    return (_mono_degree(m), tuple((s.family, s.orbit.sort_key, e) for s, e in m))
-
-
-def _mono_str(m: Monomial) -> str:
+def _mono_str(m) -> str:
     if not m:
         return "1"
     parts = []
@@ -85,7 +109,7 @@ def _mono_str(m: Monomial) -> str:
 class PsiPolynomial:
     """Immutable polynomial with Fraction coefficients and structural equality.
 
-    ``terms`` maps monomials of (symbol, exponent) pairs, exponents ints >= 1
+    ``terms`` maps monomials of (PsiSymbol, exponent) pairs, exponents ints >= 1
     (else ValueError), to coefficients; ``((s, 1), (s, 1))`` means ``((s, 2),)``.
 
     Equality against a bare int or Fraction means "is that constant", and the
@@ -103,7 +127,7 @@ class PsiPolynomial:
                 c = exact(coeff)
                 if not isinstance(c, Fraction):
                     raise TypeError(f"coefficient must be exact, got {type(coeff).__name__}")
-                _accumulate(data, _checked_monomial(mono), c)
+                _accumulate(data, _checked_monomial(mono, _intern), c)
         object.__setattr__(self, "_terms", data)
 
     @classmethod
@@ -123,31 +147,24 @@ class PsiPolynomial:
         return PsiPolynomial._from_terms({m: a * c for m, a in self._terms.items()} if c else {})
 
     @classmethod
-    def zero(cls) -> "PsiPolynomial":
-        return cls()
-
-    @classmethod
     def constant(cls, value) -> "PsiPolynomial":
         return cls({(): Fraction(value)})
 
     @classmethod
     def symbol(cls, sym: PsiSymbol) -> "PsiPolynomial":
-        return cls({((sym, 1),): Fraction(1)})
+        return cls._from_terms({((_intern(sym), 1),): _ONE})
 
-    @classmethod
-    def variable(cls, family: str, h: int) -> "PsiPolynomial":
-        """The degree-one symbol of a family itself (its trivial-orbit value)."""
-        return cls.symbol(PsiSymbol(family, TransitiveOrbit.trivial(h)))
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda mc: _mono_key(mc[0]))
+    def sorted_terms(self) -> list[tuple[tuple[tuple[PsiSymbol, int], ...], Fraction]]:
+        """(monomial, coefficient) pairs by degree, then monomial, each in canonical symbol order."""
+        rank, by_rank = _ranks()
+        # each monomial's pairs sorted once, by rank, into the term key; keys never tie
+        keyed = sorted([(sum([e for _, e in m]), sorted([(rank[i], e) for i, e in m]), c)
+                        for m, c in self._terms.items()])
+        return [(tuple([(by_rank[r], e) for r, e in ranked]), c) for _, ranked, c in keyed]
 
     def coefficient(self, mono) -> Fraction:
-        return self._terms.get(_checked_monomial(mono), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+        # a monomial with a symbol never interned is None, which no polynomial has
+        return self._terms.get(_checked_monomial(mono, _IDS.get), Fraction(0))
 
     @property
     def is_constant(self) -> bool:
@@ -158,19 +175,13 @@ class PsiPolynomial:
             raise ValueError("polynomial is not constant")
         return self._terms.get((), Fraction(0))
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self._terms:
-            return -1
-        return max(_mono_degree(m) for m in self._terms)
-
     def evaluate(self, assignment) -> Fraction:
         """Substitute a Fraction for every symbol (ring homomorphism to Q)."""
-        total = Fraction(0)
+        symbols, total = _SYMBOLS, Fraction(0)
         for mono, coeff in self._terms.items():
             v = coeff
-            for sym, e in mono:
-                v *= Fraction(assignment[sym]) ** e
+            for i, e in mono:
+                v *= Fraction(assignment[symbols[i]]) ** e
             total += v
         return total
 

@@ -48,8 +48,8 @@ def _json_int(value, field: str) -> int:
 class _OrbitJSON(dict):
     """The JSON object of one orbit, a plain dict that also remembers the orbit.
 
-    The writer keys its cache of rendered orbits on ``orbit``: orbit objects
-    live on, where the dicts built for them may be freed and their ids reused.
+    The writer keys its cache of rendered orbits on ``id(orbit)``, hashing none:
+    the cache entry holds the orbit, so its id is not reused while the entry lives.
     """
 
     __slots__ = ("orbit",)
@@ -103,17 +103,17 @@ def value_to_json(value):
     if isinstance(value, (int, Fraction)):
         return fraction_to_str(Fraction(value))
     if isinstance(value, PsiPolynomial):
-        # one object per distinct orbit, shared by every monomial that has it
+        # one object per orbit, keyed by id (terms holds every orbit), shared by its monomials
         terms = value.sorted_terms()
-        orbits: dict[TransitiveOrbit, dict] = {}
+        orbits: dict[int, dict] = {}
         for mono, _ in terms:
             for sym, _ in mono:
-                if sym.orbit not in orbits:
-                    orbits[sym.orbit] = orbit_to_json(sym.orbit)
+                if id(sym.orbit) not in orbits:
+                    orbits[id(sym.orbit)] = orbit_to_json(sym.orbit)
         return [
             {
                 "monomial": [
-                    {"family": sym.family, "orbit": orbits[sym.orbit], "power": e}
+                    {"family": sym.family, "orbit": orbits[id(sym.orbit)], "power": e}
                     for sym, e in mono
                 ],
                 "value": fraction_to_str(coeff),
@@ -208,7 +208,7 @@ def _write(obj, write) -> None:
     parts: list[str] = []  # rendered text, not yet joined
     joined: list[str] = []  # joined runs of parts, not yet written
     size = 0  # characters in joined
-    orbits: dict[tuple, tuple[dict, str]] = {}  # (orbit, depth) -> (object, text)
+    orbits: dict[tuple, tuple[dict, str]] = {}  # (id(orbit), depth) -> (object, text)
 
     def flush(final: bool = False):
         nonlocal size
@@ -241,7 +241,7 @@ def _write(obj, write) -> None:
             sequence(o, depth, out)
 
     def orbit(o: _OrbitJSON, depth: int, out: list):
-        key = (o.orbit, depth)
+        key = (id(o.orbit), depth)
         hit = orbits.get(key)
         if hit is not None and (hit[0] is o or hit[0] == o):
             out.append(hit[1])

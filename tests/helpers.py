@@ -22,6 +22,9 @@ from orbigenus.classes import (
     enumerate_classes,
 )
 from orbigenus.classfun import ClassFunction
+from orbigenus.genus import lambda_series
+from orbigenus.orbits import ALL_ORDERS, TransitiveOrbit
+from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import class_to_json, mode_to_json, value_to_json
 
 
@@ -283,6 +286,26 @@ def classfunction_to_json(chi):
             for c, v in zip(chi.classes, chi.values)
         ],
     }
+
+
+def zero():
+    """The zero polynomial."""
+    return PsiPolynomial()
+
+
+def variable(family, h):
+    """The degree-one symbol of a family itself (its trivial-orbit value)."""
+    return PsiPolynomial.symbol(PsiSymbol(family, TransitiveOrbit.trivial(h)))
+
+
+def degree(poly):
+    """The total degree of a polynomial; the zero polynomial reports -1."""
+    return max((sum(e for _, e in mono) for mono, _ in poly.sorted_terms()), default=-1)
+
+
+def lambda_operation(model, n, h=1, mode=ALL_ORDERS):
+    """Coefficient of t^n in Lambda_t."""
+    return lambda_series(model, n, h, mode).coefficient(n)
 
 
 def key_of(cls):

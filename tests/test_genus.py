@@ -18,7 +18,6 @@ from orbigenus.genus import (
     geometric_power_series,
     hecke_log_series,
     hecke_operator,
-    lambda_operation,
     lambda_series,
     psi_of_class,
     sigma,
@@ -31,7 +30,7 @@ from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import comparison_to_json, value_to_json
 from orbigenus.series import TruncatedSeries
 
-from helpers import class_items, indicator
+from helpers import class_items, indicator, lambda_operation, variable
 
 P2 = Mode.p_power(2)
 P3 = Mode.p_power(3)
@@ -46,7 +45,7 @@ def test_symbolic_model_psi():
     t = enumerate_orbits(2, 2, P2)[0]
     assert m.psi(t) == sym("x", t)
     # trivial orbit gives the degree-one class itself
-    assert m.psi(TransitiveOrbit.trivial(2)) == PsiPolynomial.variable("x", 2)
+    assert m.psi(TransitiveOrbit.trivial(2)) == variable("x", 2)
 
 
 def test_integer_model_psi():
@@ -78,14 +77,14 @@ def test_psi_of_class():
 def test_sigma_basics():
     model = SymbolicModel("x")
     assert sigma(model, 0, 2, P2) == 1
-    assert sigma(model, 1, 2, P2) == PsiPolynomial.variable("x", 2)
+    assert sigma(model, 1, 2, P2) == variable("x", 2)
     with pytest.raises(ValueError):
         sigma(model, -1, 2, P2)
 
 
 def test_sigma_two_frozen_symbolic():
     t1, t2, t3 = enumerate_orbits(2, 2, P2)
-    x = PsiPolynomial.variable("x", 2)
+    x = variable("x", 2)
     expected = x * x * Fraction(1, 2) + (sym("x", t1) + sym("x", t2) + sym("x", t3)) * Fraction(1, 2)
     assert sigma(SymbolicModel("x"), 2, 2, P2) == expected
 
@@ -147,7 +146,7 @@ def test_symmetric_power_series_rejects_bad_rank():
 
 def test_hecke_operator_values():
     # only the trivial orbit has size 1
-    assert hecke_operator(SymbolicModel("x"), 1, 2, P2) == PsiPolynomial.variable("x", 2)
+    assert hecke_operator(SymbolicModel("x"), 1, 2, P2) == variable("x", 2)
     # h=1: one orbit per size, T_n = d/n
     for n in range(1, 7):
         assert hecke_operator(IntegerModel(6), n, 1, ALL_ORDERS) == Fraction(6, n)
@@ -302,7 +301,7 @@ def test_lambda_binomials():
 def test_lambda_one_is_the_class_itself():
     lam = lambda_series(SymbolicModel("x"), 3, 2, P2)
     assert lam.coeffs[0] == 1
-    assert lam.coeffs[1] == PsiPolynomial.variable("x", 2)
+    assert lam.coeffs[1] == variable("x", 2)
 
 
 def test_lambda_inverts_symmetric_series():

@@ -25,8 +25,8 @@ def test_mode_validation():
         Mode.p_power(4)
     with pytest.raises(ValueError):
         Mode.p_power(1)
-    assert Mode.p_power(2).is_p_typical
-    assert not ALL_ORDERS.is_p_typical
+    assert Mode.p_power(2).p == 2
+    assert ALL_ORDERS.p is None
 
 
 def test_mode_admits_size():

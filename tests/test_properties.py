@@ -4,8 +4,9 @@ have one normal form, the orbit-type product for the symmetric-power series
 equals the class sum, the integer-numerator sums (the summing helper, the
 Hecke operators, sigma and the Young sums) equal plain Fraction sums, the
 JSON writer matches json.dumps, series inversion, exp and log undo each
-other, sorted_terms keeps the monomial order, rational strings round-trip,
-and the class of a commuting tuple is invariant under conjugation."""
+other, sorted_terms keeps the monomial order, no output of a polynomial depends on
+the order its symbols were interned in, rational strings round-trip, and
+the class of a commuting tuple is invariant under conjugation."""
 import json
 from fractions import Fraction
 from math import prod
@@ -32,8 +33,8 @@ from orbigenus.classfun import (
 )
 from orbigenus.genus import TableModel, hecke_operator, sigma, symmetric_power_series
 from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
-from orbigenus.psipoly import PsiPolynomial, PsiSymbol
-from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit_to_json
+from orbigenus.psipoly import _IDS, PsiPolynomial, PsiSymbol
+from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit_to_json, value_to_json
 from orbigenus.series import TruncatedSeries, _ExactSum
 
 from helpers import class_of_key, identity, inverse, key_of, keyed_splits, sub_multisets_reference
@@ -119,6 +120,56 @@ def test_psipolynomial_ignores_term_order(terms, rng):
     b = PsiPolynomial(shuffled)
     assert str(a) == str(b)
     assert a.sorted_terms() == b.sorted_terms()
+
+
+# Two pairs of families no other test uses, interned when this module loads:
+# A and B in canonical symbol order, C and D in reverse.  C, D sort as A, B
+# do, and no other character of str() or the JSON is an upper-case C or D,
+# so renaming C, D to A, B must map every output of one pair onto the other.
+FORWARD, REVERSED = ("A", "B"), ("C", "D")
+for _family in FORWARD:
+    for _orbit in POOL:
+        PsiPolynomial.symbol(PsiSymbol(_family, _orbit))
+for _family in reversed(REVERSED):
+    for _orbit in reversed(POOL):
+        PsiPolynomial.symbol(PsiSymbol(_family, _orbit))
+RENAME = str.maketrans("CD", "AB")
+
+renamable_terms = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, len(POOL) - 1), st.integers(1, 3)),
+                 max_size=4),
+        coefficient,
+    ),
+    max_size=8,
+)
+
+
+@SETTINGS
+@given(renamable_terms)
+def test_interning_order_is_invisible(terms):
+    def ids(families):
+        return [_IDS[PsiSymbol(f, t)] for f in families for t in POOL]
+
+    assert ids(FORWARD) == sorted(ids(FORWARD))
+    assert ids(REVERSED) == sorted(ids(REVERSED), reverse=True)
+
+    def build(families, terms):
+        return PsiPolynomial(
+            [(tuple((PsiSymbol(families[f], POOL[t]), e) for f, t, e in mono), c) for mono, c in terms]
+        )
+
+    fwd, rev = build(FORWARD, terms), build(REVERSED, terms)
+    rev_again = build(REVERSED, [(mono[::-1], c) for mono, c in terms[::-1]])
+    assert rev == rev_again and hash(rev) == hash(rev_again)
+    assert (rev == rev * rev) == (fwd == fwd * fwd)
+    for a, b in ((fwd, rev), (fwd * fwd + 1, rev * rev_again + 1)):
+        assert str(b).translate(RENAME) == str(a)
+        assert [
+            (tuple((PsiSymbol(s.family.translate(RENAME), s.orbit), e) for s, e in mono), c)
+            for mono, c in b.sorted_terms()
+        ] == a.sorted_terms()
+        assert dumps(value_to_json(b)).translate(RENAME) == dumps(value_to_json(a))
 
 
 @st.composite

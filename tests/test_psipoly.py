@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from orbigenus.orbits import Mode, enumerate_orbits
-from orbigenus.psipoly import PsiPolynomial, PsiSymbol
+from orbigenus.psipoly import _IDS, _SYMBOLS, PsiPolynomial, PsiSymbol
 from orbigenus.series import TruncatedSeries
+
+from helpers import degree, variable, zero
 
 P2 = Mode.p_power(2)
 
@@ -48,15 +50,15 @@ def test_constants_compare_and_hash_like_scalars():
     assert three == 3
     assert three == Fraction(3)
     assert hash(three) == hash(3)
-    assert PsiPolynomial.zero() == 0
-    assert not PsiPolynomial.zero()
+    assert zero() == 0
+    assert not zero()
     half = PsiPolynomial.constant(Fraction(1, 2))
     assert half == Fraction(1, 2)
     assert half != 1
 
 
 def test_mixed_scalar_arithmetic():
-    x = PsiPolynomial.variable("x", 2)
+    x = variable("x", 2)
     assert 2 * x == x + x
     assert x * 2 == x + x
     assert (x + 1) - 1 == x
@@ -68,15 +70,15 @@ def test_mixed_scalar_arithmetic():
 
 
 def test_no_zero_terms_stored():
-    x = PsiPolynomial.variable("x", 2)
+    x = variable("x", 2)
     diff = (x + 1) * (x - 1) - x * x + 1
-    assert diff.is_zero
+    assert not diff
     assert diff.sorted_terms() == []
     assert (x * x - x * x).sorted_terms() == []
 
 
 def test_pow():
-    x = PsiPolynomial.variable("x", 2)
+    x = variable("x", 2)
     assert x ** 0 == 1
     assert x ** 3 == x * x * x
     assert (x + 1) ** 2 == x * x + 2 * x + 1
@@ -95,7 +97,7 @@ def test_pow():
 
 
 def test_monomials_have_one_normal_form():
-    x = PsiPolynomial.variable("x", 2)
+    x = variable("x", 2)
     s = PsiSymbol("x", enumerate_orbits(2, 1, P2)[0])
     t = PsiSymbol("x", enumerate_orbits(2, 2, P2)[0])
     # a repeated symbol is merged, in the constructor and in coefficient()
@@ -128,11 +130,37 @@ def test_coefficient_checks_exponents_like_the_constructor():
             p.coefficient(mono)
 
 
+def test_coefficient_interns_nothing():
+    s = PsiSymbol("x", enumerate_orbits(2, 1, P2)[0])
+    unseen = PsiSymbol("unseen", enumerate_orbits(2, 2, P2)[0])
+    p = 3 + 2 * PsiPolynomial.symbol(s)
+    interned = len(_SYMBOLS)
+    assert p.coefficient(((unseen, 1),)) == Fraction(0)
+    assert p.coefficient(((s, 1), (unseen, 2))) == Fraction(0)
+    for mono in (((unseen, 0),), ((unseen, 1.5),), ((s, 1), (unseen, -1))):
+        with pytest.raises(ValueError):
+            p.coefficient(mono)
+    assert len(_SYMBOLS) == interned
+    assert unseen not in _IDS
+
+
+def test_only_psi_symbols_are_interned():
+    (triv,) = enumerate_orbits(2, 1, P2)
+    interned = len(_SYMBOLS)
+    for bad in ("x", triv, PsiSymbol("x", "1,0|0,1"), PsiSymbol(7, triv)):
+        with pytest.raises(TypeError):
+            PsiPolynomial({((bad, 1),): 1})
+        with pytest.raises(TypeError):
+            PsiPolynomial.symbol(bad)
+    assert len(_SYMBOLS) == interned
+    assert str(variable("x", 2) + 1) == "1 + x"
+
+
 def test_degree_and_constant_value():
-    x = PsiPolynomial.variable("x", 2)
-    assert PsiPolynomial.zero().degree() == -1
-    assert PsiPolynomial.constant(7).degree() == 0
-    assert (x * x + x).degree() == 2
+    x = variable("x", 2)
+    assert degree(zero()) == -1
+    assert degree(PsiPolynomial.constant(7)) == 0
+    assert degree(x * x + x) == 2
     assert PsiPolynomial.constant(7).constant_value() == 7
     with pytest.raises(ValueError):
         x.constant_value()
@@ -145,7 +173,7 @@ def test_float_coefficients_rejected():
 
 def test_str_is_deterministic():
     t1 = enumerate_orbits(2, 2, P2)[0]
-    x = PsiPolynomial.variable("x", 2)
+    x = variable("x", 2)
     p = x * x * Fraction(1, 2) + PsiPolynomial.symbol(PsiSymbol("x", t1)) + 1
     assert str(p) == "1 + psi[1,0|0,2](x) + 1/2*x^2"
 
@@ -159,7 +187,7 @@ def test_ring_laws(seed):
     assert f * g == g * f
     assert (f + g) * k == f * k + g * k
     assert (f * g) * k == f * (g * k)
-    assert f + PsiPolynomial.zero() == f
+    assert f + zero() == f
     assert f * PsiPolynomial.constant(1) == f
 
 
@@ -186,7 +214,7 @@ def test_evaluation_is_a_ring_homomorphism(seed):
 
 
 def test_evaluate_missing_symbol_raises():
-    x = PsiPolynomial.variable("x", 2)
+    x = variable("x", 2)
     with pytest.raises(KeyError):
         x.evaluate({})
 
@@ -203,8 +231,8 @@ def test_polynomials_work_as_series_coefficients():
     # exp(x*t) has coefficients x^n / n!
     from orbigenus.orbits import TransitiveOrbit
 
-    x = PsiPolynomial.variable("x", 1)
-    s = TruncatedSeries([PsiPolynomial.zero(), x], prec=4).exp()
+    x = variable("x", 1)
+    s = TruncatedSeries([zero(), x], prec=4).exp()
     assert s.coeffs[0] == 1
     assert s.coeffs[1] == x
     assert s.coeffs[2] == x * x * Fraction(1, 2)
@@ -224,7 +252,7 @@ def test_polynomials_work_as_series_coefficients():
     assert inv.coeffs[1] == -x and inv.coeffs[2] == 0 and inv.coeffs[3] == x ** 3
     assert _at(inv, at_two) == TruncatedSeries([1, 2, 4], prec=5).invert()
     # exp of a series with nonzero t and t^2 coefficients
-    a = TruncatedSeries([PsiPolynomial.zero(), x, Fraction(1, 3) * x * x - 1], prec=5)
+    a = TruncatedSeries([zero(), x, Fraction(1, 3) * x * x - 1], prec=5)
     e = a.exp()
     assert e.coeffs[2] == x * x * Fraction(1, 2) + Fraction(1, 3) * x * x - 1
     assert _at(e, at_two) == TruncatedSeries([0, 2, Fraction(4, 3) - 1], prec=5).exp()
