@@ -34,25 +34,9 @@ class Permutation:
         if sorted(self.image) != list(range(len(self.image))):
             raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image!r}")
 
-    @classmethod
-    def from_cycles(cls, l: int, cycles) -> "Permutation":
-        img = list(range(l))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                img[a] = b
-        return cls(tuple(img))
-
     @property
     def degree(self) -> int:
         return len(self.image)
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(self.image[other.image[i]] for i in range(self.degree)))
 
     def cycle_lengths(self) -> list[int]:
         seen = [False] * self.degree

@@ -39,21 +39,11 @@ class ClassFunction:
 
     def __init__(self, h: int, mode: Mode, l: int, values):
         classes = enumerate_classes(h, l, mode)
-        if hasattr(values, "items"):
-            table = dict(values)
-            vals = []
-            for c in classes:
-                if c not in table:
-                    raise ValueError(f"missing value for class {c}")
-                vals.append(exact(table.pop(c)))
-            if table:
-                raise ValueError(f"{len(table)} values do not correspond to any class")
-        else:
-            vals = [exact(v) for v in values]
-            if len(vals) != len(classes):
-                raise ValueError(
-                    f"expected {len(classes)} values for (h={h}, l={l}, {mode}), got {len(vals)}"
-                )
+        vals = [exact(v) for v in values]
+        if len(vals) != len(classes):
+            raise ValueError(
+                f"expected {len(classes)} values for (h={h}, l={l}, {mode}), got {len(vals)}"
+            )
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "l", l)
@@ -63,14 +53,9 @@ class ClassFunction:
         raise AttributeError("ClassFunction is immutable")
 
     @classmethod
-    def constant(cls, h: int, mode: Mode, l: int, value) -> "ClassFunction":
-        n = len(enumerate_classes(h, l, mode))
-        return cls(h, mode, l, [exact(value)] * n)
-
-    @classmethod
     def one(cls, h: int, mode: Mode, l: int) -> "ClassFunction":
         """The constant class function 1 (the trivial character)."""
-        return cls.constant(h, mode, l, 1)
+        return cls(h, mode, l, [Fraction(1)] * len(enumerate_classes(h, l, mode)))
 
     @property
     def classes(self) -> tuple[OrbitTypeMultiset, ...]:

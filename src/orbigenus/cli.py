@@ -38,7 +38,7 @@ from .orbits import ALL_ORDERS, Mode, enumerate_orbits
 
 
 def _mode_from_args(args) -> Mode:
-    return ALL_ORDERS if args.p is None else Mode.p_power(args.p)
+    return ALL_ORDERS if args.p is None else Mode(args.p)
 
 
 def _model_from_spec(spec: str | None):

@@ -41,10 +41,6 @@ class Mode:
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
 
-    @classmethod
-    def p_power(cls, p: int) -> "Mode":
-        return cls(p)
-
     def admits_size(self, n: int) -> bool:
         if n < 1:
             return False
@@ -131,11 +127,6 @@ class TransitiveOrbit:
         object.__setattr__(orbit, "h", h)
         object.__setattr__(orbit, "rows", rows)
         return orbit
-
-    @classmethod
-    def trivial(cls, h: int) -> "TransitiveOrbit":
-        """The one-point orbit: stabilizer is all of Z^h."""
-        return cls(h, tuple(tuple(int(i == j) for j in range(h)) for i in range(h)))
 
     @_lazy_attribute
     def size(self) -> int:

@@ -21,12 +21,9 @@ from .orbits import TransitiveOrbit
 from .series import _ONE, _SCALARS, _ZERO, _power, exact
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class PsiSymbol:
-    """One formal symbol: the power-operation value of a family at an orbit.
-
-    Symbols order by family, then by orbit.
-    """
+    """One formal symbol: the power-operation value of a family at an orbit."""
 
     family: str
     orbit: TransitiveOrbit
@@ -174,16 +171,6 @@ class PsiPolynomial:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
         return self._terms.get((), Fraction(0))
-
-    def evaluate(self, assignment) -> Fraction:
-        """Substitute a Fraction for every symbol (ring homomorphism to Q)."""
-        symbols, total = _SYMBOLS, Fraction(0)
-        for mono, coeff in self._terms.items():
-            v = coeff
-            for i, e in mono:
-                v *= Fraction(assignment[symbols[i]]) ** e
-            total += v
-        return total
 
     def _sum(self, other, sign: int):
         """self + sign * other, for a polynomial or an exact scalar other."""

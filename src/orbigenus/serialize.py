@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .classes import OrbitTypeMultiset, centralizer_order, class_size
 from .genus import SeriesComparison, TableModel
-from .orbits import ALL_ORDERS, Mode, TransitiveOrbit
+from .orbits import Mode, TransitiveOrbit
 from .psipoly import PsiPolynomial
 from .series import TruncatedSeries
 
@@ -78,14 +78,6 @@ def orbit_from_json(obj) -> TransitiveOrbit:
 
 def mode_to_json(mode: Mode):
     return None if mode.p is None else {"p": mode.p}
-
-
-def mode_from_json(obj) -> Mode:
-    if obj is None:
-        return ALL_ORDERS
-    if isinstance(obj, dict) and set(obj) == {"p"}:
-        return Mode.p_power(_json_int(obj["p"], "mode field 'p'"))
-    raise ValueError(f"not a mode object: {obj!r}")
 
 
 def class_to_json(cls: OrbitTypeMultiset) -> dict:

@@ -53,12 +53,8 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs", "prec")
 
-    def __init__(self, coeffs, prec: int | None = None):
+    def __init__(self, coeffs, prec: int):
         coeffs = [exact(c) for c in coeffs]
-        if prec is None:
-            if not coeffs:
-                raise ValueError("empty coefficient list needs an explicit precision")
-            prec = len(coeffs) - 1
         if prec < 0:
             raise ValueError("precision must be nonnegative")
         if len(coeffs) < prec + 1:
@@ -72,17 +68,8 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def zero(cls, prec: int) -> "TruncatedSeries":
-        return cls([], prec=prec)
-
-    @classmethod
     def one(cls, prec: int) -> "TruncatedSeries":
         return cls([_ONE], prec=prec)
-
-    @classmethod
-    def variable(cls, prec: int) -> "TruncatedSeries":
-        """The series t."""
-        return cls([_ZERO, _ONE], prec=prec)
 
     def coefficient(self, n: int):
         if not 0 <= n <= self.prec:
@@ -185,21 +172,6 @@ class TruncatedSeries:
         for n in range(1, self.prec + 1):
             out[n] = Fraction(1, n) * q.coeffs[n]
         return TruncatedSeries(out, prec=self.prec)
-
-    def __str__(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = "1" if n == 0 else ("t" if n == 1 else f"t^{n}")
-            if n == 0:
-                parts.append(f"{c}")
-            elif c == 1:
-                parts.append(term)
-            else:
-                parts.append(f"({c})*{term}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(t^{self.prec + 1})"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r}, prec={self.prec})"

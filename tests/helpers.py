@@ -23,9 +23,9 @@ from orbigenus.classes import (
 )
 from orbigenus.classfun import ClassFunction
 from orbigenus.genus import lambda_series
-from orbigenus.orbits import ALL_ORDERS, TransitiveOrbit
+from orbigenus.orbits import ALL_ORDERS, Mode, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
-from orbigenus.serialize import class_to_json, mode_to_json, value_to_json
+from orbigenus.serialize import _json_int, class_to_json, mode_to_json, value_to_json
 
 
 def partitions(n):
@@ -236,6 +236,22 @@ def class_count(h, l, p=None):
     return coeffs[l]
 
 
+def from_cycles(l, cycles):
+    """The permutation of degree l with the given cycles, fixing every other point."""
+    img = list(range(l))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            img[a] = b
+    return Permutation(tuple(img))
+
+
+def compose(a, b):
+    """The permutation a after b: i goes to a(b(i)); ValueError unless the degrees agree."""
+    if a.degree != b.degree:
+        raise ValueError("degree mismatch")
+    return Permutation(tuple(a.image[i] for i in b.image))
+
+
 def identity(l):
     """The identity permutation of degree l."""
     return Permutation(tuple(range(l)))
@@ -288,6 +304,15 @@ def classfunction_to_json(chi):
     }
 
 
+def mode_from_json(obj):
+    """The mode that serialize.mode_to_json encodes as obj; ValueError for anything else."""
+    if obj is None:
+        return ALL_ORDERS
+    if isinstance(obj, dict) and set(obj) == {"p"}:
+        return Mode(_json_int(obj["p"], "mode field 'p'"))
+    raise ValueError(f"not a mode object: {obj!r}")
+
+
 def zero():
     """The zero polynomial."""
     return PsiPolynomial()
@@ -295,12 +320,22 @@ def zero():
 
 def variable(family, h):
     """The degree-one symbol of a family itself (its trivial-orbit value)."""
-    return PsiPolynomial.symbol(PsiSymbol(family, TransitiveOrbit.trivial(h)))
+    return PsiPolynomial.symbol(PsiSymbol(family, enumerate_orbits(h, 1)[0]))
 
 
 def degree(poly):
     """The total degree of a polynomial; the zero polynomial reports -1."""
     return max((sum(e for _, e in mono) for mono, _ in poly.sorted_terms()), default=-1)
+
+
+def evaluate(poly, assignment):
+    """Substitute a Fraction for every symbol of poly (a ring homomorphism to Q)."""
+    total = Fraction(0)
+    for mono, coeff in poly.sorted_terms():
+        for sym, e in mono:
+            coeff *= Fraction(assignment[sym]) ** e
+        total += coeff
+    return total
 
 
 def lambda_operation(model, n, h=1, mode=ALL_ORDERS):

@@ -35,8 +35,8 @@ from orbigenus.genus import (
 from orbigenus.orbits import ALL_ORDERS, Mode, enumerate_orbits
 from orbigenus.series import TruncatedSeries
 
-P2 = Mode.p_power(2)
-P3 = Mode.p_power(3)
+P2 = Mode(2)
+P3 = Mode(3)
 
 
 def _report(num, name, ok, elapsed=None):
@@ -81,7 +81,7 @@ def test_criterion_01_product_formula_dmvv():
     start = time.perf_counter()
     ok = True
     for h, p, prec in [(1, 2, 12), (2, 2, 8), (2, 3, 9), (3, 2, 8)]:
-        report = verify_product_formula(SymbolicModel("x"), prec, h, Mode.p_power(p))
+        report = verify_product_formula(SymbolicModel("x"), prec, h, Mode(p))
         ok = ok and report.equal
     elapsed = time.perf_counter() - start
     _report(1, "symmetric powers equal exp of Hecke sum", ok and elapsed < 60, elapsed)
@@ -131,7 +131,7 @@ def test_criterion_05_orbit_counts():
             for i in range(h):
                 series = series * TruncatedSeries([1, -(p**i)], prec=4).invert()
             for k in range(5):
-                counted = len(enumerate_orbits(h, p**k, Mode.p_power(p)))
+                counted = len(enumerate_orbits(h, p**k, Mode(p)))
                 ok = ok and counted == series.coeffs[k]
     _report(5, "orbit counts match subgroup enumeration", ok)
 

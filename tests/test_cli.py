@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
-from orbigenus import cli
+from orbigenus import cli, genus
 from orbigenus.cli import main
-from orbigenus.orbits import TransitiveOrbit, enumerate_orbits
+from orbigenus.orbits import enumerate_orbits
 from orbigenus.serialize import dumps, orbit_to_json
+from orbigenus.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -111,6 +112,60 @@ def test_verify_oracle(capsys):
         "tuples": "88",
         "equal": True,
     }
+
+
+def _perturb_hecke_log(real):
+    def perturbed(*args):
+        s = real(*args)
+        return s + TruncatedSeries([0, 1], prec=s.prec)  # T_1 off by one
+    return perturbed
+
+
+def _scale_one_restricted_value(real):
+    def scaled(*args):
+        table = real(*args)
+        key = next(iter(table))
+        table[key] = 2 * table[key] + 1  # + 1: stays wrong where the value is 0
+        return table
+    return scaled
+
+
+def _drop_one_class(real):
+    def dropped(*args, **kwargs):
+        counts = real(*args, **kwargs)
+        del counts[next(iter(counts))]
+        return counts
+    return dropped
+
+
+def _perturb_closed_form(real):
+    return lambda *args: real(*args) + 1
+
+
+@pytest.mark.parametrize(
+    "module, name, wrap, argv, expected",
+    [
+        # lhs_1 = x, rhs_1 = x + 1
+        (genus, "hecke_log_series", _perturb_hecke_log,
+         ("verify", "dmvv", "--h", "2", "--p", "2", "--n", "4"),
+         {"equal": False, "first_mismatch": 1, "difference": [{"monomial": [], "value": "-1"}]}),
+        (cli, "restrict_young", _scale_one_restricted_value,
+         ("verify", "frobenius", "--h", "2", "--p", "2", "--l", "4", "--trials", "2"),
+         {"equal": False}),
+        (cli, "brute_force_classes", _drop_one_class,
+         ("verify", "oracle", "--h", "2", "--p", "2", "--l", "3"), {"equal": False}),
+        (cli, "geometric_power_series", _perturb_closed_form,
+         ("genus", "todd", "--d", "2", "--n", "4"), {"closed_form": False}),
+    ],
+    ids=["dmvv", "frobenius", "oracle", "todd"],
+)
+def test_a_failed_identity_exits_1_with_its_full_report(capsys, monkeypatch, module, name, wrap,
+                                                         argv, expected):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    obj = json.loads(out)  # the whole report, not a prefix
+    assert {k: obj[k] for k in expected} == expected
 
 
 def test_verify_oracle_guard(capsys):
@@ -246,7 +301,7 @@ def test_model_spec_errors(capsys, tmp_path):
 def test_table_model_cli(capsys, tmp_path):
     table = tmp_path / "psi.json"
     table.write_text(
-        dumps([{"orbit": orbit_to_json(TransitiveOrbit.trivial(1)), "psi": "5"}])
+        dumps([{"orbit": orbit_to_json(enumerate_orbits(1, 1)[0]), "psi": "5"}])
     )
     code, out, _ = run(
         capsys, "genus", "sigma", "--h", "1", "--n", "1", "--model", f"table:{table}"

@@ -25,15 +25,15 @@ from orbigenus.genus import (
     todd_orbifold_series,
     verify_product_formula,
 )
-from orbigenus.orbits import ALL_ORDERS, Mode, ModeError, TransitiveOrbit, enumerate_orbits
+from orbigenus.orbits import ALL_ORDERS, Mode, ModeError, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import comparison_to_json, value_to_json
 from orbigenus.series import TruncatedSeries
 
 from helpers import class_items, indicator, lambda_operation, variable
 
-P2 = Mode.p_power(2)
-P3 = Mode.p_power(3)
+P2 = Mode(2)
+P3 = Mode(3)
 
 
 def sym(family, orbit):
@@ -45,7 +45,7 @@ def test_symbolic_model_psi():
     t = enumerate_orbits(2, 2, P2)[0]
     assert m.psi(t) == sym("x", t)
     # trivial orbit gives the degree-one class itself
-    assert m.psi(TransitiveOrbit.trivial(2)) == variable("x", 2)
+    assert m.psi(enumerate_orbits(2, 1)[0]) == variable("x", 2)
 
 
 def test_integer_model_psi():
@@ -60,7 +60,7 @@ def test_table_model():
     assert m.psi(t1) == Fraction(1, 2)
     assert m.psi(t2) == 3
     with pytest.raises(ValueError):
-        m.psi(TransitiveOrbit.trivial(2))
+        m.psi(enumerate_orbits(2, 1)[0])
     with pytest.raises(TypeError):
         TableModel({t1: 0.5})
 
@@ -174,7 +174,7 @@ def test_hecke_log_series_rejects_bad_rank_and_precision():
     for mode in (ALL_ORDERS, P2):
         with pytest.raises(ValueError, match="precision must be nonnegative"):
             hecke_log_series(IntegerModel(1), -4, 2, mode)
-    assert hecke_log_series(IntegerModel(1), 0, 2, ALL_ORDERS) == TruncatedSeries.zero(0)
+    assert hecke_log_series(IntegerModel(1), 0, 2, ALL_ORDERS) == TruncatedSeries([], prec=0)
 
 
 @pytest.mark.parametrize(
@@ -351,7 +351,7 @@ def test_orbifold_genus():
         ]
     )
     assert augmentation(triv_pair) == Fraction(1, 2)
-    const = ClassFunction.constant(1, ALL_ORDERS, 1, Fraction(7))
+    const = ClassFunction.one(1, ALL_ORDERS, 1) * Fraction(7)
     assert augmentation(const) == 7
 
 

@@ -16,16 +16,16 @@ from orbigenus.orbits import (
 )
 from orbigenus.series import TruncatedSeries
 
-P2 = Mode.p_power(2)
-P3 = Mode.p_power(3)
+P2 = Mode(2)
+P3 = Mode(3)
 
 
 def test_mode_validation():
     with pytest.raises(ValueError):
-        Mode.p_power(4)
+        Mode(4)
     with pytest.raises(ValueError):
-        Mode.p_power(1)
-    assert Mode.p_power(2).p == 2
+        Mode(1)
+    assert Mode(2).p == 2
     assert ALL_ORDERS.p is None
 
 
@@ -39,7 +39,8 @@ def test_mode_admits_size():
 
 
 def test_trivial_orbit():
-    t = TransitiveOrbit.trivial(3)
+    t = enumerate_orbits(3, 1)[0]
+    assert t == TransitiveOrbit(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert t.size == 1
     assert t.is_trivial()
 
@@ -152,7 +153,7 @@ def test_counts_match_generating_function(h, p):
     for i in range(h):
         prod_series = prod_series * TruncatedSeries([1, -(p ** i)], prec=prec).invert()
     for k in range(prec + 1):
-        count = len(enumerate_orbits(h, p ** k, Mode.p_power(p)))
+        count = len(enumerate_orbits(h, p ** k, Mode(p)))
         assert count == prod_series.coefficient(k)
 
 

@@ -10,6 +10,7 @@ from orbigenus.genus import SeriesComparison, symmetric_power_series, SymbolicMo
 from orbigenus.orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import (
+    _MAX_CACHED,
     class_to_json,
     comparison_to_json,
     dump,
@@ -17,7 +18,6 @@ from orbigenus.serialize import (
     fraction_from_str,
     fraction_to_str,
     load_table_model,
-    mode_from_json,
     mode_to_json,
     orbit_from_json,
     orbit_to_json,
@@ -27,9 +27,9 @@ from orbigenus.serialize import (
 )
 from orbigenus.series import TruncatedSeries
 
-from helpers import classfunction_to_json
+from helpers import classfunction_to_json, mode_from_json
 
-P2 = Mode.p_power(2)
+P2 = Mode(2)
 
 
 def test_fraction_strings():
@@ -60,7 +60,7 @@ def test_orbit_json_round_trip():
 
 
 def test_orbit_json_errors():
-    orbit = TransitiveOrbit.trivial(2)
+    orbit = enumerate_orbits(2, 1)[0]
     obj = orbit_to_json(orbit)
     obj["size"] = "99"
     with pytest.raises(ValueError, match="size"):
@@ -91,7 +91,7 @@ def test_mode_json():
     assert mode_to_json(ALL_ORDERS) is None
     assert mode_to_json(P2) == {"p": 2}
     assert mode_from_json(None) == ALL_ORDERS
-    assert mode_from_json({"p": 3}) == Mode.p_power(3)
+    assert mode_from_json({"p": 3}) == Mode(3)
     with pytest.raises(ValueError):
         mode_from_json({"prime": 3})
     with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ def test_series_json():
 
 
 def test_classfunction_json():
-    chi = ClassFunction.constant(2, P2, 2, Fraction(1, 3))
+    chi = ClassFunction.one(2, P2, 2) * Fraction(1, 3)
     obj = classfunction_to_json(chi)
     assert obj["h"] == 2 and obj["l"] == 2 and obj["mode"] == {"p": 2}
     assert len(obj["values"]) == len(enumerate_classes(2, 2, P2))
@@ -183,7 +183,7 @@ def test_table_model_round_trip(tmp_path):
 
 
 def test_table_model_errors(tmp_path):
-    orbit = orbit_to_json(TransitiveOrbit.trivial(1))
+    orbit = orbit_to_json(enumerate_orbits(1, 1)[0])
     with pytest.raises(ValueError, match="list"):
         table_model_from_json({"orbit": orbit, "psi": "1"})
     with pytest.raises(ValueError, match="keys"):
@@ -238,6 +238,20 @@ def test_writer_renders_each_orbit_object_by_its_fields():
     obj = [a, {"k": [a, b]}, b, a, orbit_to_json(u), [[a]], orbit_to_json(t)]
     assert dumps(obj) == json.dumps(obj, indent=2)
     assert dumps(iter(obj)) == json.dumps(obj, indent=2)
+
+
+def test_writer_cache_eviction_keeps_the_text_exact():
+    # more distinct orbits than the writer keeps rendered, so its cache is cleared mid-list
+    orbits = enumerate_orbits(4, 12)
+    assert len(orbits) == 6200 > _MAX_CACHED
+    objs = [orbit_to_json(t) for t in orbits]
+    obj = objs + [objs[0]]
+    assert dumps(obj) == json.dumps(obj, indent=2)
+    # one orbit twice, the second object with a changed field, on both sides of the clearing
+    changed = orbit_to_json(orbits[0])
+    changed["size"] = "99"
+    obj = [objs[0], changed, *objs, changed, objs[0]]
+    assert dumps(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize("bad", [0.5, [1, 2.0], {1: "x"}, {"a": Fraction(1, 2)}, object()])
