@@ -133,7 +133,14 @@ def class_size(cls: OrbitTypeMultiset) -> int:
 
 
 def _orbit_pool(h: int, top: int, mode: Mode) -> list[TransitiveOrbit]:
-    """The orbits of every admissible size <= top, by size, each size in canonical order."""
+    """The orbits of every admissible size <= top, by size, each size in canonical order.
+
+    ValueError unless h >= 1, then unless top >= 0: at top 0 no orbit enumeration checks h.
+    """
+    if h < 1:
+        raise ValueError("h must be positive")
+    if top < 0:
+        raise ValueError("precision must be nonnegative")
     pool: list[TransitiveOrbit] = []
     for s in mode.sizes_up_to(top):
         pool.extend(enumerate_orbits(h, s, mode))

@@ -70,8 +70,9 @@ class ClassFunction:
             raise KeyError(f"not a class of (h={self.h}, l={self.l}, {self.mode}): {cls}")
         return self.values[i]
 
-    def _check_match(self, other: "ClassFunction"):
-        if (self.h, self.mode, self.l) != (other.h, other.mode, other.l):
+    def _check_match(self, other: "ClassFunction", same_degree: bool = True):
+        """ValueError unless other has the same h and mode, and the same l if same_degree."""
+        if (self.h, self.mode) != (other.h, other.mode) or (same_degree and self.l != other.l):
             raise ValueError("class function parameters do not match")
 
     def _pointwise(self, other, op):
@@ -90,9 +91,6 @@ class ClassFunction:
         return self._pointwise(other, operator.add)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return ClassFunction(self.h, self.mode, self.l, [-a for a in self.values])
 
     def __sub__(self, other):
         return self._pointwise(other, operator.sub)
@@ -145,8 +143,7 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
     prod_T C(m_T, a_T), the centralizer ratio z(m) / (z(a) z(b)).  It splits
     the int keys of the class table and reads chi and xi by key.
     """
-    if (chi.h, chi.mode) != (xi.h, xi.mode):
-        raise ValueError("class function parameters do not match")
+    chi._check_match(xi, same_degree=False)
     h, mode = chi.h, chi.mode
     j, k = chi.l, xi.l
     chi_ratios = dict(zip(chi._table().keys, map(_ratio, chi.values)))
@@ -190,8 +187,7 @@ def product_inner_product(chi: ClassFunction, xi: ClassFunction, table: dict):
     both class functions and z from their class tables in class order.
     ValueError names the first pair of classes that ``table`` lacks.
     """
-    if (chi.h, chi.mode) != (xi.h, xi.mode):
-        raise ValueError("class function parameters do not match")
+    chi._check_match(xi, same_degree=False)
     tj, tk = chi._table(), xi._table()
     xi_z = [(b, *_ratio(vb, z)) for b, vb, z in zip(tk.classes, xi.values, tk.z)]
     total = _ExactSum()
@@ -216,8 +212,7 @@ def thm_d_induction_oracle(
     tuple and sums chi x xi over all g in Sigma_n that conjugate the tuple
     into the Young subgroup, divided by j! k!.  Exponential in n; guarded.
     """
-    if (chi.h, chi.mode) != (xi.h, xi.mode):
-        raise ValueError("class function parameters do not match")
+    chi._check_match(xi, same_degree=False)
     h, mode = chi.h, chi.mode
     j, k = chi.l, xi.l
     n = j + k

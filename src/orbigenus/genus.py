@@ -45,11 +45,12 @@ class IntegerModel:
     """psi(T) = d for every orbit: the model of a d-dimensional trivial class."""
 
     def __init__(self, d: int):
+        if not isinstance(d, int):
+            raise TypeError(f"dimension must be an int, got {type(d).__name__}")
         self.d = d
-        self._value = Fraction(d)
 
-    def psi(self, orbit: TransitiveOrbit) -> Fraction:
-        return self._value
+    def psi(self, orbit: TransitiveOrbit) -> int:
+        return self.d
 
     def __repr__(self):
         return f"IntegerModel({self.d})"
@@ -95,11 +96,6 @@ def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
     are summed one by one, never regrouped by orbit type, so the sum stays
     independent of symmetric_power_series.
     """
-    if prec < 0:
-        raise ValueError("precision must be nonnegative")
-    if h < 1:
-        # checked here because at prec 0 no orbit enumeration checks it
-        raise ValueError("h must be positive")
     pool = _orbit_pool(h, prec, mode)
     # powers[i][m] = psi(T)^m / (s^m m!) as (x, d), for T = pool[i] of size s
     powers = []
@@ -147,24 +143,21 @@ def symmetric_power_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) ->
     operations, with no class enumerated.  Each factor is multiplied into the
     coefficient list in place, top degree first, adding only its m >= 1 terms.
     """
-    if h < 1:
-        # checked here because at prec 0 no orbit enumeration checks it
-        raise ValueError("h must be positive")
     coeffs = [Fraction(1)] + [Fraction(0)] * prec
-    for s in mode.sizes_up_to(prec):
-        for orbit in enumerate_orbits(h, s, mode):
-            # powers[m] = (psi(T) / s)^m / m!
-            weight = model.psi(orbit) * Fraction(1, s)
-            powers = [Fraction(1)]
-            for m in range(1, prec // s + 1):
-                powers.append(powers[-1] * weight * Fraction(1, m))
-            for k in range(prec, s - 1, -1):
-                acc = coeffs[k]
-                for m in range(1, k // s + 1):
-                    c = coeffs[k - m * s]
-                    if c:
-                        acc = acc + c * powers[m]
-                coeffs[k] = acc
+    for orbit in _orbit_pool(h, prec, mode):
+        s = orbit.size
+        # powers[m] = (psi(T) / s)^m / m!
+        weight = model.psi(orbit) * Fraction(1, s)
+        powers = [Fraction(1)]
+        for m in range(1, prec // s + 1):
+            powers.append(powers[-1] * weight * Fraction(1, m))
+        for k in range(prec, s - 1, -1):
+            acc = coeffs[k]
+            for m in range(1, k // s + 1):
+                c = coeffs[k - m * s]
+                if c:
+                    acc = acc + c * powers[m]
+            coeffs[k] = acc
     return TruncatedSeries(coeffs, prec=prec)
 
 

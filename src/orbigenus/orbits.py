@@ -186,13 +186,11 @@ def _reduce(w: list, rows, start: int) -> None:
 def _check_hnf_row(row, i: int, diagonal) -> None:
     """Check that ``row`` can be row i of the HNF matrix with this diagonal.
 
-    Canonical form is a condition on single rows: length h, zero left of the
-    diagonal, a positive diagonal entry, and 0 <= row[j] < diagonal[j] for
-    every j > i.
+    Canonical form is a condition on single rows: zero left of the diagonal,
+    a positive diagonal entry, and 0 <= row[j] < diagonal[j] for every j > i.
+    Both callers build or check rows of length h first.
     """
     h = len(diagonal)
-    if len(row) != h:
-        raise ValueError("rows must form an h x h matrix")
     if any(row[j] != 0 for j in range(i)):
         raise ValueError("matrix is not upper triangular")
     if row[i] <= 0:

@@ -2,7 +2,7 @@
 
 Symbols are indexed by a family tag (the name of a formal variable, "x",
 "y", ...) and a transitive orbit.  Polynomials combine freely with int and
-Fraction scalars, so they can serve as series coefficients: scalar *, / and -
+Fraction scalars, so they can serve as series coefficients: scalar * and -
 scale the coefficients, and one accumulator adds every term and drops zeros.
 
 Symbols are stored as dense int ids, given on first use.  A monomial has one
@@ -145,7 +145,7 @@ class PsiPolynomial:
 
     @classmethod
     def constant(cls, value) -> "PsiPolynomial":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def symbol(cls, sym: PsiSymbol) -> "PsiPolynomial":
@@ -197,7 +197,7 @@ class PsiPolynomial:
     def __rsub__(self, other):
         if not isinstance(other, _SCALARS):
             return NotImplemented
-        return PsiPolynomial._from_terms({(): Fraction(other)} if other else {})._sum(self, -1)
+        return PsiPolynomial._from_terms({(): exact(other)} if other else {})._sum(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -211,13 +211,6 @@ class PsiPolynomial:
         return PsiPolynomial._from_terms(acc)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return self._scaled(_ONE / other)
-        return NotImplemented
 
     def __pow__(self, n):
         return _power(self, n, lambda: PsiPolynomial.constant(1))

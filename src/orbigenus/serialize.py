@@ -20,11 +20,11 @@ from .classes import OrbitTypeMultiset, centralizer_order, class_size
 from .genus import SeriesComparison, TableModel
 from .orbits import Mode, TransitiveOrbit
 from .psipoly import PsiPolynomial
-from .series import TruncatedSeries
+from .series import TruncatedSeries, exact
 
 
 def fraction_to_str(q: Fraction) -> str:
-    q = Fraction(q)
+    q = exact(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -93,7 +93,7 @@ def class_to_json(cls: OrbitTypeMultiset) -> dict:
 def value_to_json(value):
     """Encode a Fraction as a string, a polynomial as a sorted monomial list."""
     if isinstance(value, (int, Fraction)):
-        return fraction_to_str(Fraction(value))
+        return fraction_to_str(value)
     if isinstance(value, PsiPolynomial):
         # one object per orbit, keyed by id (terms holds every orbit), shared by its monomials
         terms = value.sorted_terms()

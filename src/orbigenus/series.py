@@ -138,7 +138,7 @@ class TruncatedSeries:
         )
 
     def _recurrence(self, first, weight, finish) -> "TruncatedSeries":
-        """The recurrence of invert and exp: b_0 = first, b_n = finish(n, sum_k w_k b_{n-k}).
+        """The recurrence of invert, exp and log: b_0 = first, b_n = finish(n, sum_k w_k b_{n-k}).
 
         k runs over 1..n; w_k = weight(k, a_k) is formed once, and only for a_k != 0.
         """
@@ -164,13 +164,15 @@ class TruncatedSeries:
         return self._recurrence(_ONE, lambda k, a: k * a, lambda n, s: Fraction(1, n) * s)
 
     def log(self) -> "TruncatedSeries":
-        """Logarithm of a series with constant term one."""
+        """Logarithm of a series with constant term one.
+
+        b = t f'/f solves f b = t f', so the shared recurrence gives it as b_0 = 0,
+        b_n = n*a_n - sum_k a_k*b_{n-k}; log f has coefficient b_n / n at t^n.
+        """
         if not self.coeffs[0] == 1:
             raise ValueError("log requires constant term one")
-        q = self.t_ddt() * self.invert()
-        out = [_ZERO] * (self.prec + 1)
-        for n in range(1, self.prec + 1):
-            out[n] = Fraction(1, n) * q.coeffs[n]
+        b = self._recurrence(_ZERO, lambda k, a: a, lambda n, s: n * self.coeffs[n] - s).coeffs
+        out = [_ZERO] + [Fraction(1, n) * b[n] for n in range(1, self.prec + 1)]
         return TruncatedSeries(out, prec=self.prec)
 
     def __repr__(self) -> str:
@@ -192,15 +194,9 @@ def _power(x, n, one):
 
 
 def _unit_inverse(c):
-    """Inverse of a constant coefficient, for series inversion."""
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise ValueError("constant term is not a unit")
-        return _ONE / c
-    # duck-typed polynomial-style coefficient
-    if hasattr(c, "is_constant") and c.is_constant:
-        v = c.constant_value()
-        if v == 0:
-            raise ValueError("constant term is not a unit")
-        return _ONE / v
-    raise ValueError("constant term is not a unit")
+    """1 / c for a unit c: a nonzero Fraction, or a polynomial-style constant of nonzero value."""
+    if getattr(c, "is_constant", False):
+        c = c.constant_value()
+    if not (isinstance(c, Fraction) and c):
+        raise ValueError("constant term is not a unit")
+    return _ONE / c

@@ -175,6 +175,8 @@ def test_enumerate_classes_degree_zero():
     assert empty.degree == 0
     assert centralizer_order(empty) == 1
     assert class_size(empty) == 1
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        enumerate_classes(1, -1)
 
 
 def test_enumerate_classes_deterministic():
@@ -316,6 +318,8 @@ def test_guard():
         brute_force_classes(1, 7)
     with pytest.raises(GuardExceededError):
         brute_force_classes(3, 6, P2)
+    with pytest.raises(ValueError, match="h must be positive"):
+        brute_force_classes(0, 2)
     # override upward works (h=1 stays cheap)
     counts = brute_force_classes(1, 7, guard=7)
     assert sum(counts.values()) == factorial(7)

@@ -52,6 +52,9 @@ def test_integer_model_psi():
     m = IntegerModel(5)
     for t in enumerate_orbits(2, 4, P2):
         assert m.psi(t) == 5
+    for d in (0.5, 2.0, Fraction(5)):
+        with pytest.raises(TypeError):
+            IntegerModel(d)
 
 
 def test_table_model():
@@ -258,6 +261,10 @@ def test_class_sum_rejects_bad_rank_and_precision():
             sigma(IntegerModel(1), prec, 0)
     with pytest.raises(ValueError, match="precision must be nonnegative"):
         verify_product_formula(IntegerModel(1), -1, 1, ALL_ORDERS)
+    # with both bad, the orbit pool that checks both names h
+    for build in (verify_product_formula, symmetric_power_series):
+        with pytest.raises(ValueError, match="h must be positive"):
+            build(IntegerModel(1), -1, 0, ALL_ORDERS)
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         sigma(IntegerModel(1), -1, 1)
     assert verify_product_formula(IntegerModel(1), 0, 1, ALL_ORDERS).lhs.coeffs == (1,)

@@ -25,7 +25,10 @@ def test_mode_validation():
         Mode(4)
     with pytest.raises(ValueError):
         Mode(1)
+    with pytest.raises(ValueError):
+        Mode(9)  # 2 does not divide it: the trial division goes on to 3
     assert Mode(2).p == 2
+    assert Mode(5).p == 5
     assert ALL_ORDERS.p is None
 
 
@@ -65,6 +68,8 @@ def test_orbit_validation():
         TransitiveOrbit(2, ((-1, 0), (0, 2)))  # nonpositive diagonal
     with pytest.raises(ValueError):
         TransitiveOrbit(2, ((1, 2), (0, 2)))  # off-diagonal not reduced
+    with pytest.raises(ValueError, match="h must be positive"):
+        TransitiveOrbit(0, ())
 
 
 def test_enumerate_h1_single_orbit():
@@ -185,6 +190,8 @@ def test_canonicalize_rank_deficient():
 def test_canonicalize_rejects_wrong_length():
     with pytest.raises(ValueError):
         canonicalize(2, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="h must be positive"):
+        canonicalize(0, [])
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -4,7 +4,8 @@ have one normal form, the orbit-type product for the symmetric-power series
 equals the class sum, the integer-numerator sums (the summing helper, the
 Hecke operators, sigma and the Young sums) equal plain Fraction sums, the
 JSON writer matches json.dumps, series inversion, exp and log undo each
-other, sorted_terms keeps the monomial order, no output of a polynomial depends on
+other, log agrees with the integrated logarithmic derivative, sorted_terms
+keeps the monomial order, no output of a polynomial depends on
 the order its symbols were interned in, rational strings round-trip, and
 the class of a commuting tuple is invariant under conjugation."""
 import json
@@ -466,6 +467,32 @@ def test_invert_exp_and_log_undo_each_other(unit, a, b):
     assert a.exp().log() == a
     assert b.log().exp() == b
     assert (a + a).exp() == a.exp() * a.exp()
+
+
+# degree <= 1 in three symbols, so that series of them stay cheap to invert
+linear_polynomial = st.lists(
+    st.tuples(st.lists(st.tuples(st.sampled_from(SYMBOLS[:3]), st.just(1)), max_size=1), coefficient),
+    max_size=3,
+).map(PsiPolynomial)
+
+
+@st.composite
+def unit_series(draw):
+    """Constant term one, as a Fraction or a polynomial; the other coefficients all
+    Fractions, or Fractions and polynomials mixed."""
+    prec = draw(st.integers(0, 6))
+    coeff = draw(st.sampled_from([coefficient, coefficient | linear_polynomial]))
+    one = draw(st.sampled_from([Fraction(1), PsiPolynomial.constant(1)]))
+    return TruncatedSeries([one] + draw(st.lists(coeff, min_size=prec, max_size=prec)), prec=prec)
+
+
+@SETTINGS
+@given(unit_series())
+def test_log_is_the_integrated_logarithmic_derivative(f):
+    # log runs the shared recurrence; this is the formula it replaced, through invert and *
+    q = f.t_ddt() * f.invert()
+    expected = [Fraction(0)] + [Fraction(1, n) * q.coeffs[n] for n in range(1, f.prec + 1)]
+    assert f.log() == TruncatedSeries(expected, prec=f.prec)
 
 
 @SETTINGS

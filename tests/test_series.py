@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from orbigenus.psipoly import PsiPolynomial
 from orbigenus.series import TruncatedSeries
+
+from helpers import variable
 
 
 def rand_series(rng, prec, constant=None):
@@ -114,8 +117,10 @@ def test_invert_of_square_equals_square_of_inverse():
 
 
 def test_invert_requires_unit():
-    with pytest.raises(ValueError):
-        TruncatedSeries([0, 1], prec=3).invert()
+    # zero, a non-constant polynomial, the zero polynomial
+    for c in (0, variable("x", 2), PsiPolynomial.constant(0)):
+        with pytest.raises(ValueError, match="constant term is not a unit"):
+            TruncatedSeries([c, 1], prec=3).invert()
 
 
 def test_t_ddt():
