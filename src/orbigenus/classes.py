@@ -132,15 +132,17 @@ def class_size(cls: OrbitTypeMultiset) -> int:
     return n // z
 
 
-def _orbit_pool(h: int, top: int, mode: Mode) -> list[TransitiveOrbit]:
-    """The orbits of every admissible size <= top, by size, each size in canonical order.
-
-    ValueError unless h >= 1, then unless top >= 0: at top 0 no orbit enumeration checks h.
-    """
+def _check_walk(h: int, top: int) -> None:
+    """ValueError unless h >= 1, then unless top >= 0: a walk over sizes <= 0 enumerates no orbit to check h."""
     if h < 1:
         raise ValueError("h must be positive")
     if top < 0:
         raise ValueError("precision must be nonnegative")
+
+
+def _orbit_pool(h: int, top: int, mode: Mode) -> list[TransitiveOrbit]:
+    """The orbits of every admissible size <= top, by size, each size in canonical order, after _check_walk."""
+    _check_walk(h, top)
     pool: list[TransitiveOrbit] = []
     for s in mode.sizes_up_to(top):
         pool.extend(enumerate_orbits(h, s, mode))

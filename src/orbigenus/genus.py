@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import OrbitTypeMultiset, _orbit_pool, _walk_classes, enumerate_classes
+from .classes import OrbitTypeMultiset, _check_walk, _orbit_pool, _walk_classes, enumerate_classes
 from .classfun import ClassFunction
 from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
 from .psipoly import PsiPolynomial, PsiSymbol
@@ -176,13 +176,10 @@ def hecke_operator(model, n: int, h: int, mode: Mode = ALL_ORDERS):
 def hecke_log_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
     """sum over admissible n >= 1 of T_n t^n, the claimed logarithm of S_t.
 
-    `genus hecke` prints its coefficients at mode.sizes_up_to(prec).  h and
-    prec are checked here: at prec 0 no orbit enumeration checks them.
+    `genus hecke` prints its coefficients at mode.sizes_up_to(prec).  Checked by
+    _check_walk, as _orbit_pool is; sizes are walked through hecke_operator, not a pool.
     """
-    if h < 1:
-        raise ValueError("h must be positive")
-    if prec < 0:
-        raise ValueError("precision must be nonnegative")
+    _check_walk(h, prec)
     coeffs = [Fraction(0)] * (prec + 1)
     for n in mode.sizes_up_to(prec):
         coeffs[n] = hecke_operator(model, n, h, mode)

@@ -8,8 +8,9 @@ scale the coefficients, and one accumulator adds every term and drops zeros.
 Symbols are stored as dense int ids, given on first use.  A monomial has one
 normal form: a tuple of (id, exponent) pairs sorted by id, one per symbol, each
 exponent an int >= 1 (else ValueError); () is the constant monomial.  Ids stay
-inside: sorted_terms gives (PsiSymbol, exponent) pairs in canonical symbol
-order, so no result depends on the order of first use.
+inside: _intern is the one way in and sorted_terms the one way out; it ranks
+the symbols its terms use on each call and gives (PsiSymbol, exponent) pairs
+in canonical symbol order, so no result depends on the order of first use.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ class PsiSymbol:
 _SYMBOLS: list[PsiSymbol] = []  # id -> symbol
 _IDS: dict[PsiSymbol, int] = {}  # symbol -> id
 _LOCK = threading.Lock()
-_RANKS: list = [[], []]  # rank by id and symbol by rank, of the first len(rank) ids
 
 
 def _intern(sym) -> int:
@@ -49,32 +49,23 @@ def _intern(sym) -> int:
                 and isinstance(sym.orbit, TransitiveOrbit)):
             raise TypeError(f"not a psi symbol: {sym!r}")
         with _LOCK:
-            i = _IDS.setdefault(sym, len(_SYMBOLS))
-            if i == len(_SYMBOLS):
-                _SYMBOLS.append(sym)
+            if sym not in _IDS:
+                _SYMBOLS.append(sym)  # before its id is published, so every id read has its symbol
+                _IDS[sym] = len(_SYMBOLS) - 1
+            i = _IDS[sym]
     return i
-
-
-def _ranks():
-    """(rank by id, symbol by rank): ranks order the ids as their symbols order, by family, then orbit."""
-    if len(_RANKS[0]) != len(_SYMBOLS):
-        symbols = _SYMBOLS[:]
-        order = sorted(range(len(symbols)), key=lambda i: (symbols[i].family, symbols[i].orbit.sort_key))
-        _RANKS[:] = sorted(range(len(order)), key=order.__getitem__), [symbols[i] for i in order]
-    return _RANKS
 
 
 Monomial = tuple[tuple[int, int], ...]
 
 
-def _checked_monomial(mono, symbol_id) -> Monomial | None:
-    """The normal form of (symbol, exponent) pairs given from outside, ids from symbol_id;
-    None if symbol_id gives None for a symbol, ValueError unless every exponent is an int >= 1."""
+def _checked_monomial(mono) -> Monomial:
+    """The normal form of (symbol, exponent) pairs given from outside, each symbol interned;
+    ValueError unless every exponent is an int >= 1."""
     mono = tuple(mono)
     if not all(isinstance(e, int) and e >= 1 for _, e in mono):
         raise ValueError(f"exponents must be ints >= 1, got {mono!r}")
-    pairs = [(symbol_id(sym), e) for sym, e in mono]
-    return None if any(i is None for i, _ in pairs) else _monomial(pairs)
+    return _monomial([(_intern(sym), e) for sym, e in mono])
 
 
 def _monomial(pairs) -> Monomial:
@@ -95,8 +86,6 @@ def _accumulate(terms: dict, mono: Monomial, c) -> None:
 
 
 def _mono_str(m) -> str:
-    if not m:
-        return "1"
     parts = []
     for sym, e in m:
         parts.append(str(sym) if e == 1 else f"{sym}^{e}")
@@ -124,7 +113,7 @@ class PsiPolynomial:
                 c = exact(coeff)
                 if not isinstance(c, Fraction):
                     raise TypeError(f"coefficient must be exact, got {type(coeff).__name__}")
-                _accumulate(data, _checked_monomial(mono, _intern), c)
+                _accumulate(data, _checked_monomial(mono), c)
         object.__setattr__(self, "_terms", data)
 
     @classmethod
@@ -152,16 +141,16 @@ class PsiPolynomial:
         return cls._from_terms({((_intern(sym), 1),): _ONE})
 
     def sorted_terms(self) -> list[tuple[tuple[tuple[PsiSymbol, int], ...], Fraction]]:
-        """(monomial, coefficient) pairs by degree, then monomial, each in canonical symbol order."""
-        rank, by_rank = _ranks()
+        """(monomial, coefficient) pairs by degree, then monomial, each in canonical symbol order:
+        the symbols these terms use, ranked on each call by family, then orbit sort key."""
+        symbols = {i: _SYMBOLS[i] for m in self._terms for i, _ in m}
+        ids = sorted(symbols, key=lambda i: (symbols[i].family, symbols[i].orbit.sort_key))
+        rank = {i: r for r, i in enumerate(ids)}
+        by_rank = [symbols[i] for i in ids]
         # each monomial's pairs sorted once, by rank, into the term key; keys never tie
         keyed = sorted([(sum([e for _, e in m]), sorted([(rank[i], e) for i, e in m]), c)
                         for m, c in self._terms.items()])
         return [(tuple([(by_rank[r], e) for r, e in ranked]), c) for _, ranked, c in keyed]
-
-    def coefficient(self, mono) -> Fraction:
-        # a monomial with a symbol never interned is None, which no polynomial has
-        return self._terms.get(_checked_monomial(mono, _IDS.get), Fraction(0))
 
     @property
     def is_constant(self) -> bool:
@@ -195,9 +184,7 @@ class PsiPolynomial:
         return self._sum(other, -1)
 
     def __rsub__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return PsiPolynomial._from_terms({(): exact(other)} if other else {})._sum(self, -1)
+        return self._scaled(-1)._sum(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):

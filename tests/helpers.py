@@ -328,6 +328,17 @@ def degree(poly):
     return max((sum(e for _, e in mono) for mono, _ in poly.sorted_terms()), default=-1)
 
 
+def coefficient_of(poly, mono):
+    """The coefficient in poly of (PsiSymbol, exponent) pairs, repeated symbols merged; 0 if absent."""
+    exps = {}
+    for sym, e in mono:
+        exps[sym] = exps.get(sym, 0) + e
+    for m, c in poly.sorted_terms():
+        if dict(m) == exps:
+            return c
+    return Fraction(0)
+
+
 def evaluate(poly, assignment):
     """Substitute a Fraction for every symbol of poly (a ring homomorphism to Q)."""
     total = Fraction(0)

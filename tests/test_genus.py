@@ -261,8 +261,8 @@ def test_class_sum_rejects_bad_rank_and_precision():
             sigma(IntegerModel(1), prec, 0)
     with pytest.raises(ValueError, match="precision must be nonnegative"):
         verify_product_formula(IntegerModel(1), -1, 1, ALL_ORDERS)
-    # with both bad, the orbit pool that checks both names h
-    for build in (verify_product_formula, symmetric_power_series):
+    # with both bad, the one check of every orbit walk names h
+    for build in (verify_product_formula, symmetric_power_series, hecke_log_series):
         with pytest.raises(ValueError, match="h must be positive"):
             build(IntegerModel(1), -1, 0, ALL_ORDERS)
     with pytest.raises(ValueError, match="degree must be nonnegative"):

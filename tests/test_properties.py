@@ -39,7 +39,7 @@ from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit
 from orbigenus.series import TruncatedSeries, _ExactSum
 
 from helpers import (
-    class_of_key, compose, identity, inverse, key_of, keyed_splits, sub_multisets_reference,
+    class_of_key, coefficient_of, compose, identity, inverse, key_of, keyed_splits, sub_multisets_reference,
 )
 
 P2 = Mode(2)
@@ -209,7 +209,7 @@ def test_repeated_symbols_merge_into_one_monomial(pairs, coeff):
         expected = expected * PsiPolynomial.symbol(sym) ** e
     assert PsiPolynomial([(tuple(pairs), coeff)]) == expected
     if coeff:
-        assert expected.coefficient(pairs) == coeff
+        assert coefficient_of(expected, pairs) == coeff
 
 
 @st.composite

@@ -1,14 +1,17 @@
 """Polynomials in power-operation symbols: ring laws, coercion, evaluation."""
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from orbigenus.orbits import Mode, enumerate_orbits
 from orbigenus.psipoly import _IDS, _SYMBOLS, PsiPolynomial, PsiSymbol
+from orbigenus.serialize import value_to_json
 from orbigenus.series import TruncatedSeries
 
-from helpers import degree, evaluate, variable, zero
+from helpers import coefficient_of, degree, evaluate, variable, zero
 
 P2 = Mode(2)
 
@@ -103,11 +106,11 @@ def test_monomials_have_one_normal_form():
     x = variable("x", 2)
     s = PsiSymbol("x", enumerate_orbits(2, 1, P2)[0])
     t = PsiSymbol("x", enumerate_orbits(2, 2, P2)[0])
-    # a repeated symbol is merged, in the constructor and in coefficient()
+    # a repeated symbol is merged, so a power has one monomial
     assert PsiPolynomial([(((s, 1), (s, 1)), 1)]) == x ** 2
     assert PsiPolynomial({((s, 1), (t, 2), (s, 2)): 3}) == 3 * x ** 3 * PsiPolynomial.symbol(t) ** 2
-    assert (x ** 2).coefficient(((s, 1), (s, 1))) == 1
-    assert (x ** 3).coefficient(((s, 2), (s, 1))) == 1
+    assert coefficient_of(x ** 2, ((s, 1), (s, 1))) == 1
+    assert coefficient_of(x ** 3, ((s, 2), (s, 1))) == 1
     # exponents are ints >= 1
     for e in (0, -1, 1.5):
         with pytest.raises(ValueError):
@@ -119,32 +122,79 @@ def test_monomials_have_one_normal_form():
         PsiPolynomial([(((s, 0),), 0)])
 
 
-def test_coefficient_checks_exponents_like_the_constructor():
+def test_constructor_rejects_x_to_the_zero_as_the_constant_monomial():
     s = PsiSymbol("x", enumerate_orbits(2, 1, P2)[0])
     p = 3 + 2 * PsiPolynomial.symbol(s)
-    assert p.coefficient(()) == 3
-    assert p.coefficient(((s, 1),)) == 2
-    assert p.coefficient(((s, 2),)) == 0
-    # x^0 is not a way to spell the constant monomial, in either place
+    assert coefficient_of(p, ()) == 3
+    assert coefficient_of(p, ((s, 1),)) == 2
+    assert coefficient_of(p, ((s, 2),)) == 0
+    # x^0 is not a way to spell the constant monomial
     for mono in (((s, 0),), ((s, -1), (s, 1)), ((s, 1.0),), ((s, True), (s, 0))):
         with pytest.raises(ValueError):
             PsiPolynomial({mono: 1})
-        with pytest.raises(ValueError):
-            p.coefficient(mono)
 
 
-def test_coefficient_interns_nothing():
+def test_reading_a_polynomial_interns_nothing():
     s = PsiSymbol("x", enumerate_orbits(2, 1, P2)[0])
-    unseen = PsiSymbol("unseen", enumerate_orbits(2, 2, P2)[0])
-    p = 3 + 2 * PsiPolynomial.symbol(s)
-    interned = len(_SYMBOLS)
-    assert p.coefficient(((unseen, 1),)) == Fraction(0)
-    assert p.coefficient(((s, 1), (unseen, 2))) == Fraction(0)
-    for mono in (((unseen, 0),), ((unseen, 1.5),), ((s, 1), (unseen, -1))):
-        with pytest.raises(ValueError):
-            p.coefficient(mono)
+    t = PsiSymbol("y", enumerate_orbits(2, 2, P2)[0])
+    p = 3 + 2 * PsiPolynomial.symbol(s) * PsiPolynomial.symbol(t) ** 2
+    interned, ids = len(_SYMBOLS), dict(_IDS)
+    assert p.sorted_terms() == [((), 3), (((s, 1), (t, 2)), 2)]
+    assert str(p) == "3 + 2*x*psi[1,0|0,2](y)^2"
+    assert p == p and p != 3 and hash(p) == hash(p + 0)
+    assert value_to_json(p) == value_to_json(p + 0)
     assert len(_SYMBOLS) == interned
-    assert unseen not in _IDS
+    assert _IDS == ids
+
+
+def test_ranking_ignores_symbols_interned_later():
+    # the family and symbols of this test are used by no other test, so each is new here
+    o = sorted(enumerate_orbits(2, 4, P2))
+    b0, b2 = (PsiPolynomial.symbol(PsiSymbol("rank_b", t)) for t in (o[0], o[2]))
+    p = 1 + b0 + 2 * b2 + b0 * b2 ** 2
+    printed = str(p)
+    # interned after p: a family that sorts before p's, and an orbit between two of p's symbols
+    a0 = PsiPolynomial.symbol(PsiSymbol("rank_a", o[0]))
+    b1 = PsiPolynomial.symbol(PsiSymbol("rank_b", o[1]))
+    ids = [_IDS[PsiSymbol(f, o[k])] for f, k in (("rank_b", 0), ("rank_b", 2), ("rank_a", 0), ("rank_b", 1))]
+    assert ids == sorted(ids)
+    assert str(p) == printed
+    terms = (p * a0 * b1).sorted_terms()
+    expected = [(f, o[k]) for f, k in (("rank_a", 0), ("rank_b", 0), ("rank_b", 1), ("rank_b", 2))]
+    assert [(s.family, s.orbit) for s, _ in terms[-1][0]] == expected
+    assert terms == sorted(
+        terms, key=lambda mc: (sum(e for _, e in mc[0]), [(s.family, s.orbit.sort_key, e) for s, e in mc[0]])
+    )
+
+
+def test_every_id_a_thread_reads_has_its_symbol():
+    # threads intern the same new symbol at once; one that finds the id already
+    # given must also find the symbol, or sorted_terms raises IndexError
+    (triv,) = enumerate_orbits(1, 1)
+    errors = []
+    start = threading.Barrier(8)
+
+    def work():
+        for n in range(3000):
+            sym = PsiSymbol(f"race{n}", triv)
+            start.wait(timeout=10)
+            try:
+                assert PsiPolynomial.symbol(sym).sorted_terms() == [(((sym, 1),), 1)]
+            except Exception as e:  # collected, so the test reports it from the main thread
+                errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_only_psi_symbols_are_interned():
