@@ -16,7 +16,7 @@ from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .orbits import (
-    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _lazy_attribute, canonicalize, enumerate_orbits,
+    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, canonicalize, enumerate_orbits,
 )
 
 
@@ -86,16 +86,6 @@ class OrbitTypeMultiset:
                 raise ModeError(f"orbit size {orbit.size} not admissible in {self.mode} mode")
         if not all(a < b for (a, _), (b, _) in zip(self.entries, self.entries[1:])):
             raise ValueError("entries must be sorted by orbit and duplicate-free")
-
-    @_lazy_attribute
-    def _hash(self) -> int:  # kept: hashing the fields walks every orbit's rows
-        return hash((self.h, self.mode, self.entries))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # rebuilt, so a copy in another process does not keep this one's hash
-        return OrbitTypeMultiset, (self.h, self.mode, self.entries)
 
     @classmethod
     def from_pairs(cls, h: int, mode: Mode, pairs) -> "OrbitTypeMultiset":
@@ -206,14 +196,12 @@ def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> _ClassTable:
     """The class table of (h, l, mode), from one walk of the class tree."""
     pool = _orbit_pool(h, l, mode)
     classes, keys = ([OrbitTypeMultiset(h, mode, ())], [()]) if l == 0 else ([], [])
-    picked: list[tuple[TransitiveOrbit, int]] = []
     key: list[tuple[int, int]] = []
     for depth, i, mult, degree in _walk_classes(pool, l):
-        del picked[depth - 1:], key[depth - 1:]
-        picked.append((pool[i], mult))
+        del key[depth - 1:]
         key.append((i, mult))
         if degree == l:
-            classes.append(OrbitTypeMultiset(h, mode, tuple(picked)))
+            classes.append(OrbitTypeMultiset(h, mode, tuple((pool[i], m) for i, m in key)))
             keys.append(tuple(key))
     return _ClassTable(
         tuple(classes), tuple(keys), {k: n for n, k in enumerate(keys)},
@@ -362,11 +350,13 @@ def brute_force_classes(
     and buckets it through orbit_type_of_tuple.  Exponential; refuses when
     l exceeds the guard (default 6 for h <= 2, else 5) rather than hang.
     """
+    if h < 1:
+        raise ValueError("h must be positive")
+    if l < 0:
+        raise ValueError("degree must be nonnegative")
     limit = _default_guard(h) if guard is None else guard
     if l > limit:
         raise GuardExceededError(f"degree {l} exceeds brute-force guard {limit}")
-    if h < 1:
-        raise ValueError("h must be positive")
     admissible = [
         p
         for p in itertools.permutations(range(l))

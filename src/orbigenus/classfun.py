@@ -159,45 +159,44 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
     return ClassFunction(h, mode, j + k, values)
 
 
-def restrict_young(zeta: ClassFunction, j: int, k: int) -> dict:
-    """Restriction to the Young subgroup, as a table on pairs of classes.
+def restrict_young(zeta: ClassFunction, j: int, k: int) -> tuple:
+    """Restriction to the Young subgroup, as a table of rows on pairs of classes.
 
-    Keys are (class of degree j, class of degree k); the value is zeta on
-    their disjoint union: the merge of their int keys, looked up in the
-    class table.  No split is used, so it checks induce_young independently.
+    Row a holds one value per class b of degree k, and there is one row per
+    class a of degree j, both in enumerate_classes order.  The value is zeta
+    on the disjoint union of a and b: the merge of their int keys, looked up
+    in the class table.  No split is used, so it checks induce_young
+    independently.
     """
     if j < 0 or k < 0 or j + k != zeta.l:
         raise ValueError(f"split {j}+{k} does not match degree {zeta.l}")
     h, mode = zeta.h, zeta.mode
-    tj, tk = (_enumerate_classes_cached(h, d, mode) for d in (j, k))
-    positions = zeta._table().positions
-    out = {}
-    for a, ka in zip(tj.classes, tj.keys):
-        for b, kb in zip(tk.classes, tk.keys):
-            out[(a, b)] = zeta.values[positions[_merge_keys(ka, kb)]]
-    return out
+    keys_j, keys_k = (_enumerate_classes_cached(h, d, mode).keys for d in (j, k))
+    positions, values = zeta._table().positions, zeta.values
+    return tuple(
+        tuple(values[positions[_merge_keys(ka, kb)]] for kb in keys_k) for ka in keys_j
+    )
 
 
-def product_inner_product(chi: ClassFunction, xi: ClassFunction, table: dict):
+def product_inner_product(chi: ClassFunction, xi: ClassFunction, table: tuple):
     """Pairing on the product group Sigma_j x Sigma_k.
 
-    ``table`` maps (class_j, class_k) pairs to values, as produced by
+    ``table`` has one row per class of chi's degree j and one entry per
+    class of xi's degree k, both in enumerate_classes order, as produced by
     restrict_young; chi and xi supply the degree-j and degree-k factors of
-    the other side.  Sums chi(a) xi(b) table[(a, b)] / (z(a) z(b)), reading
-    both class functions and z from their class tables in class order.
-    ValueError names the first pair of classes that ``table`` lacks.
+    the other side.  Sums chi(a) xi(b) table[a][b] / (z(a) z(b)) by
+    position, reading z from the two class tables.  ValueError names the
+    expected shape if ``table`` or one of its rows has another.
     """
     chi._check_match(xi, same_degree=False)
-    tj, tk = chi._table(), xi._table()
-    xi_z = [(b, *_ratio(vb, z)) for b, vb, z in zip(tk.classes, xi.values, tk.z)]
+    rows, cols = len(chi.values), len(xi.values)
+    if len(table) != rows or any(len(row) != cols for row in table):
+        raise ValueError(f"table must have {rows} rows of {cols} values")
+    xi_z = [_ratio(vb, z) for vb, z in zip(xi.values, xi._table().z)]
     total = _ExactSum()
-    for a, va, za in zip(tj.classes, chi.values, tj.z):
+    for row, va, za in zip(table, chi.values, chi._table().z):
         xa, da = _ratio(va, za)
-        for b, xb, db in xi_z:
-            try:
-                w = table[(a, b)]
-            except KeyError:
-                raise ValueError(f"table has no value for the pair ({a}, {b})") from None
+        for (xb, db), w in zip(xi_z, row):
             xw, dw = _ratio(w)
             total.add(xa * xb * xw, da * db * dw)
     return total.value()

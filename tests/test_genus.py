@@ -227,11 +227,11 @@ def test_verifier_left_side_walks_the_classes(monkeypatch):
 
 def _mixed_model(h, mode, prec):
     # scalar psi on the trivial orbit, a symbol elsewhere: degrees mix both
-    return TableModel(
-        (t, Fraction(2, 3) if t.size == 1 else sym("x", t))
+    return TableModel({
+        t: Fraction(2, 3) if t.size == 1 else sym("x", t)
         for s in mode.sizes_up_to(prec)
         for t in enumerate_orbits(h, s, mode)
-    )
+    })
 
 
 @pytest.mark.parametrize(

@@ -220,7 +220,7 @@ def table_model(draw):
     prec = draw(st.integers(0, 5))
     orbits = [t for s in mode.sizes_up_to(prec) for t in enumerate_orbits(h, s, mode)]
     values = draw(st.lists(coefficient, min_size=len(orbits), max_size=len(orbits)))
-    return TableModel(zip(orbits, values)), h, mode, prec
+    return TableModel(dict(zip(orbits, values))), h, mode, prec
 
 
 @SETTINGS
@@ -389,9 +389,9 @@ def test_product_inner_product_equals_a_fraction_fold(case):
     pairing = product_inner_product(chi, xi, table)
     assert type(pairing) is Fraction
     assert pairing == _fold(
-        va * vb * table[(a, b)] / (z(a) * z(b))
-        for a, va in zip(chi.classes, chi.values)
-        for b, vb in zip(xi.classes, xi.values)
+        va * vb * table[ia][ib] / (z(a) * z(b))
+        for ia, (a, va) in enumerate(zip(chi.classes, chi.values))
+        for ib, (b, vb) in enumerate(zip(xi.classes, xi.values))
     )
 
 
