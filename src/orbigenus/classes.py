@@ -179,34 +179,26 @@ class _ClassTable(NamedTuple):
     """
 
     classes: tuple[OrbitTypeMultiset, ...]
-    keys: tuple[tuple[tuple[int, int], ...], ...]
-    positions: dict  # key -> position
+    positions: dict  # key -> position, built in canonical order, so iterated in it
     z: tuple[int, ...]  # centralizer orders
     sizes: tuple[int, ...]  # orbit size by pool index
-    ids: dict  # orbit -> pool index
-
-    def find(self, cls: OrbitTypeMultiset) -> int | None:
-        """The position of cls among the classes, or None if it is not one of them."""
-        i = self.positions.get(tuple((self.ids.get(o), m) for o, m in cls.entries))
-        return i if i is not None and self.classes[i] == cls else None
 
 
 @lru_cache(maxsize=None)
 def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> _ClassTable:
     """The class table of (h, l, mode), from one walk of the class tree."""
     pool = _orbit_pool(h, l, mode)
-    classes, keys = ([OrbitTypeMultiset(h, mode, ())], [()]) if l == 0 else ([], [])
+    classes, positions = ([OrbitTypeMultiset(h, mode, ())], {(): 0}) if l == 0 else ([], {})
     key: list[tuple[int, int]] = []
     for depth, i, mult, degree in _walk_classes(pool, l):
         del key[depth - 1:]
         key.append((i, mult))
         if degree == l:
+            positions[tuple(key)] = len(classes)
             classes.append(OrbitTypeMultiset(h, mode, tuple((pool[i], m) for i, m in key)))
-            keys.append(tuple(key))
     return _ClassTable(
-        tuple(classes), tuple(keys), {k: n for n, k in enumerate(keys)},
-        tuple(map(centralizer_order, classes)), tuple(orbit.size for orbit in pool),
-        {orbit: i for i, orbit in enumerate(pool)},
+        tuple(classes), positions, tuple(map(centralizer_order, classes)),
+        tuple(orbit.size for orbit in pool),
     )
 
 
@@ -337,10 +329,6 @@ def class_representative(cls: OrbitTypeMultiset) -> tuple[Permutation, ...]:
     return out
 
 
-def _default_guard(h: int) -> int:
-    return 6 if h <= 2 else 5
-
-
 def brute_force_classes(
     h: int, l: int, mode: Mode = ALL_ORDERS, guard: int | None = None
 ) -> dict[OrbitTypeMultiset, int]:
@@ -354,7 +342,7 @@ def brute_force_classes(
         raise ValueError("h must be positive")
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    limit = _default_guard(h) if guard is None else guard
+    limit = (6 if h <= 2 else 5) if guard is None else guard
     if l > limit:
         raise GuardExceededError(f"degree {l} exceeds brute-force guard {limit}")
     admissible = [

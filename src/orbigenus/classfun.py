@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial
 
@@ -65,8 +66,10 @@ class ClassFunction:
         return _enumerate_classes_cached(self.h, self.l, self.mode)
 
     def value(self, cls: OrbitTypeMultiset):
-        i = self._table().find(cls)
-        if i is None:
+        """The value on cls, found by bisecting the canonical class order; KeyError if cls is not there."""
+        classes = self.classes
+        i = bisect_left(classes, cls.entries, key=operator.attrgetter("entries"))
+        if i == len(classes) or classes[i] != cls:
             raise KeyError(f"not a class of (h={self.h}, l={self.l}, {self.mode}): {cls}")
         return self.values[i]
 
@@ -146,11 +149,11 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
     chi._check_match(xi, same_degree=False)
     h, mode = chi.h, chi.mode
     j, k = chi.l, xi.l
-    chi_ratios = dict(zip(chi._table().keys, map(_ratio, chi.values)))
-    xi_ratios = dict(zip(xi._table().keys, map(_ratio, xi.values)))
+    chi_ratios = dict(zip(chi._table().positions, map(_ratio, chi.values)))
+    xi_ratios = dict(zip(xi._table().positions, map(_ratio, xi.values)))
     table = _enumerate_classes_cached(h, j + k, mode)
     values = []
-    for key in table.keys:
+    for key in table.positions:
         total = _ExactSum()
         for a, b, ways in _split_key(key, table.sizes, j):
             (xa, da), (xb, db) = chi_ratios[a], xi_ratios[b]
@@ -171,7 +174,7 @@ def restrict_young(zeta: ClassFunction, j: int, k: int) -> tuple:
     if j < 0 or k < 0 or j + k != zeta.l:
         raise ValueError(f"split {j}+{k} does not match degree {zeta.l}")
     h, mode = zeta.h, zeta.mode
-    keys_j, keys_k = (_enumerate_classes_cached(h, d, mode).keys for d in (j, k))
+    keys_j, keys_k = (_enumerate_classes_cached(h, d, mode).positions for d in (j, k))
     positions, values = zeta._table().positions, zeta.values
     return tuple(
         tuple(values[positions[_merge_keys(ka, kb)]] for kb in keys_k) for ka in keys_j

@@ -32,12 +32,15 @@ class Mode:
     """Order constraint on the acting group: all orders, or powers of a fixed prime.
 
     ``Mode()`` plays the role of Z^h acting with no order restriction;
-    ``Mode(p)`` restricts to p-power orders (the p-typical situation).
+    ``Mode(p)`` restricts to p-power orders (the p-typical situation).  A p
+    that is not an int (a float or bool) raises TypeError, a non-prime int ValueError.
     """
 
     p: int | None = None
 
     def __post_init__(self):
+        if self.p is not None and type(self.p) is not int:
+            raise TypeError(f"p must be an int, got {self.p!r}")
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
 
@@ -102,7 +105,7 @@ class TransitiveOrbit:
     ``rows`` generate the stabilizer L inside Z^h.  Canonical form: upper
     triangular, positive diagonal, and 0 <= rows[i][j] < rows[j][j] for
     i < j.  The size of the set is the index [Z^h : L] = det = product of
-    the diagonal.
+    the diagonal.  h and the entries must be ints (not floats or bools).
 
     Orbits compare by ``sort_key``; this is the canonical order that every
     enumeration, class and monomial in the package follows.
@@ -112,6 +115,8 @@ class TransitiveOrbit:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.h) is not int or any(type(x) is not int for row in self.rows for x in row):
+            raise TypeError(f"h and the HNF entries must be ints, got {self.h!r}, {self.rows!r}")
         if self.h < 1:
             raise ValueError("h must be positive")
         if len(self.rows) != self.h or any(len(r) != self.h for r in self.rows):
@@ -241,8 +246,10 @@ def enumerate_orbits(h: int, n: int, mode: Mode = ALL_ORDERS) -> tuple[Transitiv
     passes the same row check as the public constructor, and the matrices
     are the product of these row lists, sharing the row tuples.  So every
     orbit is checked canonical through its rows, not once more as a whole.
-    The result is cached per (h, n).
+    The result is cached per (h, n), so h and n must be ints.
     """
+    if type(h) is not int or type(n) is not int:
+        raise TypeError(f"h and the orbit size must be ints, got {h!r}, {n!r}")
     if h < 1:
         raise ValueError("h must be positive")
     if n < 1:

@@ -17,6 +17,7 @@ from orbigenus.classes import (
     OrbitTypeMultiset,
     Permutation,
     _enumerate_classes_cached,
+    _orbit_pool,
     _split_key,
     centralizer_order,
     enumerate_classes,
@@ -355,9 +356,9 @@ def lambda_operation(model, n, h=1, mode=ALL_ORDERS):
 
 
 def key_of(cls):
-    """The int key of an enumerated class, read from its class table."""
+    """The int key of an enumerated class: the key its class table puts at the class's position."""
     table = _enumerate_classes_cached(cls.h, cls.degree, cls.mode)
-    return table.keys[table.find(cls)]
+    return list(table.positions)[table.classes.index(cls)]
 
 
 def class_of_key(h, mode, pool, key):
@@ -372,7 +373,7 @@ def keyed_splits(m, degree):
     sorted key raises.
     """
     table = _enumerate_classes_cached(m.h, m.degree, m.mode)
-    pool = list(table.ids)
+    pool = _orbit_pool(m.h, m.degree, m.mode)
     return [
         (class_of_key(m.h, m.mode, pool, a), class_of_key(m.h, m.mode, pool, b), ways)
         for a, b, ways in _split_key(key_of(m), table.sizes, degree)

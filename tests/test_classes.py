@@ -170,6 +170,7 @@ def test_enumerate_classes_degree_zero():
     (empty,) = enumerate_classes(2, 0, P2)
     assert empty.entries == ()
     assert empty.degree == 0
+    assert str(empty) == "[]"
     assert centralizer_order(empty) == 1
     assert class_size(empty) == 1
     with pytest.raises(ValueError, match="degree must be nonnegative"):

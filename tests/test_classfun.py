@@ -56,6 +56,14 @@ def test_value_rejects_foreign_class():
     chi = ClassFunction.one(1, ALL_ORDERS, 3)
     with pytest.raises(KeyError):
         chi.value(enumerate_classes(1, 2)[0])
+    with pytest.raises(KeyError):
+        chi.value(enumerate_classes(1, 4)[-1])  # sorts after every class of degree 3
+    with pytest.raises(KeyError):
+        # the same entries as a class of the all-orders table, in another mode
+        ClassFunction.one(1, ALL_ORDERS, 2).value(enumerate_classes(1, 2, P2)[0])
+    classes = enumerate_classes(2, 4)
+    positions = ClassFunction(2, ALL_ORDERS, 4, range(len(classes)))
+    assert [positions.value(c) for c in classes] == list(range(len(classes)))
 
 
 def test_pointwise_algebra():
@@ -81,6 +89,9 @@ def test_pointwise_algebra():
         chi + 0.5
     with pytest.raises(TypeError):
         chi * "x"
+    assert chi != 1 and not chi == 1
+    with pytest.raises(AttributeError, match="immutable"):
+        chi.values = ()
 
 
 def test_parameter_mismatch_raises():

@@ -90,14 +90,17 @@ def test_verify_frobenius(capsys):
     obj = json.loads(out)
     assert obj["equal"] is True
     assert obj["trials"] == 4  # one (j, k) split with j <= k at l = 3
+    for l in ("4", "5"):  # two splits each: 1+3 and 2+2, or 1+4 and 2+3
+        code, out, _ = run(capsys, "verify", "frobenius", "--h", "1", "--l", l, "--trials", "2")
+        assert code == 0 and json.loads(out)["trials"] == 4
 
 
 @pytest.mark.parametrize("extra", [("--l", "1"), ("--l", "4", "--trials", "0"),
-                                   ("--l", "4", "--trials", "-1")])
+                                   ("--l", "4", "--trials", "-1"), ("--h", "0", "--l", "1")])
 def test_verify_frobenius_that_checks_nothing_is_an_error(capsys, extra):
     code, out, err = run(capsys, "verify", "frobenius", "--h", "2", *extra)
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error: nothing to check")
 
 
 def test_verify_oracle(capsys):

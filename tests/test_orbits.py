@@ -27,6 +27,9 @@ def test_mode_validation():
         Mode(1)
     with pytest.raises(ValueError):
         Mode(9)  # 2 does not divide it: the trial division goes on to 3
+    for bad in (2.0, 2.5, True, "2"):
+        with pytest.raises(TypeError, match="p must be an int"):
+            Mode(bad)
     assert Mode(2).p == 2
     assert Mode(5).p == 5
     assert ALL_ORDERS.p is None
@@ -57,6 +60,8 @@ def test_lazy_size_and_sort_key_are_stored_once_and_stay_out_of_equality():
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
     with pytest.raises(AttributeError):
         read.size = 5  # still frozen
+    # read on the class, each lazy attribute is its descriptor
+    assert TransitiveOrbit.size is vars(TransitiveOrbit)["size"]
 
 
 def test_orbit_validation():
@@ -70,6 +75,10 @@ def test_orbit_validation():
         TransitiveOrbit(2, ((1, 2), (0, 2)))  # off-diagonal not reduced
     with pytest.raises(ValueError, match="h must be positive"):
         TransitiveOrbit(0, ())
+    for h, rows in [(2, ((1, Fraction(1, 2)), (0, 2))), (1, ((2.0,),)), (1, ((True,),)),
+                    (True, ((1,),))]:
+        with pytest.raises(TypeError, match="must be ints"):
+            TransitiveOrbit(h, rows)
 
 
 def test_enumerate_h1_single_orbit():
@@ -100,6 +109,16 @@ def test_enumerate_mode_errors():
         enumerate_orbits(2, 0)
 
 
+def test_enumeration_rejects_a_non_int_before_caching_it():
+    # 2.0 and True hash like 2 and 1, so they would share the cache entry of an int
+    for h, n in [(1, 2.0), (1, True), (True, 2), (2, 1.0)]:
+        with pytest.raises(TypeError, match="must be ints"):
+            enumerate_orbits(h, n)
+    (t,) = enumerate_orbits(1, 2)
+    assert t.rows == ((2,),) and type(t.h) is int and t.label() == "2"
+    assert enumerate_orbits(1, 1)[0].label() == "1"
+
+
 def test_enumerate_deterministic_and_sorted():
     # enumeration does not sort: its generation order must be the canonical one
     for h in (1, 2, 3):
@@ -110,6 +129,8 @@ def test_enumerate_deterministic_and_sorted():
                 keys = [t.sort_key for t in a]
                 assert keys == sorted(keys) and len(set(keys)) == len(keys)
                 assert all(s < t for s, t in zip(a, a[1:]))
+    with pytest.raises(TypeError):
+        enumerate_orbits(1, 1)[0] < 1
 
 
 def test_enumeration_matches_position_by_position_builder():

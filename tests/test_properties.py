@@ -20,6 +20,7 @@ from orbigenus.classes import (
     Permutation,
     _enumerate_classes_cached,
     _merge_keys,
+    _orbit_pool,
     centralizer_order,
     class_representative,
     enumerate_classes,
@@ -322,7 +323,7 @@ def test_keyed_merge_equals_the_union(params, data):
     merged = _merge_keys(key_of(a), key_of(b))
     table = _enumerate_classes_cached(h, l, mode)
     union = OrbitTypeMultiset.from_pairs(h, mode, a.entries + b.entries)
-    assert class_of_key(h, mode, list(table.ids), merged) == union
+    assert class_of_key(h, mode, _orbit_pool(h, l, mode), merged) == union
     assert table.classes[table.positions[merged]] == union
 
 
@@ -331,16 +332,17 @@ def test_keyed_merge_equals_the_union(params, data):
 def test_class_table_round_trips_keys_in_canonical_order(params):
     h, mode, l = params
     table = _enumerate_classes_cached(h, l, mode)
-    pool = list(table.ids)
+    pool = _orbit_pool(h, l, mode)
     assert table.classes == enumerate_classes(h, l, mode)
     assert pool == sorted(pool)
     canonical = sorted(table.classes, key=lambda c: [(o.sort_key, m) for o, m in c.entries])
     assert list(table.classes) == canonical
-    assert list(table.keys) == sorted(table.keys)
+    keys = list(table.positions)
+    assert keys == sorted(keys) and len(keys) == len(table.classes)
     assert table.sizes == tuple(orbit.size for orbit in pool)
-    for n, (cls, key) in enumerate(zip(table.classes, table.keys)):
+    for n, (cls, key) in enumerate(zip(table.classes, keys)):
         assert class_of_key(h, mode, pool, key) == cls
-        assert table.positions[key] == table.find(cls) == n
+        assert table.positions[key] == n
         assert table.z[n] == centralizer_order(cls)
 
 

@@ -73,6 +73,10 @@ def test_mixed_scalar_arithmetic():
     assert 1 + x == x + 1
     assert x - x == 0
     assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
+    for op in (lambda: x + "a", lambda: x * "a"):
+        with pytest.raises(TypeError):
+            op()
+    assert x != "a" and not x == "a"
 
 
 def test_no_zero_terms_stored():

@@ -163,6 +163,7 @@ def test_float_operands_raise_type_error():
 
 def test_equality_requires_same_precision():
     assert TruncatedSeries.one(3) != TruncatedSeries.one(4)
+    assert not TruncatedSeries.one(3) == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
