@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .orbits import (
     ALL_ORDERS, Mode, ModeError, TransitiveOrbit, canonicalize, enumerate_orbits,
 )
+from .series import _count
 
 
 class GuardExceededError(ValueError):
@@ -122,12 +123,10 @@ def class_size(cls: OrbitTypeMultiset) -> int:
     return n // z
 
 
-def _check_walk(h: int, top: int) -> None:
-    """ValueError unless h >= 1, then unless top >= 0: a walk over sizes <= 0 enumerates no orbit to check h."""
-    if h < 1:
-        raise ValueError("h must be positive")
-    if top < 0:
-        raise ValueError("precision must be nonnegative")
+def _check_walk(h: int, top: int, name: str = "precision") -> None:
+    """Gate h >= 1, then top >= 0 as name: a walk over sizes <= 0 enumerates no orbit to check h."""
+    _count(h, "h", "positive")
+    _count(top, name, "nonnegative")
 
 
 def _orbit_pool(h: int, top: int, mode: Mode) -> list[TransitiveOrbit]:
@@ -238,10 +237,7 @@ def enumerate_classes(h: int, l: int, mode: Mode = ALL_ORDERS) -> tuple[OrbitTyp
     In p-power mode only tuples of p-power-order permutations count, which
     restricts the orbit sizes to powers of p.  l = 0 gives the empty class.
     """
-    if h < 1:
-        raise ValueError("h must be positive")
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_walk(h, l, "degree")
     return _enumerate_classes_cached(h, l, mode).classes
 
 
@@ -338,10 +334,7 @@ def brute_force_classes(
     and buckets it through orbit_type_of_tuple.  Exponential; refuses when
     l exceeds the guard (default 6 for h <= 2, else 5) rather than hang.
     """
-    if h < 1:
-        raise ValueError("h must be positive")
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_walk(h, l, "degree")
     limit = (6 if h <= 2 else 5) if guard is None else guard
     if l > limit:
         raise GuardExceededError(f"degree {l} exceeds brute-force guard {limit}")

@@ -26,7 +26,7 @@ from .classes import (
     enumerate_classes,
 )
 from .orbits import Mode
-from .series import _SCALARS, _ExactSum, _ratio, exact
+from .series import _SCALARS, _count, _ExactSum, _ratio, exact
 
 
 class ClassFunction:
@@ -169,9 +169,9 @@ def restrict_young(zeta: ClassFunction, j: int, k: int) -> tuple:
     class a of degree j, both in enumerate_classes order.  The value is zeta
     on the disjoint union of a and b: the merge of their int keys, looked up
     in the class table.  No split is used, so it checks induce_young
-    independently.
+    independently.  j and k must be ints.
     """
-    if j < 0 or k < 0 or j + k != zeta.l:
+    if _count(j, "j") < 0 or _count(k, "k") < 0 or j + k != zeta.l:
         raise ValueError(f"split {j}+{k} does not match degree {zeta.l}")
     h, mode = zeta.h, zeta.mode
     keys_j, keys_k = (_enumerate_classes_cached(h, d, mode).positions for d in (j, k))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -41,7 +42,10 @@ def _model_from_spec(spec: str | None):
     if spec is None or spec == "symbolic":
         return SymbolicModel("x")
     if spec.startswith("integer:"):
-        return IntegerModel(int(spec.split(":", 1)[1]))
+        d = spec.split(":", 1)[1]
+        if not re.fullmatch(r"-?[0-9]+", d):  # as a psi table reads an integer
+            raise ValueError(f"model {spec!r}: D must be an integer literal")
+        return IntegerModel(int(d))
     if spec.startswith("table:"):
         return serialize.load_table_model(spec.split(":", 1)[1])
     raise ValueError(

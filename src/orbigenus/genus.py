@@ -25,7 +25,7 @@ from .classes import OrbitTypeMultiset, _check_walk, _orbit_pool, _walk_classes,
 from .classfun import ClassFunction
 from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
 from .psipoly import PsiPolynomial, PsiSymbol
-from .series import TruncatedSeries, _ExactSum, _ratio, exact
+from .series import TruncatedSeries, _count, _ExactSum, _ratio, exact
 
 
 class SymbolicModel:
@@ -45,9 +45,7 @@ class IntegerModel:
     """psi(T) = d for every orbit: the model of a d-dimensional trivial class."""
 
     def __init__(self, d: int):
-        if not isinstance(d, int):
-            raise TypeError(f"dimension must be an int, got {type(d).__name__}")
-        self.d = d
+        self.d = _count(d, "dimension")
 
     def psi(self, orbit: TransitiveOrbit) -> int:
         return self.d
@@ -122,8 +120,7 @@ def sigma(model, n: int, h: int, mode: Mode = ALL_ORDERS):
     orbit-type product of symmetric_power_series instead, so the product
     formula stays tested against the classes rather than assumed.
     """
-    if n < 0:
-        raise ValueError("symmetric power degree must be nonnegative")
+    _check_walk(h, n, "symmetric power degree")
     return _class_sum(model, n, h, mode)[n]
 
 
@@ -140,8 +137,9 @@ def symmetric_power_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) ->
     operations, with no class enumerated.  Each factor is multiplied into the
     coefficient list in place, top degree first, adding only its m >= 1 terms.
     """
+    pool = _orbit_pool(h, prec, mode)  # checks h and prec before the list is built
     coeffs = [Fraction(1)] + [Fraction(0)] * prec
-    for orbit in _orbit_pool(h, prec, mode):
+    for orbit in pool:
         s = orbit.size
         # powers[m] = (psi(T) / s)^m / m!
         weight = model.psi(orbit) * Fraction(1, s)
@@ -253,8 +251,7 @@ def todd_orbifold_series(d: int, prec: int) -> TruncatedSeries:
     each size n <= prec, prod_n exp(d t^n / n); the expected closed form is
     (1 - t)^(-d).
     """
-    if d < 0:
-        raise ValueError("dimension must be nonnegative")
+    _count(d, "dimension", "nonnegative")
     return symmetric_power_series(IntegerModel(d), prec, 1, ALL_ORDERS)
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import prod
 
+from .series import _count
+
 
 class ModeError(ValueError):
     """Requested size/order is not admissible for the order mode."""
@@ -39,9 +41,7 @@ class Mode:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and type(self.p) is not int:
-            raise TypeError(f"p must be an int, got {self.p!r}")
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is not None and not _is_prime(_count(self.p, "p")):
             raise ValueError(f"p must be prime, got {self.p!r}")
 
     def admits_size(self, n: int) -> bool:
@@ -115,10 +115,9 @@ class TransitiveOrbit:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if type(self.h) is not int or any(type(x) is not int for row in self.rows for x in row):
-            raise TypeError(f"h and the HNF entries must be ints, got {self.h!r}, {self.rows!r}")
-        if self.h < 1:
-            raise ValueError("h must be positive")
+        _count(self.h, "h", "positive")
+        if any(type(x) is not int for row in self.rows for x in row):
+            raise TypeError(f"each HNF entry must be an int, got {self.rows!r}")
         if len(self.rows) != self.h or any(len(r) != self.h for r in self.rows):
             raise ValueError("rows must form an h x h matrix")
         diagonal = self.diagonal
@@ -248,12 +247,8 @@ def enumerate_orbits(h: int, n: int, mode: Mode = ALL_ORDERS) -> tuple[Transitiv
     orbit is checked canonical through its rows, not once more as a whole.
     The result is cached per (h, n), so h and n must be ints.
     """
-    if type(h) is not int or type(n) is not int:
-        raise TypeError(f"h and the orbit size must be ints, got {h!r}, {n!r}")
-    if h < 1:
-        raise ValueError("h must be positive")
-    if n < 1:
-        raise ValueError("orbit size must be positive")
+    _count(h, "h", "positive")
+    _count(n, "orbit size", "positive")
     if not mode.admits_size(n):
         raise ModeError(f"size {n} is not admissible in {mode} mode")
     return _enumerate_orbits_cached(h, n)
@@ -262,14 +257,15 @@ def enumerate_orbits(h: int, n: int, mode: Mode = ALL_ORDERS) -> tuple[Transitiv
 def canonicalize(h: int, generators) -> TransitiveOrbit:
     """Canonical HNF orbit for the sublattice spanned by integer generator vectors.
 
-    Accepts any number of generators (rows); raises ValueError when they span
-    a sublattice of infinite index (rank below h).
+    Accepts any number of generators (rows) of int entries, else TypeError; raises
+    ValueError when they span a sublattice of infinite index (rank below h).
     """
-    if h < 1:
-        raise ValueError("h must be positive")
+    _count(h, "h", "positive")
     work = []
     for g in generators:
-        row = [int(x) for x in g]
+        row = list(g)
+        if any(type(x) is not int for x in row):
+            raise TypeError(f"each generator entry must be an int, got {g!r}")
         if len(row) != h:
             raise ValueError(f"generator {g!r} does not have length {h}")
         if any(row):

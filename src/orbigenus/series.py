@@ -1,8 +1,8 @@
 """Truncated formal power series in one variable t, with exact coefficients.
 
-Coefficients may be Fraction or any exact ring element that supports +, *,
-scalar multiplication by Fraction, and equality (PsiPolynomial qualifies).
-Floats are rejected outright.  Binary operations truncate to the smaller
+Coefficients may be int, Fraction or an exact ring element with +, *, scalar
+multiplication by Fraction, equality and _add_scaled_into (PsiPolynomial); anything
+else, a float included, raises TypeError.  Binary operations truncate to the smaller
 precision; a series of precision N carries coefficients of t^0 .. t^N.
 """
 from __future__ import annotations
@@ -17,10 +17,23 @@ _SCALARS = (int, Fraction)
 
 
 def exact(c):
-    """An exact value: ints become Fractions, floats raise TypeError, anything else passes."""
-    if isinstance(c, float):
-        raise TypeError("floating point values are not allowed")
-    return Fraction(c) if isinstance(c, int) else c
+    """An exact value: an int becomes a Fraction; a Fraction, or a ring element that adds into
+    an _ExactSum (a PsiPolynomial), passes; anything else raises TypeError."""
+    if isinstance(c, int):
+        return Fraction(c)
+    if isinstance(c, Fraction) or hasattr(c, "_add_scaled_into"):
+        return c
+    raise TypeError(f"not an exact value (an int, Fraction or PsiPolynomial): {c!r}")
+
+
+def _count(n, name: str, bound: str | None = None) -> int:
+    """n, a rank, size, degree, precision or dimension, checked before any cache or allocation:
+    TypeError unless an int (not a bool), then ValueError unless n is bound (positive/nonnegative)."""
+    if type(n) is not int:
+        raise TypeError(f"{name} must be an int, got {n!r}")
+    if bound is not None and n < (1 if bound == "positive" else 0):
+        raise ValueError(f"{name} must be {bound}")
+    return n
 
 
 def _ratio(v, d=1):
@@ -54,13 +67,9 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "prec")
 
     def __init__(self, coeffs, prec: int):
-        coeffs = [exact(c) for c in coeffs]
-        if prec < 0:
-            raise ValueError("precision must be nonnegative")
-        if len(coeffs) < prec + 1:
-            coeffs = coeffs + [_ZERO] * (prec + 1 - len(coeffs))
-        else:
-            coeffs = coeffs[: prec + 1]
+        _count(prec, "precision", "nonnegative")
+        coeffs = [exact(c) for c in coeffs][: prec + 1]
+        coeffs += [_ZERO] * (prec + 1 - len(coeffs))
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "prec", prec)
 

@@ -50,6 +50,9 @@ def test_construction_errors():
         ClassFunction(1, ALL_ORDERS, 3, [1, 2])
     with pytest.raises(TypeError):
         ClassFunction(1, ALL_ORDERS, 3, [0.5, 1, 1])
+    for bad in ("x", None):
+        with pytest.raises(TypeError, match="not an exact value"):
+            ClassFunction(1, ALL_ORDERS, 1, [bad])
 
 
 def test_value_rejects_foreign_class():

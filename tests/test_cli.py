@@ -284,6 +284,18 @@ def test_inner_product(capsys):
     assert out.strip() == "3/2"
 
 
+def test_integer_model_reads_d_as_a_psi_table_reads_an_integer(capsys):
+    # int() takes the first four: an underscore, a space, a plus sign, an Arabic-Indic digit
+    for d in ("5_0", " 5", "+3", "\u0663", "", "-"):
+        spec = f"integer:{d}"
+        code, out, err = run(capsys, "genus", "sigma", "--h", "1", "--n", "2", "--model", spec)
+        assert (code, out, err) == (2, "", f"error: model {spec!r}: D must be an integer literal\n")
+    code, out, err = run(
+        capsys, "genus", "sigma", "--h", "1", "--n", "2", "--model", "integer:-2", "--format", "tsv"
+    )
+    assert (code, out, err) == (0, "n\tvalue\n2\t1\n", "")
+
+
 def test_model_spec_errors(capsys, tmp_path):
     code, _, err = run(capsys, "genus", "sigma", "--n", "2", "--model", "bogus")
     assert code == 2 and "model" in err

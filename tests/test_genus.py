@@ -5,9 +5,12 @@ from math import comb
 import pytest
 
 from orbigenus import genus
-from orbigenus.classes import OrbitTypeMultiset, centralizer_order, enumerate_classes
+from orbigenus.classes import (
+    OrbitTypeMultiset, _enumerate_classes_cached, brute_force_classes, centralizer_order,
+    enumerate_classes,
+)
 from orbigenus.classes import _walk_classes as walk_classes
-from orbigenus.classfun import augmentation
+from orbigenus.classfun import ClassFunction, augmentation, restrict_young
 from orbigenus.genus import (
     IntegerModel,
     SeriesComparison,
@@ -25,7 +28,10 @@ from orbigenus.genus import (
     todd_orbifold_series,
     verify_product_formula,
 )
-from orbigenus.orbits import ALL_ORDERS, Mode, ModeError, enumerate_orbits
+from orbigenus.orbits import (
+    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _enumerate_orbits_cached, canonicalize,
+    enumerate_orbits,
+)
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import comparison_to_json, value_to_json
 from orbigenus.series import TruncatedSeries
@@ -64,8 +70,9 @@ def test_table_model():
     assert m.psi(t2) == 3
     with pytest.raises(ValueError):
         m.psi(enumerate_orbits(2, 1)[0])
-    with pytest.raises(TypeError):
-        TableModel({t1: 0.5})
+    for bad in (0.5, "5", None):
+        with pytest.raises(TypeError):
+            TableModel({t1: bad})
 
 
 def test_psi_of_class():
@@ -262,7 +269,7 @@ def test_class_sum_rejects_bad_rank_and_precision():
     with pytest.raises(ValueError, match="precision must be nonnegative"):
         verify_product_formula(IntegerModel(1), -1, 1, ALL_ORDERS)
     # with both bad, the one check of every orbit walk names h
-    for build in (verify_product_formula, symmetric_power_series, hecke_log_series):
+    for build in (verify_product_formula, symmetric_power_series, hecke_log_series, sigma):
         with pytest.raises(ValueError, match="h must be positive"):
             build(IntegerModel(1), -1, 0, ALL_ORDERS)
     with pytest.raises(ValueError, match="degree must be nonnegative"):
@@ -391,3 +398,44 @@ def test_two_family_exponential_property():
     sx = symmetric_power_series(SymbolicModel("x"), N, 2, P2)
     sy = symmetric_power_series(SymbolicModel("y"), N, 2, P2)
     assert both == sx * sy
+
+
+ZETA = ClassFunction.one(1, ALL_ORDERS, 2)
+# every entry point that takes a rank, size, degree, precision or dimension, with that argument x
+SIZED_CALLS = {
+    "Mode p": lambda x: Mode(x),
+    "TransitiveOrbit h": lambda x: TransitiveOrbit(x, ((1,),)),
+    "enumerate_orbits h": lambda x: enumerate_orbits(x, 1),
+    "enumerate_orbits n": lambda x: enumerate_orbits(1, x),
+    "canonicalize h": lambda x: canonicalize(x, [[1]]),
+    "enumerate_classes h": lambda x: enumerate_classes(x, 1, P2),
+    "enumerate_classes l": lambda x: enumerate_classes(1, x, P2),
+    "brute_force_classes h": lambda x: brute_force_classes(x, 1),
+    "brute_force_classes l": lambda x: brute_force_classes(1, x),
+    "ClassFunction h": lambda x: ClassFunction.one(x, P2, 2),
+    "ClassFunction l": lambda x: ClassFunction.one(1, P2, x),
+    "sigma n": lambda x: sigma(IntegerModel(1), x, 1),
+    "sigma h": lambda x: sigma(IntegerModel(1), 2, x),
+    "symmetric_power_series prec": lambda x: symmetric_power_series(IntegerModel(1), x, 1),
+    "hecke_log_series h": lambda x: hecke_log_series(IntegerModel(1), 2, x),
+    "hecke_operator n": lambda x: hecke_operator(IntegerModel(1), x, 1),
+    "verify_product_formula prec": lambda x: verify_product_formula(IntegerModel(1), x, 1),
+    "restrict_young j": lambda x: restrict_young(ZETA, x, 1),
+    "restrict_young k": lambda x: restrict_young(ZETA, 1, x),
+    "TruncatedSeries prec": lambda x: TruncatedSeries([1], prec=x),
+    "todd_orbifold_series d": lambda x: todd_orbifold_series(x, 2),
+    "todd_orbifold_series prec": lambda x: todd_orbifold_series(1, x),
+    "IntegerModel d": lambda x: IntegerModel(x),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call", SIZED_CALLS.values(), ids=SIZED_CALLS.keys())
+def test_a_non_int_size_raises_type_error_before_any_cache(call, bad):
+    # 2.0 and True hash like 2 and 1, so a cache keyed on one would serve an int's entry
+    before = (_enumerate_orbits_cached.cache_info().currsize,
+              _enumerate_classes_cached.cache_info().currsize)
+    with pytest.raises(TypeError, match="must be an int, got"):
+        call(bad)
+    assert (_enumerate_orbits_cached.cache_info().currsize,
+            _enumerate_classes_cached.cache_info().currsize) == before

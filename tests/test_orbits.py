@@ -77,7 +77,7 @@ def test_orbit_validation():
         TransitiveOrbit(0, ())
     for h, rows in [(2, ((1, Fraction(1, 2)), (0, 2))), (1, ((2.0,),)), (1, ((True,),)),
                     (True, ((1,),))]:
-        with pytest.raises(TypeError, match="must be ints"):
+        with pytest.raises(TypeError, match="must be an int"):
             TransitiveOrbit(h, rows)
 
 
@@ -112,7 +112,7 @@ def test_enumerate_mode_errors():
 def test_enumeration_rejects_a_non_int_before_caching_it():
     # 2.0 and True hash like 2 and 1, so they would share the cache entry of an int
     for h, n in [(1, 2.0), (1, True), (True, 2), (2, 1.0)]:
-        with pytest.raises(TypeError, match="must be ints"):
+        with pytest.raises(TypeError, match="must be an int"):
             enumerate_orbits(h, n)
     (t,) = enumerate_orbits(1, 2)
     assert t.rows == ((2,),) and type(t.h) is int and t.label() == "2"
@@ -206,6 +206,14 @@ def test_canonicalize_rank_deficient():
         canonicalize(2, [(1, 1), (2, 2), (-3, -3)])
     with pytest.raises(ValueError):
         canonicalize(2, [])
+
+
+def test_canonicalize_rejects_non_int_entries():
+    # int() would truncate 2.5 to 2, parse '3', and read 0.0 and True as 0 and 1
+    for h, gens in [(1, [[2.5]]), (1, [["3"]]), (2, [[2, 0.0], [0, True]])]:
+        with pytest.raises(TypeError, match="each generator entry must be an int"):
+            canonicalize(h, gens)
+    assert str(canonicalize(2, [[2, 0], [0, 1]])) == "T[2,0|0,1]"
 
 
 def test_canonicalize_rejects_wrong_length():

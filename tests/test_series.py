@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orbigenus.psipoly import PsiPolynomial
-from orbigenus.series import TruncatedSeries
+from orbigenus.series import TruncatedSeries, exact
 
 from helpers import variable
 
@@ -28,8 +28,18 @@ def test_construction_pads_and_truncates():
 def test_construction_rejects_bad_input():
     with pytest.raises(ValueError):
         TruncatedSeries([1], prec=-1)
-    with pytest.raises(TypeError):
-        TruncatedSeries([0.5, 1], prec=2)
+    for bad in (0.5, "x"):
+        with pytest.raises(TypeError):
+            TruncatedSeries([bad, 1], prec=2)
+
+
+def test_exact_takes_only_ints_fractions_and_polynomials():
+    poly = PsiPolynomial.constant(2)
+    assert exact(3) == Fraction(3) and type(exact(3)) is Fraction
+    assert exact(Fraction(1, 2)) == Fraction(1, 2) and exact(poly) is poly
+    for bad in (0.5, "x", None, [1], complex(1)):
+        with pytest.raises(TypeError, match="not an exact value"):
+            exact(bad)
 
 
 def test_immutable():
