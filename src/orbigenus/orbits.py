@@ -18,14 +18,35 @@ class ModeError(ValueError):
     """Requested size/order is not admissible for the order mode."""
 
 
+# The first 13 primes: Miller-Rabin with these bases is exact below _PRIME_BOUND, the
+# smallest composite that is a strong probable prime to all of them.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether the int p is prime, by a deterministic Miller-Rabin test;
+    ValueError from _PRIME_BOUND up, where the test is no longer exact."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p must be below {_PRIME_BOUND}, where the primality test is exact")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -35,7 +56,8 @@ class Mode:
 
     ``Mode()`` plays the role of Z^h acting with no order restriction;
     ``Mode(p)`` restricts to p-power orders (the p-typical situation).  A p
-    that is not an int (a float or bool) raises TypeError, a non-prime int ValueError.
+    that is not an int (a float or bool) raises TypeError, a non-prime int ValueError,
+    and so does a p from _PRIME_BOUND up (about 3.3e24), beyond the exact primality test.
     """
 
     p: int | None = None

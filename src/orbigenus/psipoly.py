@@ -2,8 +2,14 @@
 
 Symbols are indexed by a family tag (the name of a formal variable, "x",
 "y", ...) and a transitive orbit.  Polynomials combine freely with int and
-Fraction scalars, so they can serve as series coefficients: scalar * and -
-scale the coefficients, and one accumulator adds every term and drops zeros.
+Fraction scalars, so they can serve as series coefficients.
+
+A polynomial stores its coefficients as nonzero int numerators over one int
+denominator, in lowest terms (no factor shared by the denominator and every
+numerator), so arithmetic makes no Fraction per term: a product multiplies
+ints and the two denominators, a sum rescales each operand once to the lcm
+of the denominators, and _reduced drops zeros and divides out the common
+factor once per result.  sorted_terms gives the coefficients as Fractions.
 
 Symbols are stored as dense int ids, given on first use.  A monomial has one
 normal form: a tuple of (id, exponent) pairs sorted by id, one per symbol, each
@@ -17,9 +23,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .orbits import TransitiveOrbit
-from .series import _ONE, _SCALARS, _ZERO, _power, exact
+from .series import _SCALARS, _power, exact
 
 
 @dataclass(frozen=True)
@@ -76,13 +83,16 @@ def _monomial(pairs) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _accumulate(terms: dict, mono: Monomial, c) -> None:
-    """Add c at mono in a sparse dict of terms, dropping mono if the sum is zero."""
-    v = terms.get(mono, _ZERO) + c
-    if v:
-        terms[mono] = v
-    else:
-        terms.pop(mono, None)
+def _reduced(terms: dict, den: int) -> tuple[dict, int]:
+    """(terms, den) in normal form: zero numerators dropped, then the common factor of den and
+    the numerators divided out, so den = 1 when no term is left."""
+    terms = {m: c for m, c in terms.items() if c}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+    return terms, den
 
 
 def _mono_str(m) -> str:
@@ -93,17 +103,20 @@ def _mono_str(m) -> str:
 
 
 class PsiPolynomial:
-    """Immutable polynomial with Fraction coefficients and structural equality.
+    """Immutable polynomial with exact rational coefficients and structural equality.
 
     ``terms`` maps monomials of (PsiSymbol, exponent) pairs, exponents ints >= 1
-    (else ValueError), to coefficients; ``((s, 1), (s, 1))`` means ``((s, 2),)``.
+    (else ValueError), to int or Fraction coefficients; ``((s, 1), (s, 1))`` means
+    ``((s, 2),)``.  The coefficients are stored as nonzero int numerators ``_terms``
+    over one int denominator ``_den`` > 0 that shares no factor with all of them, so
+    equal polynomials have equal fields.
 
     Equality against a bare int or Fraction means "is that constant", and the
     hash agrees, so constant polynomials can stand in for scalars.  A scalar
     operand is never made a polynomial: it is added at the constant monomial, or scales each term.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms=None):
         data: dict[Monomial, Fraction] = {}
@@ -113,24 +126,25 @@ class PsiPolynomial:
                 c = exact(coeff)
                 if not isinstance(c, Fraction):
                     raise TypeError(f"coefficient must be exact, got {type(coeff).__name__}")
-                _accumulate(data, _checked_monomial(mono), c)
-        object.__setattr__(self, "_terms", data)
+                mono = _checked_monomial(mono)
+                data[mono] = data.get(mono, 0) + c
+        den = lcm(*[c.denominator for c in data.values()])
+        self._terms, self._den = _reduced(
+            {m: c.numerator * (den // c.denominator) for m, c in data.items()}, den
+        )
 
     @classmethod
-    def _from_terms(cls, terms: dict) -> "PsiPolynomial":
-        """Wrap a dict of normal-form monomials to nonzero Fractions, unchecked."""
+    def _from_terms(cls, terms: dict, den: int = 1) -> "PsiPolynomial":
+        """Wrap a dict of normal-form monomials to int numerators over den > 0, unchecked."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "_terms", terms)
+        out._terms, out._den = _reduced(terms, den)
         return out
 
-    def _add_scaled_into(self, terms: dict, scale) -> None:
-        """Add scale * self into a dict that _from_terms can wrap, in place; scale is nonzero."""
-        for mono, c in self._terms.items():
-            _accumulate(terms, mono, c * scale)
-
     def _scaled(self, c) -> "PsiPolynomial":
-        """c * self for an exact scalar c, coefficient by coefficient."""
-        return PsiPolynomial._from_terms({m: a * c for m, a in self._terms.items()} if c else {})
+        """c * self for an int or Fraction c: each numerator times c's, the denominator times c's."""
+        n = c.numerator
+        terms = {m: a * n for m, a in self._terms.items()}
+        return PsiPolynomial._from_terms(terms, self._den * c.denominator)
 
     @classmethod
     def constant(cls, value) -> "PsiPolynomial":
@@ -138,7 +152,7 @@ class PsiPolynomial:
 
     @classmethod
     def symbol(cls, sym: PsiSymbol) -> "PsiPolynomial":
-        return cls._from_terms({((_intern(sym), 1),): _ONE})
+        return cls._from_terms({((_intern(sym), 1),): 1})
 
     def sorted_terms(self) -> list[tuple[tuple[tuple[PsiSymbol, int], ...], Fraction]]:
         """(monomial, coefficient) pairs by degree, then monomial, each in canonical symbol order:
@@ -150,27 +164,35 @@ class PsiPolynomial:
         # each monomial's pairs sorted once, by rank, into the term key; keys never tie
         keyed = sorted([(sum([e for _, e in m]), sorted([(rank[i], e) for i, e in m]), c)
                         for m, c in self._terms.items()])
-        return [(tuple([(by_rank[r], e) for r, e in ranked]), c) for _, ranked, c in keyed]
+        den = self._den
+        return [(tuple([(by_rank[r], e) for r, e in ranked]), Fraction(c, den)) for _, ranked, c in keyed]
 
     @property
     def is_constant(self) -> bool:
-        return all(m == () for m in self._terms)
+        return not self._terms or (len(self._terms) == 1 and () in self._terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get((), 0), self._den)
 
     def _sum(self, other, sign: int):
-        """self + sign * other, for a polynomial or an exact scalar other."""
-        terms = dict(self._terms)
+        """self + sign * other, for a polynomial or an exact scalar other: both brought to the
+        lcm of the two denominators, each operand rescaled once."""
         if isinstance(other, PsiPolynomial):
-            other._add_scaled_into(terms, sign)
+            terms, d = other._terms, other._den
         elif isinstance(other, _SCALARS):
-            _accumulate(terms, (), sign * other)
+            terms, d = {(): other.numerator}, other.denominator
         else:
             return NotImplemented
-        return PsiPolynomial._from_terms(terms)
+        if not other:
+            return self
+        den = lcm(self._den, d)
+        a, b = den // self._den, sign * (den // d)
+        out = {m: c * a for m, c in self._terms.items()} if a != 1 else dict(self._terms)
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + b * c
+        return PsiPolynomial._from_terms(out, den)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -191,11 +213,12 @@ class PsiPolynomial:
             return self._scaled(other)
         if not isinstance(other, PsiPolynomial):
             return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                _accumulate(acc, _monomial(m1 + m2), c1 * c2)
-        return PsiPolynomial._from_terms(acc)
+                m = _monomial(m1 + m2)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return PsiPolynomial._from_terms(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -204,15 +227,16 @@ class PsiPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, PsiPolynomial):
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         if isinstance(other, _SCALARS):
-            return self.is_constant and self._terms.get((), Fraction(0)) == other
+            return (self.is_constant and self._den == other.denominator
+                    and self._terms.get((), 0) == other.numerator)
         return NotImplemented
 
     def __hash__(self):
         if self.is_constant:
-            return hash(self._terms.get((), Fraction(0)))
-        return hash(frozenset(self._terms.items()))
+            return hash(Fraction(self._terms.get((), 0), self._den))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __bool__(self):
         return bool(self._terms)

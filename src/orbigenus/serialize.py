@@ -24,7 +24,10 @@ from .series import TruncatedSeries, exact
 
 
 def fraction_to_str(q: Fraction) -> str:
+    """"n" or "n/d" for an int or Fraction; TypeError for anything else, a polynomial included."""
     q = exact(q)
+    if not isinstance(q, Fraction):
+        raise TypeError(f"not an int or Fraction: {q!r}")
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

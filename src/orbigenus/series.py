@@ -1,13 +1,15 @@
 """Truncated formal power series in one variable t, with exact coefficients.
 
 Coefficients may be int, Fraction or an exact ring element with +, *, scalar
-multiplication by Fraction, equality and _add_scaled_into (PsiPolynomial); anything
-else, a float included, raises TypeError.  Binary operations truncate to the smaller
+multiplication by Fraction and equality, stored as int numerators ``_terms`` over one
+int denominator ``_den`` (PsiPolynomial), which _ExactSum reads; anything else, a
+float included, raises TypeError.  Binary operations truncate to the smaller
 precision; a series of precision N carries coefficients of t^0 .. t^N.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -17,11 +19,11 @@ _SCALARS = (int, Fraction)
 
 
 def exact(c):
-    """An exact value: an int becomes a Fraction; a Fraction, or a ring element that adds into
-    an _ExactSum (a PsiPolynomial), passes; anything else raises TypeError."""
+    """An exact value: an int becomes a Fraction; a Fraction, or a ring element stored as int
+    numerators over one denominator (a PsiPolynomial), passes; anything else raises TypeError."""
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, Fraction) or hasattr(c, "_add_scaled_into"):
+    if isinstance(c, Fraction) or hasattr(c, "_den"):
         return c
     raise TypeError(f"not an exact value (an int, Fraction or PsiPolynomial): {c!r}")
 
@@ -42,23 +44,36 @@ def _ratio(v, d=1):
 
 
 class _ExactSum(dict):
-    """A sum of terms x / d, d an int > 0: an int or Fraction x adds its int numerator at d, so
-    value() builds a Fraction per distinct d, not per term; a PsiPolynomial x adds into one dict."""
+    """A sum of terms x / d, d an int > 0, with no Fraction per term.  An int or Fraction x adds
+    its int numerator at its denominator: self maps denominator -> int numerator.  A PsiPolynomial
+    x adds its int numerators at d times its denominator: polys maps denominator -> monomial ->
+    int numerator.  value() builds a Fraction per distinct denominator, or, once a polynomial
+    was added, one polynomial over the lcm of every denominator, scalars at its constant term."""
 
-    terms = kind = None
+    polys = kind = None
 
     def add(self, x, d=1):
         if not isinstance(x, int):  # an int first: isinstance(x, Fraction) is slow on one
             if not isinstance(x, Fraction):
-                if self.terms is None:
-                    self.terms, self.kind = {}, type(x)
-                return x._add_scaled_into(self.terms, Fraction(1, d))
+                if self.polys is None:
+                    self.polys, self.kind = {}, type(x)
+                bucket = self.polys.setdefault(d * x._den, {})
+                for m, c in x._terms.items():
+                    bucket[m] = bucket.get(m, 0) + c
+                return
             x, d = x.numerator, x.denominator * d
         self[d] = self.get(d, 0) + x
 
     def value(self):
-        total = sum((Fraction(n, d) for d, n in self.items()), _ZERO)
-        return total if self.terms is None else self.kind._from_terms(self.terms) + total
+        if self.polys is None:
+            return sum((Fraction(n, d) for d, n in self.items()), _ZERO)
+        den = lcm(*self.polys, *self)
+        terms = {(): sum(n * (den // d) for d, n in self.items())}
+        for d, bucket in self.polys.items():
+            scale = den // d
+            for m, c in bucket.items():
+                terms[m] = terms.get(m, 0) + c * scale
+        return self.kind._from_terms(terms, den)
 
 
 class TruncatedSeries:
@@ -190,8 +205,7 @@ class TruncatedSeries:
 
 def _power(x, n, one):
     """x ** n by square-and-multiply; the unit ``one()`` is built only for n = 0."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("exponent must be a nonnegative integer")
+    _count(n, "exponent", "nonnegative")
     out = None
     while n:
         if n & 1:

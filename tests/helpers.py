@@ -6,7 +6,8 @@ time.  All of it deliberately shares no code with the lattice machinery
 under test.  Elements of a group prod Z/m_i are tuples under componentwise
 addition.  The functions after class_count use the library's own types:
 conveniences that several tests share, and the product-and-filter
-reference that the keyed class split is checked against.
+reference that the keyed class split is checked against, and the plain
+Fraction-coefficient reference of polynomial arithmetic.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -348,6 +349,35 @@ def evaluate(poly, assignment):
             coeff *= Fraction(assignment[sym]) ** e
         total += coeff
     return total
+
+
+def reference_terms(pairs):
+    """The Fraction-coefficient reference of (monomial, coefficient) pairs: a plain dict from
+    monomial, a frozenset of (PsiSymbol, exponent) pairs with repeated symbols merged, to its
+    nonzero Fraction coefficient.  It shares no code with PsiPolynomial's int numerators."""
+    out = {}
+    for mono, c in pairs:
+        exps = {}
+        for sym, e in mono:
+            exps[sym] = exps.get(sym, 0) + e
+        m = frozenset(exps.items())
+        out[m] = out.get(m, Fraction(0)) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_of(value):
+    """The reference of a PsiPolynomial, read through sorted_terms, or of an int or Fraction."""
+    return reference_terms(value.sorted_terms() if isinstance(value, PsiPolynomial) else [((), value)])
+
+
+def reference_add(a, b, sign=1):
+    """a + sign * b on references."""
+    return reference_terms([*a.items(), *((m, sign * c) for m, c in b.items())])
+
+
+def reference_mul(a, b):
+    """a * b on references, term by term."""
+    return reference_terms([([*m1, *m2], c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()])
 
 
 def lambda_operation(model, n, h=1, mode=ALL_ORDERS):

@@ -363,6 +363,16 @@ def test_values_past_the_int_string_limit_print_in_full(capsys):
     assert n == "5" and len(value) == 4998 and int(value) == expected
 
 
+def test_a_large_prime_answers_and_p_past_the_primality_bound_exits_2(capsys):
+    # once ran trial division to the square root of p, so this never returned
+    code, out, err = run(capsys, "orbits", "--p", "1000000000000000003", "--size", "1", "--format", "tsv")
+    assert (code, out, err) == (0, "size\thnf\n1\t1\n", "")
+    bound = "3317044064679887385961981"
+    code, out, err = run(capsys, "orbits", "--p", bound, "--size", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: p must be below {bound}, where the primality test is exact\n"
+
+
 def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["orbits", "--h", "2"])  # --size is required

@@ -7,10 +7,12 @@ import pytest
 
 import helpers
 from orbigenus.orbits import (
+    _PRIME_BOUND,
     ALL_ORDERS,
     Mode,
     ModeError,
     TransitiveOrbit,
+    _is_prime,
     canonicalize,
     enumerate_orbits,
 )
@@ -26,13 +28,40 @@ def test_mode_validation():
     with pytest.raises(ValueError):
         Mode(1)
     with pytest.raises(ValueError):
-        Mode(9)  # 2 does not divide it: the trial division goes on to 3
+        Mode(9)  # 2 does not divide it: the test goes on to the base 3
     for bad in (2.0, 2.5, True, "2"):
         with pytest.raises(TypeError, match="p must be an int"):
             Mode(bad)
     assert Mode(2).p == 2
     assert Mode(5).p == 5
     assert ALL_ORDERS.p is None
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 4) if _is_prime(n)] == [
+        n for n in range(10 ** 4) if helpers.prime_factorization(n) == [(n, 1)]
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
+    # strong pseudoprimes to base 2 (2047 = 23 * 89), to bases 2..7, and to every
+    # one of the first 12 primes (only the 13th base, 41, shows it composite)
+    for n in (2047, 3215031751, 399165290221 * 798330580441):
+        assert not _is_prime(n), n
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185):
+        assert not _is_prime(n), n
+    # Mersenne primes and the least prime above 10^18
+    for n in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3):
+        assert _is_prime(n), n
+
+
+def test_mode_refuses_p_past_the_exact_primality_bound():
+    # the bound itself is composite (1287836182261 * 2575672364521) yet passes all 13 bases
+    assert 1287836182261 * 2575672364521 == _PRIME_BOUND
+    for p in (_PRIME_BOUND, _PRIME_BOUND + 2):
+        with pytest.raises(ValueError, match=f"p must be below {_PRIME_BOUND}"):
+            Mode(p)
+    assert Mode(10 ** 18 + 3).p == 10 ** 18 + 3
 
 
 def test_mode_admits_size():

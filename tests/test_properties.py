@@ -1,6 +1,7 @@
 """Property tests: the canonical order does not depend on how objects were built,
 canonicalize lands in the orbit enumeration and agrees with reduce, monomials
-have one normal form, the orbit-type product for the symmetric-power series
+have one normal form, polynomial arithmetic, comparisons, readers and sums
+match a plain Fraction-coefficient reference, the orbit-type product for the symmetric-power series
 equals the class sum, the integer-numerator sums (the summing helper, the
 Hecke operators, sigma and the Young sums) equal plain Fraction sums, the
 JSON writer matches json.dumps, series inversion, exp and log undo each
@@ -10,8 +11,9 @@ the order its symbols were interned in, rational strings round-trip, and
 the class of a commuting tuple is invariant under conjugation."""
 import json
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +42,8 @@ from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit
 from orbigenus.series import TruncatedSeries, _ExactSum
 
 from helpers import (
-    class_of_key, coefficient_of, compose, identity, inverse, key_of, keyed_splits, sub_multisets_reference,
+    class_of_key, coefficient_of, compose, identity, inverse, key_of, keyed_splits, reference_add, reference_mul,
+    reference_of, reference_terms, sub_multisets_reference,
 )
 
 P2 = Mode(2)
@@ -211,6 +214,86 @@ def test_repeated_symbols_merge_into_one_monomial(pairs, coeff):
     assert PsiPolynomial([(tuple(pairs), coeff)]) == expected
     if coeff:
         assert coefficient_of(expected, pairs) == coeff
+
+
+# coefficients whose denominators share factors, so sums and products reduce
+reference_coefficient = st.integers(-30, 30) | st.builds(Fraction, st.integers(-30, 30), st.integers(1, 36))
+polynomial_terms = st.lists(st.tuples(monomial, reference_coefficient), max_size=5)
+
+
+def _in_lowest_terms(p):
+    return isinstance(p, PsiPolynomial) and gcd(p._den, *p._terms.values()) == 1 and 0 not in p._terms.values()
+
+
+@SETTINGS
+@given(polynomial_terms, polynomial_terms, reference_coefficient, st.integers(0, 4))
+def test_polynomial_ring_operations_match_a_fraction_reference(f_terms, g_terms, q, n):
+    f, g = PsiPolynomial(f_terms), PsiPolynomial(g_terms)
+    rf, rg, rq = reference_terms(f_terms), reference_terms(g_terms), reference_of(q)
+    power = {frozenset(): Fraction(1)}
+    for _ in range(n):
+        power = reference_mul(power, rf)
+    cases = [
+        (f, rf),
+        (f + g, reference_add(rf, rg)),
+        (f - g, reference_add(rf, rg, -1)),
+        (f * g, reference_mul(rf, rg)),
+        (-f, reference_mul(rf, reference_of(-1))),
+        (f * q, reference_mul(rf, rq)),
+        (q * f, reference_mul(rf, rq)),
+        (f + q, reference_add(rf, rq)),
+        (q + f, reference_add(rf, rq)),
+        (f - q, reference_add(rf, rq, -1)),
+        (q - f, reference_add(rq, rf, -1)),
+        (f ** n, power),
+    ]
+    for value, expected in cases:
+        assert _in_lowest_terms(value)
+        assert reference_of(value) == expected
+        assert all(type(c) is Fraction for _, c in value.sorted_terms())
+
+
+@SETTINGS
+@given(polynomial_terms, polynomial_terms, reference_coefficient)
+def test_polynomial_comparisons_and_readers_match_a_fraction_reference(f_terms, g_terms, q):
+    f, g = PsiPolynomial(f_terms), PsiPolynomial(g_terms)
+    rf, rg = reference_terms(f_terms), reference_terms(g_terms)
+    assert (f == g) == (rf == rg)
+    assert (f == q) == (rf == reference_of(q))
+    # equal values built along different paths are equal and hash alike
+    for a, b in ((f * g, g * f), ((f + g) - g, f), (f * q + g * q, (f + g) * q)):
+        assert a == b and hash(a) == hash(b)
+    # a constant equals and hashes as its scalar, however it was built
+    for c in (PsiPolynomial.constant(q), f - f + q, (f + q) - f):
+        assert c == q and c == Fraction(q) and hash(c) == hash(q) == hash(Fraction(q))
+        assert c.constant_value() == q and type(c.constant_value()) is Fraction
+    if all(m == frozenset() for m in rf):
+        assert f.is_constant and f.constant_value() == rf.get(frozenset(), 0)
+    else:
+        assert not f.is_constant
+        with pytest.raises(ValueError):
+            f.constant_value()
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(reference_coefficient | polynomial_terms.map(PsiPolynomial), st.integers(1, 12)),
+             max_size=8),
+    st.booleans(),
+)
+def test_exact_sum_of_polynomials_and_scalars_matches_a_fraction_reference(terms, cancel):
+    if cancel:  # the terms of the first half again, negated: their part of the sum is 0
+        terms += [(-x, d) for x, d in terms[: len(terms) // 2]]
+    acc, expected = _ExactSum(), {}
+    for x, d in terms:
+        acc.add(x, d)
+        expected = reference_add(expected, reference_mul(reference_of(x), reference_of(Fraction(1, d))))
+    total = acc.value()
+    if any(isinstance(x, PsiPolynomial) for x, _ in terms):
+        assert _in_lowest_terms(total)
+    else:
+        assert type(total) is Fraction
+    assert reference_of(total) == expected
 
 
 @st.composite

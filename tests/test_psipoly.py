@@ -102,8 +102,9 @@ def test_pow():
         expected = expected * f
     with pytest.raises(ValueError):
         x ** -1
-    with pytest.raises(ValueError):
-        x ** 1.0
+    for bad in (1.0, False):
+        with pytest.raises(TypeError):
+            x ** bad
 
 
 def test_monomials_have_one_normal_form():

@@ -36,8 +36,10 @@ def test_fraction_strings():
     assert fraction_to_str(Fraction(3)) == "3"
     assert fraction_to_str(Fraction(-3, 2)) == "-3/2"
     assert fraction_to_str(7) == "7"
-    with pytest.raises(TypeError):
-        fraction_to_str(0.5)
+    # a polynomial, even a constant one, is no rational literal: TypeError, as for a float
+    for bad in (0.5, PsiPolynomial.constant(1), PsiPolynomial()):
+        with pytest.raises(TypeError):
+            fraction_to_str(bad)
     assert fraction_from_str("3") == 3
     assert fraction_from_str("-3/2") == Fraction(-3, 2)
     for q in [Fraction(0), Fraction(22, 7), Fraction(-10**30, 3)]:

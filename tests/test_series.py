@@ -157,10 +157,12 @@ def test_pow_matches_repeated_mul():
     for n in range(10):
         assert s ** n == expected, n
         expected = expected * s
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
         s ** -1
-    with pytest.raises(ValueError):
-        s ** 2.0
+    # a non-int exponent is refused by type, as every other non-int count is
+    for bad in (2.0, True):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            s ** bad
 
 
 def test_float_operands_raise_type_error():
