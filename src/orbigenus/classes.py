@@ -16,9 +16,8 @@ from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .orbits import (
-    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, canonicalize, enumerate_orbits,
+    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _count, canonicalize, enumerate_orbits,
 )
-from .series import _count
 
 
 class GuardExceededError(ValueError):

@@ -25,8 +25,8 @@ from .classes import (
     class_representative,
     enumerate_classes,
 )
-from .orbits import Mode
-from .series import _SCALARS, _count, _ExactSum, _ratio, exact
+from .orbits import Mode, _count
+from .psipoly import _SCALARS, _ExactSum, _ratio, exact
 
 
 class ClassFunction:
@@ -120,8 +120,8 @@ class ClassFunction:
 def augmentation(chi: ClassFunction):
     """Sum of chi over the group, divided by the group order.
 
-    Equals sum over classes of chi(c)/z(c), z read from the class table,
-    scalars summed as integer numerators; for the constant function 1 of
+    Equals sum over classes of chi(c)/z(c), z read from the class table, in one
+    _ExactSum, so one Fraction or one polynomial; for the constant function 1 of
     degree l it gives the number of commuting h-tuples divided by l!.
     """
     total = _ExactSum()

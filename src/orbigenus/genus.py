@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from .classes import OrbitTypeMultiset, _check_walk, _orbit_pool, _walk_classes, enumerate_classes
 from .classfun import ClassFunction
-from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
-from .psipoly import PsiPolynomial, PsiSymbol
-from .series import TruncatedSeries, _count, _ExactSum, _ratio, exact
+from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, _count, enumerate_orbits
+from .psipoly import PsiPolynomial, PsiSymbol, _ExactSum, _ratio, exact
+from .series import TruncatedSeries
 
 
 class SymbolicModel:
@@ -70,11 +70,11 @@ class TableModel:
 
 
 def psi_of_class(model, cls: OrbitTypeMultiset):
-    """Product of psi over the orbits of a class, with multiplicity."""
+    """Product of psi over the orbits of a class, with multiplicity; TypeError unless exact."""
     value = Fraction(1)
     for orbit, mult in cls.entries:
         value = value * model.psi(orbit) ** mult
-    return value
+    return exact(value)
 
 
 def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
@@ -86,10 +86,10 @@ def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
     adds m copies of an orbit T of size s to its parent multiplies x and d by
     the precomputed parts of psi(T)^m / (s^m m!).  Its x / d goes into its
     degree's _ExactSum: scalars are summed as integer numerators, so a degree
-    builds a Fraction per distinct denominator, not per class, and sums to a
-    Fraction unless some class of it has a PsiPolynomial product.  Classes
-    are summed one by one, never regrouped by orbit type, so the sum stays
-    independent of symmetric_power_series.
+    builds one Fraction, not one per class, unless some class of it has a
+    PsiPolynomial product, and a psi value that is not exact raises TypeError.
+    Classes are summed one by one, never regrouped by orbit type, so the sum
+    stays independent of symmetric_power_series.
     """
     pool = _orbit_pool(h, prec, mode)
     # powers[i][m] = psi(T)^m / (s^m m!) as (x, d), for T = pool[i] of size s
@@ -157,7 +157,7 @@ def symmetric_power_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) ->
 
 
 def hecke_operator(model, n: int, h: int, mode: Mode = ALL_ORDERS):
-    """T_n = (1/n) * sum over orbits of size n of psi(T), scalars summed as integer numerators.
+    """T_n = (1/n) * sum over orbits of size n of psi(T), in one _ExactSum: TypeError unless exact.
 
     The orbit size must be admissible for the mode; in p-power mode the
     operators exist only for n a power of p.

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import prod
 
-from .series import _count
+
+def _count(n, name: str, bound: str | None = None) -> int:
+    """n, a rank, size, degree, precision or dimension, checked before any cache or allocation:
+    TypeError unless an int (not a bool), then ValueError unless n is bound (positive/nonnegative)."""
+    if type(n) is not int:
+        raise TypeError(f"{name} must be an int, got {n!r}")
+    if bound is not None and n < (1 if bound == "positive" else 0):
+        raise ValueError(f"{name} must be {bound}")
+    return n
 
 
 class ModeError(ValueError):

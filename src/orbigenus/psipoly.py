@@ -1,4 +1,7 @@
-"""Sparse exact-rational polynomials in formal power-operation symbols.
+"""Exact values, and sparse exact-rational polynomials in formal power-operation symbols.
+
+An exact value is an int, a Fraction or a PsiPolynomial: exact is the one gate, anything else
+raising TypeError, and _ExactSum the one sum.  No other module reads how a polynomial is stored.
 
 Symbols are indexed by a family tag (the name of a formal variable, "x",
 "y", ...) and a transitive orbit.  Polynomials combine freely with int and
@@ -25,8 +28,37 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .orbits import TransitiveOrbit
-from .series import _SCALARS, _power, exact
+from .orbits import TransitiveOrbit, _count
+
+# the exact scalars every layer accepts next to its own ring elements
+_SCALARS = (int, Fraction)
+
+
+def exact(c):
+    """An exact value: an int as a Fraction, a Fraction or a PsiPolynomial as is; else TypeError."""
+    if isinstance(c, int):
+        return Fraction(c)
+    if isinstance(c, (Fraction, PsiPolynomial)):
+        return c
+    raise TypeError(f"not an exact value (an int, Fraction or PsiPolynomial): {c!r}")
+
+
+def _ratio(v, d=1):
+    """v / d as (x, e), e an int: (numerator, d * denominator) for a Fraction, else (v, d)."""
+    return (v.numerator, v.denominator * d) if isinstance(v, Fraction) else (v, d)
+
+
+def _power(x, n, one):
+    """x ** n by square-and-multiply; the unit ``one()`` is built only for n = 0."""
+    _count(n, "exponent", "nonnegative")
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one() if out is None else out
 
 
 @dataclass(frozen=True)
@@ -256,3 +288,38 @@ class PsiPolynomial:
 
     def __repr__(self) -> str:
         return f"PsiPolynomial({self})"
+
+
+class _ExactSum(dict):
+    """A sum of exact terms x / d, d an int > 0, with no Fraction per term.  An int or Fraction x adds
+    its int numerator at its denominator: self maps denominator -> int numerator.  A PsiPolynomial x
+    adds its int numerators at d times its denominator: polys maps denominator -> monomial -> int
+    numerator; anything else raises exact's TypeError.  value() brings all to the one lcm of the
+    denominators: one Fraction, or once a polynomial was added, one polynomial, scalars at ()."""
+
+    polys = None
+
+    def add(self, x, d=1):
+        if not isinstance(x, int):  # an int first: isinstance(x, Fraction) is slow on one
+            if not isinstance(x, Fraction):
+                x = exact(x)
+                if self.polys is None:
+                    self.polys = {}
+                bucket = self.polys.setdefault(d * x._den, {})
+                for m, c in x._terms.items():
+                    bucket[m] = bucket.get(m, 0) + c
+                return
+            x, d = x.numerator, x.denominator * d
+        self[d] = self.get(d, 0) + x
+
+    def value(self):
+        den = lcm(*(self.polys or ()), *self)
+        num = sum(n * (den // d) for d, n in self.items())
+        if self.polys is None:
+            return Fraction(num, den)
+        terms = {(): num}
+        for d, bucket in self.polys.items():
+            scale = den // d
+            for m, c in bucket.items():
+                terms[m] = terms.get(m, 0) + c * scale
+        return PsiPolynomial._from_terms(terms, den)

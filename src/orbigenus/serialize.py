@@ -19,8 +19,8 @@ from fractions import Fraction
 from .classes import OrbitTypeMultiset, centralizer_order, class_size
 from .genus import SeriesComparison, TableModel
 from .orbits import Mode, TransitiveOrbit
-from .psipoly import PsiPolynomial
-from .series import TruncatedSeries, exact
+from .psipoly import PsiPolynomial, exact
+from .series import TruncatedSeries
 
 
 def fraction_to_str(q: Fraction) -> str:

@@ -1,79 +1,18 @@
 """Truncated formal power series in one variable t, with exact coefficients.
 
-Coefficients may be int, Fraction or an exact ring element with +, *, scalar
-multiplication by Fraction and equality, stored as int numerators ``_terms`` over one
-int denominator ``_den`` (PsiPolynomial), which _ExactSum reads; anything else, a
-float included, raises TypeError.  Binary operations truncate to the smaller
-precision; a series of precision N carries coefficients of t^0 .. t^N.
+Every coefficient goes through psipoly.exact: an int, a Fraction or a PsiPolynomial;
+anything else, a float included, raises TypeError.  Binary operations truncate to the
+smaller precision; a series of precision N carries coefficients of t^0 .. t^N.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+
+from .orbits import _count
+from .psipoly import PsiPolynomial, _power, exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-# the exact scalars every layer accepts next to its own ring elements
-_SCALARS = (int, Fraction)
-
-
-def exact(c):
-    """An exact value: an int becomes a Fraction; a Fraction, or a ring element stored as int
-    numerators over one denominator (a PsiPolynomial), passes; anything else raises TypeError."""
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, Fraction) or hasattr(c, "_den"):
-        return c
-    raise TypeError(f"not an exact value (an int, Fraction or PsiPolynomial): {c!r}")
-
-
-def _count(n, name: str, bound: str | None = None) -> int:
-    """n, a rank, size, degree, precision or dimension, checked before any cache or allocation:
-    TypeError unless an int (not a bool), then ValueError unless n is bound (positive/nonnegative)."""
-    if type(n) is not int:
-        raise TypeError(f"{name} must be an int, got {n!r}")
-    if bound is not None and n < (1 if bound == "positive" else 0):
-        raise ValueError(f"{name} must be {bound}")
-    return n
-
-
-def _ratio(v, d=1):
-    """v / d as (x, e), e an int: (numerator, d * denominator) for a Fraction, else (v, d)."""
-    return (v.numerator, v.denominator * d) if isinstance(v, Fraction) else (v, d)
-
-
-class _ExactSum(dict):
-    """A sum of terms x / d, d an int > 0, with no Fraction per term.  An int or Fraction x adds
-    its int numerator at its denominator: self maps denominator -> int numerator.  A PsiPolynomial
-    x adds its int numerators at d times its denominator: polys maps denominator -> monomial ->
-    int numerator.  value() builds a Fraction per distinct denominator, or, once a polynomial
-    was added, one polynomial over the lcm of every denominator, scalars at its constant term."""
-
-    polys = kind = None
-
-    def add(self, x, d=1):
-        if not isinstance(x, int):  # an int first: isinstance(x, Fraction) is slow on one
-            if not isinstance(x, Fraction):
-                if self.polys is None:
-                    self.polys, self.kind = {}, type(x)
-                bucket = self.polys.setdefault(d * x._den, {})
-                for m, c in x._terms.items():
-                    bucket[m] = bucket.get(m, 0) + c
-                return
-            x, d = x.numerator, x.denominator * d
-        self[d] = self.get(d, 0) + x
-
-    def value(self):
-        if self.polys is None:
-            return sum((Fraction(n, d) for d, n in self.items()), _ZERO)
-        den = lcm(*self.polys, *self)
-        terms = {(): sum(n * (den // d) for d, n in self.items())}
-        for d, bucket in self.polys.items():
-            scale = den // d
-            for m, c in bucket.items():
-                terms[m] = terms.get(m, 0) + c * scale
-        return self.kind._from_terms(terms, den)
 
 
 class TruncatedSeries:
@@ -203,22 +142,9 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r}, prec={self.prec})"
 
 
-def _power(x, n, one):
-    """x ** n by square-and-multiply; the unit ``one()`` is built only for n = 0."""
-    _count(n, "exponent", "nonnegative")
-    out = None
-    while n:
-        if n & 1:
-            out = x if out is None else out * x
-        n >>= 1
-        if n:
-            x = x * x
-    return one() if out is None else out
-
-
 def _unit_inverse(c):
-    """1 / c for a unit c: a nonzero Fraction, or a polynomial-style constant of nonzero value."""
-    if getattr(c, "is_constant", False):
+    """1 / c for a unit c: a nonzero Fraction, or a constant PsiPolynomial of nonzero value."""
+    if isinstance(c, PsiPolynomial) and c.is_constant:
         c = c.constant_value()
     if not (isinstance(c, Fraction) and c):
         raise ValueError("constant term is not a unit")

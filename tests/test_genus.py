@@ -84,6 +84,25 @@ def test_psi_of_class():
     assert psi_of_class(IntegerModel(3), m) == 27
 
 
+class FloatModel:
+    """A model whose psi is a float, which no layer may take as an exact value."""
+
+    def psi(self, orbit):
+        return 1.5
+
+
+@pytest.mark.parametrize("call", [
+    lambda F: sigma(F, 2, 1),
+    lambda F: hecke_operator(F, 2, 1),
+    lambda F: verify_product_formula(F, 2, 1),
+    lambda F: symmetric_power_series(F, 2, 1),
+    lambda F: psi_of_class(F, OrbitTypeMultiset.from_pairs(1, ALL_ORDERS, [(enumerate_orbits(1, 1)[0], 2)])),
+], ids=["sigma", "hecke_operator", "verify_product_formula", "symmetric_power_series", "psi_of_class"])
+def test_float_psi_raises_type_error(call):
+    with pytest.raises(TypeError, match="not an exact value"):
+        call(FloatModel())
+
+
 def test_sigma_basics():
     model = SymbolicModel("x")
     assert sigma(model, 0, 2, P2) == 1

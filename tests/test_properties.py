@@ -37,9 +37,9 @@ from orbigenus.classfun import (
 )
 from orbigenus.genus import TableModel, hecke_operator, sigma, symmetric_power_series
 from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
-from orbigenus.psipoly import _IDS, PsiPolynomial, PsiSymbol
+from orbigenus.psipoly import _IDS, PsiPolynomial, PsiSymbol, _ExactSum
 from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit_to_json, value_to_json
-from orbigenus.series import TruncatedSeries, _ExactSum
+from orbigenus.series import TruncatedSeries
 
 from helpers import (
     class_of_key, coefficient_of, compose, identity, inverse, key_of, keyed_splits, reference_add, reference_mul,

@@ -1,11 +1,14 @@
 """Polynomials in power-operation symbols: ring laws, coercion, evaluation."""
+import ast
 import random
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orbigenus
 from orbigenus.orbits import Mode, enumerate_orbits
 from orbigenus.psipoly import _IDS, _SYMBOLS, PsiPolynomial, PsiSymbol
 from orbigenus.serialize import value_to_json
@@ -316,3 +319,14 @@ def test_polynomials_work_as_series_coefficients():
     assert e.coeffs[2] == x * x * Fraction(1, 2) + Fraction(1, 3) * x * x - 1
     assert _at(e, at_two) == TruncatedSeries([0, 2, Fraction(4, 3) - 1], prec=5).exp()
     assert e.log() == a
+
+
+def test_only_psipoly_reads_how_a_polynomial_is_stored():
+    """No other module names the stored fields: an attribute or a string equal to one of them."""
+    fields = {"_terms", "_den", "_from_terms"}
+    for path in sorted(Path(orbigenus.__file__).parent.glob("*.py")):
+        if path.name == "psipoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Attribute) and node.attr in fields), (path.name, node.lineno)
+            assert not (isinstance(node, ast.Constant) and node.value in fields), (path.name, node.lineno)

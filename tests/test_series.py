@@ -1,11 +1,14 @@
 """Truncated power series: ring laws, exp/log/invert, derivation."""
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from orbigenus.psipoly import PsiPolynomial
-from orbigenus.series import TruncatedSeries, exact
+from orbigenus.classfun import ClassFunction
+from orbigenus.orbits import ALL_ORDERS
+from orbigenus.psipoly import PsiPolynomial, _ExactSum, exact
+from orbigenus.series import TruncatedSeries
 
 from helpers import variable
 
@@ -37,9 +40,15 @@ def test_exact_takes_only_ints_fractions_and_polynomials():
     poly = PsiPolynomial.constant(2)
     assert exact(3) == Fraction(3) and type(exact(3)) is Fraction
     assert exact(Fraction(1, 2)) == Fraction(1, 2) and exact(poly) is poly
-    for bad in (0.5, "x", None, [1], complex(1)):
+    duck = SimpleNamespace(_den=1, _terms={})  # a polynomial's fields, not a polynomial
+    for bad in (0.5, "x", None, [1], complex(1), duck):
         with pytest.raises(TypeError, match="not an exact value"):
             exact(bad)
+    for build in (lambda: TruncatedSeries([duck], prec=0),
+                  lambda: ClassFunction(1, ALL_ORDERS, 1, [duck]),
+                  lambda: _ExactSum().add(duck)):
+        with pytest.raises(TypeError, match="not an exact value"):
+            build()
 
 
 def test_immutable():
