@@ -31,6 +31,8 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
+        if any(type(x) is not int for x in self.image):
+            raise TypeError(f"each image entry must be an int, got {self.image!r}")
         if sorted(self.image) != list(range(len(self.image))):
             raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image!r}")
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from math import prod
 
 
@@ -245,8 +245,23 @@ def _diagonal_choices(n: int, h: int):
                 yield (d,) + rest
 
 
-@lru_cache(maxsize=None)
-def _enumerate_orbits_cached(h: int, n: int) -> tuple[TransitiveOrbit, ...]:
+def enumerate_orbits(h: int, n: int, mode: Mode = ALL_ORDERS) -> tuple[TransitiveOrbit, ...]:
+    """One canonical representative per isomorphism class of transitive sets of size n.
+
+    In p-power mode n must be a power of p (the diagonals then are p-powers
+    automatically).  Deterministic order: by diagonal vector, then
+    off-diagonal entries lexicographically.
+
+    For each diagonal d, the admissible rows i are (0,)*i + (d_i,) + tail,
+    tail ranging over range(d_j) for j > i; each such row is built once and
+    passes the same row check as the public constructor, and the matrices
+    are the product of these row lists, sharing the row tuples.  So every
+    orbit is checked canonical through its rows, not once more as a whole.
+    """
+    _count(h, "h", "positive")
+    _count(n, "orbit size", "positive")
+    if not mode.admits_size(n):
+        raise ModeError(f"size {n} is not admissible in {mode} mode")
     orbits = []
     for diag in _diagonal_choices(n, h):
         row_lists = []
@@ -261,27 +276,6 @@ def _enumerate_orbits_cached(h: int, n: int) -> tuple[TransitiveOrbit, ...]:
             TransitiveOrbit._from_canonical(h, matrix) for matrix in itertools.product(*row_lists)
         )
     return tuple(orbits)
-
-
-def enumerate_orbits(h: int, n: int, mode: Mode = ALL_ORDERS) -> tuple[TransitiveOrbit, ...]:
-    """One canonical representative per isomorphism class of transitive sets of size n.
-
-    In p-power mode n must be a power of p (the diagonals then are p-powers
-    automatically).  Deterministic order: by diagonal vector, then
-    off-diagonal entries lexicographically.
-
-    For each diagonal d, the admissible rows i are (0,)*i + (d_i,) + tail,
-    tail ranging over range(d_j) for j > i; each such row is built once and
-    passes the same row check as the public constructor, and the matrices
-    are the product of these row lists, sharing the row tuples.  So every
-    orbit is checked canonical through its rows, not once more as a whole.
-    The result is cached per (h, n), so h and n must be ints.
-    """
-    _count(h, "h", "positive")
-    _count(n, "orbit size", "positive")
-    if not mode.admits_size(n):
-        raise ModeError(f"size {n} is not admissible in {mode} mode")
-    return _enumerate_orbits_cached(h, n)
 
 
 def canonicalize(h: int, generators) -> TransitiveOrbit:

@@ -35,7 +35,7 @@ class TruncatedSeries:
         return cls([_ONE], prec=prec)
 
     def coefficient(self, n: int):
-        if not 0 <= n <= self.prec:
+        if not 0 <= _count(n, "coefficient index") <= self.prec:
             raise IndexError(f"coefficient {n} outside precision {self.prec}")
         return self.coeffs[n]
 

@@ -45,6 +45,9 @@ def test_permutation_basics():
     assert sorted(p.cycle_lengths()) == [1, 3]
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+    for image in [(0, 1.0), (False, True)]:
+        with pytest.raises(TypeError, match="must be an int, got"):
+            Permutation(image)
     with pytest.raises(ValueError):
         compose(identity(2), identity(3))
 

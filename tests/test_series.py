@@ -62,6 +62,9 @@ def test_coefficient_access_bounds():
     assert s.coefficient(2) == 3
     with pytest.raises(IndexError):
         s.coefficient(3)
+    for bad in [True, 1.0]:
+        with pytest.raises(TypeError, match="must be an int, got"):
+            s.coefficient(bad)
 
 
 def test_mul_known_products():
