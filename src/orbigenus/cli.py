@@ -63,8 +63,7 @@ def _emit_json(obj):
     sys.stdout.write("\n")
 
 
-def _cmd_orbits(args) -> int:
-    mode = Mode(args.p)
+def _cmd_orbits(args, mode: Mode) -> int:
     orbits = enumerate_orbits(args.h, args.size, mode)
     if args.format == "json":
         _emit_json(serialize.orbit_to_json(t) for t in orbits)
@@ -75,8 +74,7 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-def _cmd_classes(args) -> int:
-    mode = Mode(args.p)
+def _cmd_classes(args, mode: Mode) -> int:
     classes = enumerate_classes(args.h, args.l, mode)
     total = hom_count(args.h, args.l, mode)
     if args.format == "json":
@@ -96,8 +94,7 @@ def _cmd_classes(args) -> int:
     return 0
 
 
-def _cmd_verify_dmvv(args) -> int:
-    mode = Mode(args.p)
+def _cmd_verify_dmvv(args, mode: Mode) -> int:
     model = _model_from_spec(args.model)
     report = verify_product_formula(model, args.n, args.h, mode)
     _emit_json(serialize.comparison_to_json(report))
@@ -112,8 +109,7 @@ def _random_classfunction(h, mode, l, rng) -> ClassFunction:
     return ClassFunction(h, mode, l, values)
 
 
-def _cmd_verify_frobenius(args) -> int:
-    mode = Mode(args.p)
+def _cmd_verify_frobenius(args, mode: Mode) -> int:
     if args.l < 2 or args.trials < 1:
         raise ValueError("nothing to check: frobenius needs --l >= 2 and --trials >= 1")
     rng = random.Random(args.seed)
@@ -142,8 +138,7 @@ def _cmd_verify_frobenius(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify_oracle(args) -> int:
-    mode = Mode(args.p)
+def _cmd_verify_oracle(args, mode: Mode) -> int:
     counted = brute_force_classes(args.h, args.l, mode, guard=args.guard)
     expected = {c: class_size(c) for c in enumerate_classes(args.h, args.l, mode)}
     ok = counted == expected
@@ -170,8 +165,7 @@ def _emit_value_rows(rows, fmt: str):
             print(f"{n}\t{v}")
 
 
-def _cmd_genus(args) -> int:
-    mode = Mode(args.p)
+def _cmd_genus(args, mode: Mode) -> int:
     if args.kind == "todd":
         if args.h != 1 or args.p is not None:
             raise ValueError("genus todd is defined only at h = 1 in all-orders mode")
@@ -209,8 +203,7 @@ def _cmd_genus(args) -> int:
     return 0
 
 
-def _cmd_inner_product(args) -> int:
-    mode = Mode(args.p)
+def _cmd_inner_product(args, mode: Mode) -> int:
     one = ClassFunction.one(args.h, mode, args.l)
     value = inner_product(one, one)
     print(serialize.fraction_to_str(value))
@@ -287,7 +280,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, Mode(args.p))  # every command reads --p first
     except (ValueError, TypeError, OSError, RecursionError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

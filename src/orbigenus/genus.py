@@ -77,22 +77,10 @@ def psi_of_class(model, cls: OrbitTypeMultiset):
     return exact(value)
 
 
-def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
-    """[sigma_0, ..., sigma_prec]: psi(c) / z(c) summed over the classes c, in one walk.
-
-    The walk visits every class of degree <= prec once, depth first, and
-    carries its psi / z down to the classes that extend it as x / d: x an int
-    or, for a PsiPolynomial product, the polynomial, d an int.  A class that
-    adds m copies of an orbit T of size s to its parent multiplies x and d by
-    the precomputed parts of psi(T)^m / (s^m m!).  Its x / d goes into its
-    degree's _ExactSum: scalars are summed as integer numerators, so a degree
-    builds one Fraction, not one per class, unless some class of it has a
-    PsiPolynomial product, and a psi value that is not exact raises TypeError.
-    Classes are summed one by one, never regrouped by orbit type, so the sum
-    stays independent of symmetric_power_series.
-    """
-    pool = _orbit_pool(h, prec, mode)
-    # powers[i][m] = psi(T)^m / (s^m m!) as (x, d), for T = pool[i] of size s
+def _orbit_powers(model, pool, prec: int) -> list:
+    """One row per orbit T of the pool, of size s: [None], then psi(T)^m / (s^m m!) as (x, d)
+    for m = 1 .. prec // s, d an int and x an int or, for a PsiPolynomial psi, the polynomial.
+    The one construction of these weights; model.psi is called once per orbit."""
     powers = []
     for orbit in pool:
         psi, s = model.psi(orbit), orbit.size
@@ -101,6 +89,24 @@ def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
             value, z = value * psi, z * s * m
             row.append(_ratio(value, z))
         powers.append(row)
+    return powers
+
+
+def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
+    """[sigma_0, ..., sigma_prec]: psi(c) / z(c) summed over the classes c, in one walk.
+
+    The walk visits every class of degree <= prec once, depth first, and
+    carries its psi / z down to the classes that extend it as x / d.  A class
+    that adds m copies of an orbit T multiplies its parent's x and d by entry m
+    of T's _orbit_powers row, the weights symmetric_power_series reads too.
+    Its x / d goes into its degree's _ExactSum: scalars are summed as integer
+    numerators, so a degree builds one Fraction unless some class of it has a
+    PsiPolynomial product; a psi value that is not exact raises TypeError.
+    What stays independent of the orbit-type product is the summation, not
+    the weights: classes are summed one by one, never regrouped by orbit type.
+    """
+    pool = _orbit_pool(h, prec, mode)
+    powers = _orbit_powers(model, pool, prec)
     sums = [_ExactSum({1: 1})] + [_ExactSum() for _ in range(prec)]  # degree 0: the empty class
     xs, ds = [1] * (prec + 1), [1] * (prec + 1)  # psi / z as x / d at each depth of the walk
     for depth, i, mult, degree in _walk_classes(pool, prec):
@@ -133,19 +139,15 @@ def symmetric_power_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) ->
 
         S_t = prod_T sum_{m>=0} (psi(T) t^|T| / |T|)^m / m!,
 
-    one factor per orbit of size <= prec.  The cost is #orbits * prec^2 ring
-    operations, with no class enumerated.  Each factor is multiplied into the
-    coefficient list in place, top degree first, adding only its m >= 1 terms.
+    one factor per orbit of size <= prec, from its _orbit_powers row.  The cost
+    is #orbits * prec^2 ring operations, with no class enumerated.  Each factor
+    goes into the coefficient list in place, top degree first, m >= 1 terms only.
     """
     pool = _orbit_pool(h, prec, mode)  # checks h and prec before the list is built
     coeffs = [Fraction(1)] + [Fraction(0)] * prec
-    for orbit in pool:
+    for orbit, row in zip(pool, _orbit_powers(model, pool, prec)):
         s = orbit.size
-        # powers[m] = (psi(T) / s)^m / m!
-        weight = model.psi(orbit) * Fraction(1, s)
-        powers = [Fraction(1)]
-        for m in range(1, prec // s + 1):
-            powers.append(powers[-1] * weight * Fraction(1, m))
+        powers = [None] + [Fraction(1, d) * x for x, d in row[1:]]  # (psi(T) / s)^m / m!
         for k in range(prec, s - 1, -1):
             acc = coeffs[k]
             for m in range(1, k // s + 1):
@@ -223,14 +225,13 @@ def lambda_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> Truncate
 
 
 def adams_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
-    """sum_n psi_n t^n computed as -t d/dt log Lambda_{-t}.
+    """sum_n psi_n t^n computed as t d/dt log S_t, which is -t d/dt log Lambda_{-t}.
 
     Independent route to n * T_n: goes through the orbit-type product for
-    S_t, inversion, and the logarithmic derivative rather than through the
-    Hecke sums over the orbits of each size.
+    S_t and the logarithmic derivative rather than through the Hecke sums
+    over the orbits of each size.
     """
-    lam_minus = lambda_series(model, prec, h, mode).negate_t()
-    return -(lam_minus.log().t_ddt())
+    return symmetric_power_series(model, prec, h, mode).log().t_ddt()
 
 
 def equivariant_power_classfunction(model, n: int, h: int, mode: Mode = ALL_ORDERS) -> ClassFunction:
@@ -256,6 +257,5 @@ def todd_orbifold_series(d: int, prec: int) -> TruncatedSeries:
 
 
 def geometric_power_series(d: int, prec: int) -> TruncatedSeries:
-    """(1 - t)^(-d) through the given precision, by direct expansion."""
-    one_minus_t = TruncatedSeries([Fraction(1), Fraction(-1)], prec=prec)
-    return one_minus_t.invert() ** d
+    """(1 - t)^(-d) through the given precision: the all-ones series 1/(1 - t) to the power d."""
+    return TruncatedSeries([1] * (_count(prec, "precision", "nonnegative") + 1), prec=prec) ** d

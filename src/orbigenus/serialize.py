@@ -67,6 +67,9 @@ def orbit_to_json(orbit: TransitiveOrbit) -> dict:
 def orbit_from_json(obj) -> TransitiveOrbit:
     if not isinstance(obj, dict) or "h" not in obj or "hnf" not in obj:
         raise ValueError(f"not an orbit object: {obj!r}")
+    for key in obj:
+        if key not in ("h", "hnf", "size"):
+            raise ValueError(f"orbit object has unknown field {key!r}")
     try:
         orbit = TransitiveOrbit(
             _json_int(obj["h"], "'h'"),
@@ -140,7 +143,7 @@ def comparison_to_json(report: SeriesComparison) -> dict:
 
 def table_model_from_json(obj) -> TableModel:
     """Parse a psi table: a JSON list of {"orbit": ..., "psi": "num/den"}, read exactly:
-    orbit fields h and hnf must be JSON integers, and psi as fraction_from_str reads it."""
+    an orbit has only h and hnf (JSON integers) and an optional size; psi as fraction_from_str."""
     if not isinstance(obj, list):
         raise ValueError("psi table must be a JSON list")
     table = {}
@@ -157,10 +160,20 @@ def table_model_from_json(obj) -> TableModel:
     return TableModel(table)
 
 
+def _unique_fields(pairs) -> dict:
+    """A JSON object as a dict; ValueError if a field name repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"psi table repeats field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_table_model(path: str) -> TableModel:
     with open(path) as f:
         try:
-            obj = json.load(f)
+            obj = json.load(f, object_pairs_hook=_unique_fields)
         except json.JSONDecodeError as e:
             raise ValueError(f"psi table {path} is not valid JSON: {e}") from e
     return table_model_from_json(obj)

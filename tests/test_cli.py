@@ -339,6 +339,28 @@ def test_table_model_cli_rejects_inexact_entries(capsys, tmp_path):
     assert code == 2 and out == "" and "'hnf'" in err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('[{"orbit": {"h": 1, "hnf": [[1]]}, "psi": "1"},'
+         ' {"orbit": {"h": 1, "hnf": [[2]], "szie": "7"}, "psi": "1"}]', "'szie'"),
+        ('[{"orbit": {"h": 1, "hnf": [[1]]}, "psi": "1"},'
+         ' {"orbit": {"h": 1, "hnf": [[2]]}, "psi": "1", "psi": "5"}]', "'psi'"),
+        ('[{"orbit": {"h": 1, "h": 1, "hnf": [[1]]}, "psi": "1"},'
+         ' {"orbit": {"h": 1, "hnf": [[2]]}, "psi": "1"}]', "'h'"),
+    ],
+    ids=["unknown-orbit-field", "repeated-psi", "repeated-h"],
+)
+def test_table_model_cli_rejects_unknown_and_repeated_fields(capsys, tmp_path, text, field):
+    table = tmp_path / "psi.json"
+    table.write_text(text)
+    code, out, err = run(
+        capsys, "genus", "hecke", "--h", "1", "--n", "2", "--model", f"table:{table}",
+        "--format", "tsv",
+    )
+    assert (code, out) == (2, "") and err.startswith("error:") and field in err
+
+
 def test_table_model_cli_rejects_a_numeric_size(capsys, tmp_path):
     table = tmp_path / "psi.json"
     table.write_text('[{"orbit": {"h": 1, "size": 1, "hnf": [[1]]}, "psi": "5"}]')
@@ -411,8 +433,21 @@ def test_genus_lambda_on_a_deep_orbit_pool(capsys):
 
 
 def test_invalid_mode_prime(capsys):
-    code, _, err = run(capsys, "orbits", "--h", "1", "--p", "6", "--size", "6")
-    assert code == 2 and "error:" in err
+    # every command reads --p before anything else, even where a later check would also fail
+    for argv in (
+        ("orbits", "--h", "1", "--size", "6"),
+        ("classes", "--l", "2"),
+        ("inner-product", "--l", "2"),
+        ("verify", "dmvv", "--n", "2", "--model", "bogus"),
+        ("verify", "frobenius", "--l", "1"),
+        ("verify", "oracle", "--l", "2"),
+        ("genus", "sigma", "--n", "2", "--model", "bogus"),
+        ("genus", "hecke", "--n", "2", "--d", "1"),
+        ("genus", "lambda", "--n", "2"),
+        ("genus", "todd", "--n", "2"),
+    ):
+        got = run(capsys, *argv, "--p", "6")
+        assert got == (2, "", "error: p must be prime, got 6\n"), argv
 
 
 # SHA-256 of stdout, recorded while enumerations still sorted their output;

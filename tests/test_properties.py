@@ -2,7 +2,8 @@
 canonicalize lands in the orbit enumeration and agrees with reduce, monomials
 have one normal form, polynomial arithmetic, comparisons, readers and sums
 match a plain Fraction-coefficient reference, the orbit-type product for the symmetric-power series
-equals the class sum, the integer-numerator sums (the summing helper, the
+equals the class sum, the Adams and geometric series equal their routes
+through series inversion, the integer-numerator sums (the summing helper, the
 Hecke operators, sigma and the Young sums) equal plain Fraction sums, the
 JSON writer matches json.dumps, series inversion, exp and log undo each
 other, log agrees with the integrated logarithmic derivative, sorted_terms
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbigenus.classes import (
@@ -35,7 +36,10 @@ from orbigenus.classfun import (
     product_inner_product,
     restrict_young,
 )
-from orbigenus.genus import TableModel, hecke_operator, sigma, symmetric_power_series
+from orbigenus.genus import (
+    SymbolicModel, TableModel, adams_series, geometric_power_series, hecke_operator, lambda_series, sigma,
+    symmetric_power_series,
+)
 from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
 from orbigenus.psipoly import _IDS, PsiPolynomial, PsiSymbol, _ExactSum
 from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit_to_json, value_to_json
@@ -313,6 +317,18 @@ def test_orbit_type_product_equals_class_sum(case):
     model, h, mode, prec = case
     S = symmetric_power_series(model, prec, h, mode)
     assert list(S.coeffs) == [sigma(model, n, h, mode) for n in range(prec + 1)]
+
+
+@SETTINGS
+@given(table_model())
+@example((SymbolicModel(), 2, P2, 6))
+def test_adams_and_the_geometric_series_match_their_inversion_routes(case):
+    # the routes through invert that adams_series and geometric_power_series no longer take
+    model, h, mode, prec = case
+    lam = lambda_series(model, prec, h, mode)
+    assert adams_series(model, prec, h, mode) == -(lam.negate_t().log().t_ddt())
+    for d in range(7):
+        assert geometric_power_series(d, prec) == TruncatedSeries([1, -1], prec=prec).invert() ** d
 
 
 def _fold(values):

@@ -81,6 +81,9 @@ def test_orbit_json_errors():
     for entry in (1.9, "2", True):
         with pytest.raises(ValueError, match="'hnf'"):
             orbit_from_json({"h": 1, "hnf": [[entry]]})
+    # a misspelled field is an error, not ignored along with the check it names
+    with pytest.raises(ValueError, match="unknown field 'szie'"):
+        orbit_from_json({"h": 1, "hnf": [[2]], "szie": "7"})
 
 
 def test_orbit_json_size_is_a_decimal_string():
@@ -204,6 +207,16 @@ def test_table_model_errors(tmp_path):
         load_table_model(str(bad))
     with pytest.raises(OSError):
         load_table_model(str(tmp_path / "missing.json"))
+    # a repeated field is an error, not its last value; names in different objects may match
+    bad.write_text('[{"orbit": {"h": 1, "hnf": [[1]]}, "psi": "1", "psi": "5"}]')
+    with pytest.raises(ValueError, match="repeats field 'psi'"):
+        load_table_model(str(bad))
+    bad.write_text('[{"orbit": {"h": 1, "hnf": [[1]], "hnf": [[2]]}, "psi": "1"}]')
+    with pytest.raises(ValueError, match="repeats field 'hnf'"):
+        load_table_model(str(bad))
+    bad.write_text('[{"orbit": {"h": 1, "hnf": [[1]]}, "psi": "1"},'
+                   ' {"orbit": {"h": 1, "hnf": [[2]]}, "psi": "5"}]')
+    assert load_table_model(str(bad)).psi(TransitiveOrbit(1, ((2,),))) == 5
 
 
 def test_dumps_deterministic():
