@@ -10,13 +10,11 @@ brute-force enumeration over all tuples for cross-checking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import NamedTuple
 
 from .orbits import (
-    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _count, canonicalize, enumerate_orbits,
+    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _count, _Value, canonicalize, enumerate_orbits,
 )
 
 
@@ -24,17 +22,18 @@ class GuardExceededError(ValueError):
     """A brute-force computation was asked to exceed its size guard."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A permutation of {0, ..., l-1} stored as its image tuple."""
 
-    image: tuple[int, ...]
+    __slots__ = _fields = ("image",)
 
-    def __post_init__(self):
-        if any(type(x) is not int for x in self.image):
-            raise TypeError(f"each image entry must be an int, got {self.image!r}")
-        if sorted(self.image) != list(range(len(self.image))):
-            raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image!r}")
+    def __init__(self, image):
+        image = tuple(image)
+        if any(type(x) is not int for x in image):
+            raise TypeError(f"each image entry must be an int, got {image!r}")
+        if sorted(image) != list(range(len(image))):
+            raise ValueError(f"not a permutation of 0..{len(image) - 1}: {image!r}")
+        self._set(image)
 
     @property
     def degree(self) -> int:
@@ -66,28 +65,27 @@ def commute(a: Permutation, b: Permutation) -> bool:
     return all(ia[ib[i]] == ib[ia[i]] for i in range(len(ia)))
 
 
-@dataclass(frozen=True)
-class OrbitTypeMultiset:
+class OrbitTypeMultiset(_Value):
     """A conjugacy class of commuting h-tuples: orbits with multiplicities.
 
     ``entries`` is sorted by orbit, with multiplicities >= 1; the degree l
-    is the total number of points moved.
+    is the total number of points moved.  Entries are stored as a tuple of pairs.
     """
 
-    h: int
-    mode: Mode
-    entries: tuple[tuple[TransitiveOrbit, int], ...]
+    __slots__ = _fields = ("h", "mode", "entries")
 
-    def __post_init__(self):
-        for orbit, mult in self.entries:
-            if orbit.h != self.h:
+    def __init__(self, h: int, mode: Mode, entries):
+        entries = tuple(map(tuple, entries))
+        for orbit, mult in entries:
+            if orbit.h != h:
                 raise ValueError("orbit rank does not match h")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
-            if not self.mode.admits_size(orbit.size):
-                raise ModeError(f"orbit size {orbit.size} not admissible in {self.mode} mode")
-        if not all(a < b for (a, _), (b, _) in zip(self.entries, self.entries[1:])):
+            if not mode.admits_size(orbit.size):
+                raise ModeError(f"orbit size {orbit.size} not admissible in {mode} mode")
+        if not all(a < b for (a, _), (b, _) in zip(entries, entries[1:])):
             raise ValueError("entries must be sorted by orbit and duplicate-free")
+        self._set(h, mode, entries)
 
     @classmethod
     def from_pairs(cls, h: int, mode: Mode, pairs) -> "OrbitTypeMultiset":
@@ -171,17 +169,18 @@ def _walk_classes(pool: list[TransitiveOrbit], top: int):
             return
 
 
-class _ClassTable(NamedTuple):
+class _ClassTable:
     """The classes of one (h, l, mode) in canonical order, with int keys and z.
 
-    A key is ((pool index, multiplicity), ...).  Each degree's orbit pool is a
-    prefix of the next one's, so keys of all degrees share one numbering.
+    A key is ((pool index, multiplicity), ...).  Each degree's orbit pool is a prefix of the
+    next one's, so keys of all degrees share one numbering.  positions maps key -> position,
+    built in canonical order; z holds the centralizer orders, sizes the orbit size by pool index.
     """
 
-    classes: tuple[OrbitTypeMultiset, ...]
-    positions: dict  # key -> position, built in canonical order, so iterated in it
-    z: tuple[int, ...]  # centralizer orders
-    sizes: tuple[int, ...]  # orbit size by pool index
+    __slots__ = ("classes", "positions", "z", "sizes")
+
+    def __init__(self, classes: tuple, positions: dict, z: tuple, sizes: tuple):
+        self.classes, self.positions, self.z, self.sizes = classes, positions, z, sizes
 
 
 @lru_cache(maxsize=None)

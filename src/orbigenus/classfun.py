@@ -25,18 +25,18 @@ from .classes import (
     class_representative,
     enumerate_classes,
 )
-from .orbits import Mode, _count
+from .orbits import Mode, _count, _Value
 from .psipoly import _SCALARS, _ExactSum, _ratio, exact
 
 
-class ClassFunction:
+class ClassFunction(_Value):
     """A function on the conjugacy classes of commuting h-tuples of degree l.
 
     Values are stored densely, aligned with the canonical class list for
     (h, l, mode).  Pointwise ring structure; parameters must match.
     """
 
-    __slots__ = ("h", "mode", "l", "values")
+    __slots__ = _fields = ("h", "mode", "l", "values")
 
     def __init__(self, h: int, mode: Mode, l: int, values):
         classes = enumerate_classes(h, l, mode)
@@ -45,13 +45,7 @@ class ClassFunction:
             raise ValueError(
                 f"expected {len(classes)} values for (h={h}, l={l}, {mode}), got {len(vals)}"
             )
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "values", tuple(vals))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassFunction is immutable")
+        self._set(h, mode, l, tuple(vals))
 
     @classmethod
     def one(cls, h: int, mode: Mode, l: int) -> "ClassFunction":
@@ -103,15 +97,7 @@ class ClassFunction:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return (
-            (self.h, self.mode, self.l) == (other.h, other.mode, other.l)
-            and all(a == b for a, b in zip(self.values, other.values))
-        )
-
-    __hash__ = None
+    __hash__ = None  # equal when h, mode, l and values are
 
     def __repr__(self):
         return f"ClassFunction(h={self.h}, l={self.l}, {self.mode}, {len(self.values)} classes)"

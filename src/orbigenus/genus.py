@@ -18,12 +18,11 @@ types, which enumerates no classes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import OrbitTypeMultiset, _check_walk, _orbit_pool, _walk_classes, enumerate_classes
 from .classfun import ClassFunction
-from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, _count, enumerate_orbits
+from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, _count, _orbit_stream, _Value
 from .psipoly import PsiPolynomial, PsiSymbol, _ExactSum, _ratio, exact
 from .series import TruncatedSeries
 
@@ -162,10 +161,10 @@ def hecke_operator(model, n: int, h: int, mode: Mode = ALL_ORDERS):
     """T_n = (1/n) * sum over orbits of size n of psi(T), in one _ExactSum: TypeError unless exact.
 
     The orbit size must be admissible for the mode; in p-power mode the
-    operators exist only for n a power of p.
+    operators exist only for n a power of p.  Each orbit is freed once its psi is added.
     """
     total = _ExactSum()
-    for orbit in enumerate_orbits(h, n, mode):
+    for orbit in _orbit_stream(h, n, mode):
         total.add(model.psi(orbit), n)
     return total.value()
 
@@ -183,17 +182,14 @@ def hecke_log_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> Trunc
     return TruncatedSeries(coeffs, prec=prec)
 
 
-@dataclass(frozen=True)
-class SeriesComparison:
+class SeriesComparison(_Value):
     """Outcome of an exact coefficient-by-coefficient series comparison."""
 
-    h: int
-    mode: Mode
-    precision: int
-    lhs: TruncatedSeries
-    rhs: TruncatedSeries
-    equal: bool
-    first_mismatch: int | None
+    __slots__ = _fields = ("h", "mode", "precision", "lhs", "rhs", "equal", "first_mismatch")
+
+    def __init__(self, h: int, mode: Mode, precision: int, lhs: TruncatedSeries,
+                 rhs: TruncatedSeries, equal: bool, first_mismatch: int | None):
+        self._set(h, mode, precision, lhs, rhs, equal, first_mismatch)
 
     @classmethod
     def compare(cls, h, mode, lhs: TruncatedSeries, rhs: TruncatedSeries) -> "SeriesComparison":

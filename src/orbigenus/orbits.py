@@ -7,7 +7,6 @@ Hermite normal form basis, so isomorphism testing is equality testing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import total_ordering
 from math import prod
 
@@ -58,8 +57,48 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Mode:
+class _Value:
+    """Base of the immutable classes.  A subclass names its fields in ``_fields`` and ``__slots__``
+    and sets each once through its slot descriptor's setter, as ``_set`` does; setting or
+    deleting an attribute after that raises AttributeError.  Like a frozen dataclass, an instance
+    compares, hashes, shows and pickles (through its checked constructor) as its field tuple.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls._fields
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Mode(_Value):
     """Order constraint on the acting group: all orders, or powers of a fixed prime.
 
     ``Mode()`` plays the role of Z^h acting with no order restriction;
@@ -68,11 +107,12 @@ class Mode:
     and so does a p from _PRIME_BOUND up (about 3.3e24), beyond the exact primality test.
     """
 
-    p: int | None = None
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(_count(self.p, "p")):
-            raise ValueError(f"p must be prime, got {self.p!r}")
+    def __init__(self, p: int | None = None):
+        if p is not None and not _is_prime(_count(p, "p")):
+            raise ValueError(f"p must be prime, got {p!r}")
+        self._set(p)
 
     def admits_size(self, n: int) -> bool:
         if n < 1:
@@ -101,82 +141,52 @@ class Mode:
 ALL_ORDERS = Mode()
 
 
-class _lazy_attribute:
-    """A value computed on first read, then stored as a plain instance attribute.
-
-    Unlike functools.cached_property, which writes through ``__dict__``, this
-    stores with ``object.__setattr__``, so CPython does not build a dict for
-    every instance read.  On Python 3.11, reading ``size`` of the 97,155
-    orbits of h=4 size 32, enumerated from shared rows, raised peak RSS
-    from 34 to 39 MiB through cached_property, and by nothing measurable
-    through this.  Having no ``__set__``, it is found only until the stored
-    attribute shadows it.
-    """
-
-    def __init__(self, func):
-        self.func = func
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.func(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
-
-
 @total_ordering
-@dataclass(frozen=True)
-class TransitiveOrbit:
+class TransitiveOrbit(_Value):
     """A finite transitive Z^h-set, given by the HNF basis of its stabilizer lattice.
 
     ``rows`` generate the stabilizer L inside Z^h.  Canonical form: upper
     triangular, positive diagonal, and 0 <= rows[i][j] < rows[j][j] for
-    i < j.  The size of the set is the index [Z^h : L] = det = product of
-    the diagonal.  h and the entries must be ints (not floats or bools).
+    i < j.  The size of the set is the index [Z^h : L] = det = product of the diagonal.
+    h and the entries must be ints (not floats or bools); rows are stored as tuples.
 
     Orbits compare by ``sort_key``; this is the canonical order that every
     enumeration, class and monomial in the package follows.
     """
 
-    h: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("h", "rows")
+    __slots__ = (*_fields, "size", "_sort_key")
 
-    def __post_init__(self):
-        _count(self.h, "h", "positive")
-        if any(type(x) is not int for row in self.rows for x in row):
-            raise TypeError(f"each HNF entry must be an int, got {self.rows!r}")
-        if len(self.rows) != self.h or any(len(r) != self.h for r in self.rows):
+    def __init__(self, h: int, rows):
+        _count(h, "h", "positive")
+        rows = tuple(map(tuple, rows))
+        if any(type(x) is not int for row in rows for x in row):
+            raise TypeError(f"each HNF entry must be an int, got {rows!r}")
+        if len(rows) != h or any(len(r) != h for r in rows):
             raise ValueError("rows must form an h x h matrix")
-        diagonal = self.diagonal
-        for i, row in enumerate(self.rows):
+        diagonal = tuple(rows[i][i] for i in range(h))
+        for i, row in enumerate(rows):
             _check_hnf_row(row, i, diagonal)
+        _set_h(self, h)
+        _set_rows(self, rows)
+        _set_size(self, prod(diagonal))
 
-    @classmethod
-    def _from_canonical(cls, h: int, rows: tuple) -> "TransitiveOrbit":
-        """Wrap rows that each passed ``_check_hnf_row``, without checking them again."""
-        orbit = cls.__new__(cls)
-        object.__setattr__(orbit, "h", h)
-        object.__setattr__(orbit, "rows", rows)
-        return orbit
-
-    @_lazy_attribute
-    def size(self) -> int:
-        # lazy like sort_key: orbit enumeration never reads it, and a value
-        # stored on every orbit costs memory
-        return prod(self.rows[i][i] for i in range(self.h))
+    def _astuple(self) -> tuple:  # the key of every psi table and symbol: no loop over _fields
+        return (self.h, self.rows)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.rows[i][i] for i in range(self.h))
 
-    @_lazy_attribute
+    @property
     def sort_key(self):
-        # lazy: most orbits are never compared, and a stored key costs memory
-        off = tuple(self.rows[i][j] for i in range(self.h) for j in range(i + 1, self.h))
-        return (self.h, self.size, self.diagonal, off)
+        try:  # built on first read, then kept: most orbits are never compared
+            return self._sort_key
+        except AttributeError:
+            off = tuple(self.rows[i][j] for i in range(self.h) for j in range(i + 1, self.h))
+            key = (self.h, self.size, self.diagonal, off)
+            _set_sort_key(self, key)
+            return key
 
     def __lt__(self, other):
         if not isinstance(other, TransitiveOrbit):
@@ -205,6 +215,11 @@ class TransitiveOrbit:
 
     def __str__(self) -> str:
         return f"T[{self.label()}]"
+
+
+# bound once: orbit enumeration sets three slots per orbit
+_set_h, _set_rows, _set_size, _set_sort_key = (
+    getattr(TransitiveOrbit, name).__set__ for name in ("h", "rows", "size", "_sort_key"))
 
 
 def _reduce(w: list, rows, start: int) -> None:
@@ -251,6 +266,23 @@ def enumerate_orbits(h: int, n: int, mode: Mode = ALL_ORDERS) -> tuple[Transitiv
     In p-power mode n must be a power of p (the diagonals then are p-powers
     automatically).  Deterministic order: by diagonal vector, then
     off-diagonal entries lexicographically.
+    """
+    return tuple(_orbit_stream(h, n, mode))
+
+
+def _orbit_stream(h: int, n: int, mode: Mode):
+    """The orbits of enumerate_orbits(h, n, mode), one at a time; h, n and mode are checked now.
+    hecke_operator reads each once: it is freed when the next is built, and the cyclic GC
+    never rescans a tuple of every orbit of size n."""
+    _count(h, "h", "positive")
+    _count(n, "orbit size", "positive")
+    if not mode.admits_size(n):
+        raise ModeError(f"size {n} is not admissible in {mode} mode")
+    return _canonical_orbits(h, n)
+
+
+def _canonical_orbits(h: int, n: int):
+    """The orbits of size n, built unchecked from rows that each passed _check_hnf_row.
 
     For each diagonal d, the admissible rows i are (0,)*i + (d_i,) + tail,
     tail ranging over range(d_j) for j > i; each such row is built once and
@@ -258,11 +290,7 @@ def enumerate_orbits(h: int, n: int, mode: Mode = ALL_ORDERS) -> tuple[Transitiv
     are the product of these row lists, sharing the row tuples.  So every
     orbit is checked canonical through its rows, not once more as a whole.
     """
-    _count(h, "h", "positive")
-    _count(n, "orbit size", "positive")
-    if not mode.admits_size(n):
-        raise ModeError(f"size {n} is not admissible in {mode} mode")
-    orbits = []
+    new = TransitiveOrbit.__new__
     for diag in _diagonal_choices(n, h):
         row_lists = []
         for i in range(h):
@@ -272,10 +300,12 @@ def enumerate_orbits(h: int, n: int, mode: Mode = ALL_ORDERS) -> tuple[Transitiv
                 _check_hnf_row(row, i, diag)
             row_lists.append(rows)
         # lexicographic in the row-major off-diagonal entries: already sorted
-        orbits.extend(
-            TransitiveOrbit._from_canonical(h, matrix) for matrix in itertools.product(*row_lists)
-        )
-    return tuple(orbits)
+        for matrix in itertools.product(*row_lists):
+            orbit = new(TransitiveOrbit)
+            _set_h(orbit, h)
+            _set_rows(orbit, matrix)
+            _set_size(orbit, n)
+            yield orbit
 
 
 def canonicalize(h: int, generators) -> TransitiveOrbit:
@@ -318,5 +348,5 @@ def canonicalize(h: int, generators) -> TransitiveOrbit:
     # reduce above-diagonal entries: 0 <= entry < column pivot
     for i in range(h):
         _reduce(pivots[i], pivots, i + 1)
-    return TransitiveOrbit(h, tuple(tuple(r) for r in pivots))
+    return TransitiveOrbit(h, pivots)
 

@@ -24,11 +24,10 @@ in canonical symbol order, so no result depends on the order of first use.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .orbits import TransitiveOrbit, _count
+from .orbits import TransitiveOrbit, _count, _Value
 
 # the exact scalars every layer accepts next to its own ring elements
 _SCALARS = (int, Fraction)
@@ -61,12 +60,13 @@ def _power(x, n, one):
     return one() if out is None else out
 
 
-@dataclass(frozen=True)
-class PsiSymbol:
+class PsiSymbol(_Value):
     """One formal symbol: the power-operation value of a family at an orbit."""
 
-    family: str
-    orbit: TransitiveOrbit
+    __slots__ = _fields = ("family", "orbit")
+
+    def __init__(self, family: str, orbit: TransitiveOrbit):
+        self._set(family, orbit)
 
     def __str__(self) -> str:
         if self.orbit.is_trivial():

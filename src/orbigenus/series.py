@@ -8,27 +8,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .orbits import _count
+from .orbits import _count, _Value
 from .psipoly import PsiPolynomial, _power, exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Value):
     """A series known through degree ``prec`` inclusive."""
 
-    __slots__ = ("coeffs", "prec")
+    __slots__ = _fields = ("coeffs", "prec")
 
     def __init__(self, coeffs, prec: int):
         _count(prec, "precision", "nonnegative")
         coeffs = [exact(c) for c in coeffs][: prec + 1]
         coeffs += [_ZERO] * (prec + 1 - len(coeffs))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        self._set(tuple(coeffs), prec)
 
     @classmethod
     def one(cls, prec: int) -> "TruncatedSeries":
@@ -81,14 +77,7 @@ class TruncatedSeries:
     def __pow__(self, n: int):
         return _power(self, n, lambda: TruncatedSeries.one(self.prec))
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.prec == other.prec and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
+    __hash__ = None  # equal when coeffs and prec are
 
     def t_ddt(self) -> "TruncatedSeries":
         """The derivation t * d/dt: multiplies coefficient n by n."""

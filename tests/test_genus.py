@@ -31,7 +31,7 @@ from orbigenus.genus import (
     verify_product_formula,
 )
 from orbigenus.orbits import (
-    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, canonicalize, enumerate_orbits,
+    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _orbit_stream, canonicalize, enumerate_orbits,
 )
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import comparison_to_json, value_to_json
@@ -123,6 +123,42 @@ def test_no_orbit_outlives_its_computation():
     gc.collect()
     assert spy.seen
     assert [ref for ref in spy.seen if ref() is not None] == []
+
+
+class LiveOrbitModel:
+    """psi = 1 on every orbit; counts, through weakref.finalize, the orbits it was given that are alive."""
+
+    def __init__(self):
+        self.calls = self.alive = self.peak = 0
+
+    def _freed(self):
+        self.alive -= 1
+
+    def psi(self, orbit):
+        weakref.finalize(orbit, self._freed)
+        self.calls, self.alive = self.calls + 1, self.alive + 1
+        self.peak = max(self.peak, self.alive)
+        return 1
+
+
+def test_hecke_operator_frees_each_orbit_once_its_psi_is_added():
+    spy = LiveOrbitModel()
+    value = hecke_operator(spy, 12, 4)
+    assert spy.calls == len(enumerate_orbits(4, 12)) > 1000
+    assert value == Fraction(spy.calls, 12)
+    assert spy.peak <= 2 and spy.alive == 0
+
+
+def test_orbit_arguments_are_checked_when_called_not_when_first_read():
+    model = IntegerModel(1)
+    with pytest.raises(ModeError, match="^size 3 is not admissible in 2-power mode$"):
+        hecke_operator(model, 3, 2, Mode(2))
+    with pytest.raises(ValueError, match="^orbit size must be positive$"):
+        hecke_operator(model, 0, 2)
+    with pytest.raises(ValueError, match="^h must be positive$"):
+        enumerate_orbits(0, 1)
+    with pytest.raises(ModeError, match="^size 3 is not admissible in 2-power mode$"):
+        _orbit_stream(2, 3, Mode(2))  # no item asked for
 
 
 def test_sigma_basics():

@@ -80,17 +80,16 @@ def test_trivial_orbit():
     assert t.is_trivial()
 
 
-def test_lazy_size_and_sort_key_are_stored_once_and_stay_out_of_equality():
+def test_size_and_sort_key_are_kept_once_and_stay_out_of_equality():
     rows = ((2, 1, 0), (0, 3, 2), (0, 0, 4))
     read, fresh = TransitiveOrbit(3, rows), TransitiveOrbit(3, rows)
     assert (read.size, read.sort_key) == (24, (3, 24, (2, 3, 4), (1, 0, 2)))
-    # stored as plain attributes: the descriptor is not consulted again
-    assert "size" in vars(read) and "sort_key" in vars(read)
+    assert read.sort_key is read.sort_key  # built once, then kept
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
-    with pytest.raises(AttributeError):
-        read.size = 5  # still frozen
-    # read on the class, each lazy attribute is its descriptor
-    assert TransitiveOrbit.size is vars(TransitiveOrbit)["size"]
+    assert repr(read) == f"TransitiveOrbit(h=3, rows={rows!r})"
+    for name in ("size", "sort_key", "h", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(read, name, 5)  # still frozen
 
 
 def test_orbit_validation():
