@@ -12,14 +12,16 @@ denominator, in lowest terms (no factor shared by the denominator and every
 numerator), so arithmetic makes no Fraction per term: a product multiplies
 ints and the two denominators, a sum rescales each operand once to the lcm
 of the denominators, and _reduced drops zeros and divides out the common
-factor once per result.  sorted_terms gives the coefficients as Fractions.
+factor once per result.  _ordered_terms gives each term's coefficient as an int
+numerator and denominator in lowest terms; sorted_terms makes those Fractions.
 
 Symbols are stored as dense int ids, given on first use.  A monomial has one
 normal form: a tuple of (id, exponent) pairs sorted by id, one per symbol, each
 exponent an int >= 1 (else ValueError); () is the constant monomial.  Ids stay
-inside: _intern is the one way in and sorted_terms the one way out; it ranks
+inside: _intern is the one way in and _ordered_terms the one way out; it ranks
 the symbols its terms use on each call and gives (PsiSymbol, exponent) pairs
-in canonical symbol order, so no result depends on the order of first use.
+in canonical symbol order, so no result depends on the order of first use.  A
+polynomial pickles by those pairs, so it loads in a process with other ids.
 """
 from __future__ import annotations
 
@@ -149,6 +151,7 @@ class PsiPolynomial:
     """
 
     __slots__ = ("_terms", "_den")
+    __setattr__ = __delattr__ = _Value.__setattr__  # each field is set once, by _set_terms and _set_den
 
     def __init__(self, terms=None):
         data: dict[Monomial, Fraction] = {}
@@ -161,15 +164,17 @@ class PsiPolynomial:
                 mono = _checked_monomial(mono)
                 data[mono] = data.get(mono, 0) + c
         den = lcm(*[c.denominator for c in data.values()])
-        self._terms, self._den = _reduced(
-            {m: c.numerator * (den // c.denominator) for m, c in data.items()}, den
-        )
+        terms, den = _reduced({m: c.numerator * (den // c.denominator) for m, c in data.items()}, den)
+        _set_terms(self, terms)
+        _set_den(self, den)
 
     @classmethod
     def _from_terms(cls, terms: dict, den: int = 1) -> "PsiPolynomial":
         """Wrap a dict of normal-form monomials to int numerators over den > 0, unchecked."""
         out = cls.__new__(cls)
-        out._terms, out._den = _reduced(terms, den)
+        terms, den = _reduced(terms, den)
+        _set_terms(out, terms)
+        _set_den(out, den)
         return out
 
     def _scaled(self, c) -> "PsiPolynomial":
@@ -187,8 +192,13 @@ class PsiPolynomial:
         return cls._from_terms({((_intern(sym), 1),): 1})
 
     def sorted_terms(self) -> list[tuple[tuple[tuple[PsiSymbol, int], ...], Fraction]]:
-        """(monomial, coefficient) pairs by degree, then monomial, each in canonical symbol order:
-        the symbols these terms use, ranked on each call by family, then orbit sort key."""
+        """(monomial, coefficient) pairs in the order of _ordered_terms, each coefficient a Fraction."""
+        return [(mono, Fraction(n, d)) for mono, n, d in self._ordered_terms()]
+
+    def _ordered_terms(self):
+        """Yield each term as (monomial, numerator, denominator), the coefficient in lowest terms:
+        by degree, then monomial, each monomial's (PsiSymbol, exponent) pairs in canonical symbol
+        order.  The symbols these terms use are ranked on each call by family, then orbit sort key."""
         symbols = {i: _SYMBOLS[i] for m in self._terms for i, _ in m}
         ids = sorted(symbols, key=lambda i: (symbols[i].family, symbols[i].orbit.sort_key))
         rank = {i: r for r, i in enumerate(ids)}
@@ -197,7 +207,9 @@ class PsiPolynomial:
         keyed = sorted([(sum([e for _, e in m]), sorted([(rank[i], e) for i, e in m]), c)
                         for m, c in self._terms.items()])
         den = self._den
-        return [(tuple([(by_rank[r], e) for r, e in ranked]), Fraction(c, den)) for _, ranked, c in keyed]
+        for _, ranked, c in keyed:
+            g = gcd(c, den)
+            yield tuple([(by_rank[r], e) for r, e in ranked]), c // g, den // g
 
     @property
     def is_constant(self) -> bool:
@@ -274,20 +286,26 @@ class PsiPolynomial:
         return bool(self._terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
-        for mono, coeff in self.sorted_terms():
+        for mono, n, d in self._ordered_terms():
+            coeff = str(n) if d == 1 else f"{n}/{d}"
             if mono == ():
-                parts.append(str(coeff))
-            elif coeff == 1:
+                parts.append(coeff)
+            elif coeff == "1":
                 parts.append(_mono_str(mono))
             else:
                 parts.append(f"{coeff}*{_mono_str(mono)}")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"PsiPolynomial({self})"
+
+    def __reduce__(self):
+        # by symbols, not by this process's ids, rebuilt through the checked constructor
+        return PsiPolynomial, (self.sorted_terms(),)
+
+
+_set_terms, _set_den = (getattr(PsiPolynomial, name).__set__ for name in PsiPolynomial.__slots__)
 
 
 class _ExactSum(dict):

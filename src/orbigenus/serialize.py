@@ -8,7 +8,8 @@ enumeration orders, so equal objects serialize to identical bytes.
 ``dumps`` and ``dump`` render the layout of ``json.dumps(obj, indent=2)``
 with their own writer: CPython's C encoder does not handle ``indent``, and
 its pure-Python fallback rebuilds every repeated orbit object.  ``dump``
-streams, so the CLI writes long orbit and class lists as it produces them.
+streams, so the CLI writes long orbit and class lists as it produces them,
+and a polynomial, which value_to_json leaves to the writer, term by term.
 """
 from __future__ import annotations
 
@@ -49,11 +50,8 @@ def _json_int(value, field: str) -> int:
 
 
 class _OrbitJSON(dict):
-    """The JSON object of one orbit, a plain dict that also remembers the orbit.
-
-    The writer keys its cache of rendered orbits on ``id(orbit)``, hashing none:
-    the cache entry holds the orbit, so its id is not reused while the entry lives.
-    """
+    """The JSON object of one orbit, a plain dict that also remembers the orbit: the writer keys
+    its rendered text on id(orbit), hashing none, and holds the orbit while it keeps the text."""
 
     __slots__ = ("orbit",)
 
@@ -88,36 +86,27 @@ def mode_to_json(mode: Mode):
 
 def class_to_json(cls: OrbitTypeMultiset) -> dict:
     return {
-        "type": [
-            {"orbit": orbit_to_json(orbit), "mult": mult} for orbit, mult in cls.entries
-        ],
+        "type": [{"orbit": orbit_to_json(orbit), "mult": mult} for orbit, mult in cls.entries],
         "centralizer_order": str(centralizer_order(cls)),
         "class_size": str(class_size(cls)),
     }
 
 
+class _PolynomialJSON:
+    """A polynomial's JSON, which the writer renders term by term: a list with one object
+    {"monomial": [{"family", "orbit", "power"}, ...], "value": "n/d"} per term of sorted_terms."""
+
+    __slots__ = ("poly",)
+
+
 def value_to_json(value):
-    """Encode a Fraction as a string, a polynomial as a sorted monomial list."""
+    """Encode a Fraction as a string, a polynomial as what dump and dumps write as its term list."""
     if isinstance(value, (int, Fraction)):
         return fraction_to_str(value)
     if isinstance(value, PsiPolynomial):
-        # one object per orbit, keyed by id (terms holds every orbit), shared by its monomials
-        terms = value.sorted_terms()
-        orbits: dict[int, dict] = {}
-        for mono, _ in terms:
-            for sym, _ in mono:
-                if id(sym.orbit) not in orbits:
-                    orbits[id(sym.orbit)] = orbit_to_json(sym.orbit)
-        return [
-            {
-                "monomial": [
-                    {"family": sym.family, "orbit": orbits[id(sym.orbit)], "power": e}
-                    for sym, e in mono
-                ],
-                "value": fraction_to_str(coeff),
-            }
-            for mono, coeff in terms
-        ]
+        obj = _PolynomialJSON()
+        obj.poly = value
+        return obj
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
@@ -189,11 +178,7 @@ def dump(obj, fp) -> None:
 
 
 def dumps(obj) -> str:
-    """Serialize an already-encoded JSON object deterministically.
-
-    The text is that of ``json.dumps(obj, indent=2)``, ASCII only; lists may
-    be any iterable.
-    """
+    """The text of ``json.dumps(obj, indent=2)``, ASCII only, for an encoded object; lists may be any iterable."""
     chunks: list[str] = []
     _write(obj, chunks.append)
     return "".join(chunks)
@@ -201,22 +186,23 @@ def dumps(obj) -> str:
 
 _CHUNK_CHARS = 1 << 16  # write() gets at least this much text at a time
 _CHECK_PARTS = 256  # rendered fragments between two looks at the buffered size
-_MAX_CACHED = 4096  # rendered orbits kept by one _write call
+_MAX_CACHED = 4096  # rendered orbits and monomial entries kept by one _write call
 
 
 def _write(obj, write) -> None:
     """Render obj in the layout of ``json.dumps(obj, indent=2)``, passing the text to write().
 
-    Strings, ints, bools, None, dicts with string keys, and any other
-    iterable as a list; anything else, floats included, raises TypeError.
-    An orbit object (from orbit_to_json) is rendered once per nesting depth
-    and then copied, while the same orbit comes with the same fields.
+    Strings, ints, bools, None, dicts with string keys, polynomials from value_to_json, and any
+    other iterable as a list; anything else, floats included, raises TypeError.  An orbit object
+    (from orbit_to_json) is rendered once per nesting depth and then copied, while the same orbit
+    comes with the same fields; so is each (symbol, power) entry of a polynomial's monomials.
     """
     encode_str = json.encoder.encode_basestring_ascii
     parts: list[str] = []  # rendered text, not yet joined
     joined: list[str] = []  # joined runs of parts, not yet written
     size = 0  # characters in joined
-    orbits: dict[tuple, tuple[dict, str]] = {}  # (id(orbit), depth) -> (object, text)
+    # (id(orbit), depth) or (id(symbol), power, depth) -> (that object, so its id is not reused, text)
+    rendered: dict[tuple, tuple] = {}
 
     def flush(final: bool = False):
         nonlocal size
@@ -229,12 +215,17 @@ def _write(obj, write) -> None:
             joined.clear()
             size = 0
 
+    def remember(key: tuple, o, text: str) -> str:
+        if len(rendered) >= _MAX_CACHED:
+            rendered.clear()
+        rendered[key] = (o, text)
+        return text
+
     def value(o, depth: int, out: list):
-        if isinstance(o, dict):
-            if isinstance(o, _OrbitJSON):
-                orbit(o, depth, out)
-            else:
-                mapping(o, depth, out)
+        if isinstance(o, _OrbitJSON):
+            out.append(orbit(o, depth))
+        elif isinstance(o, dict):
+            mapping(o, depth, out)
         elif isinstance(o, str):
             out.append(encode_str(o))
         elif o is None:
@@ -245,28 +236,40 @@ def _write(obj, write) -> None:
             out.append("false")
         elif isinstance(o, int):
             out.append(int.__repr__(o))
+        elif type(o) is _PolynomialJSON:
+            polynomial(o.poly, depth, out)
         else:
             sequence(o, depth, out)
 
-    def orbit(o: _OrbitJSON, depth: int, out: list):
-        key = (id(o.orbit), depth)
-        hit = orbits.get(key)
+    def orbit(o: _OrbitJSON, depth: int) -> str:
+        hit = rendered.get((id(o.orbit), depth))
         if hit is not None and (hit[0] is o or hit[0] == o):
-            out.append(hit[1])
-            return
+            return hit[1]
         own: list[str] = []
         mapping(o, depth, own)
         text = "".join(own)
-        if hit is None:
-            if len(orbits) >= _MAX_CACHED:
-                orbits.clear()
-            orbits[key] = (o, text)
-        out.append(text)
+        return text if hit is not None else remember((id(o.orbit), depth), o, text)
+
+    def polynomial(p: PsiPolynomial, depth: int, out: list):
+        # the list of _PolynomialJSON's docstring, one fragment per term, never the whole text
+        i1, i2, i3, i4 = ("\n" + "  " * (depth + k) for k in range(1, 5))
+        sep = "[" + i1
+        for mono, num, den in p._ordered_terms():
+            texts = []
+            for sym, e in mono:
+                hit = rendered.get((id(sym), e, depth))
+                texts.append(hit[1] if hit is not None else remember((id(sym), e, depth), sym, (
+                    f'{i3}{{{i4}"family": {encode_str(sym.family)},{i4}"orbit": '
+                    f'{orbit(orbit_to_json(sym.orbit), depth + 4)},{i4}"power": {e}{i3}}}')))
+            monomial = f'[{",".join(texts)}{i2}]' if texts else "[]"
+            coeff = num if den == 1 else f"{num}/{den}"
+            out.append(f'{sep}{{{i2}"monomial": {monomial},{i2}"value": "{coeff}"{i1}}}')
+            sep = "," + i1
+            if out is parts and len(parts) >= _CHECK_PARTS:
+                flush()
+        out.append("[]" if sep[0] == "[" else "\n" + "  " * depth + "]")
 
     def mapping(o: dict, depth: int, out: list):
-        if not o:
-            out.append("{}")
-            return
         inner = "\n" + "  " * (depth + 1)
         sep = "{" + inner
         for k, v in o.items():
@@ -280,7 +283,7 @@ def _write(obj, write) -> None:
                 out.append(head)
                 value(v, depth + 1, out)
             sep = "," + inner
-        out.append("\n" + "  " * depth + "}")
+        out.append("{}" if sep[0] == "{" else "\n" + "  " * depth + "}")
 
     def sequence(o, depth: int, out: list):
         try:
@@ -295,10 +298,7 @@ def _write(obj, write) -> None:
             sep = "," + inner
             if out is parts and len(parts) >= _CHECK_PARTS:
                 flush()
-        if sep[0] == "[":
-            out.append("[]")
-        else:
-            out.append("\n" + "  " * depth + "]")
+        out.append("[]" if sep[0] == "[" else "\n" + "  " * depth + "]")
 
     value(obj, 0, parts)
     flush(final=True)

@@ -6,9 +6,11 @@ time.  All of it deliberately shares no code with the lattice machinery
 under test.  Elements of a group prod Z/m_i are tuples under componentwise
 addition.  The functions after class_count use the library's own types:
 conveniences that several tests share, and the product-and-filter
-reference that the keyed class split is checked against, and the plain
-Fraction-coefficient reference of polynomial arithmetic.
+reference that the keyed class split is checked against, the plain
+Fraction-coefficient reference of polynomial arithmetic, and the
+dict-per-term reference of a polynomial's JSON.
 """
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -27,7 +29,9 @@ from orbigenus.classfun import ClassFunction
 from orbigenus.genus import lambda_series
 from orbigenus.orbits import ALL_ORDERS, Mode, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
-from orbigenus.serialize import _json_int, class_to_json, mode_to_json, value_to_json
+from orbigenus.serialize import (
+    _json_int, class_to_json, dumps, fraction_to_str, mode_to_json, orbit_to_json, value_to_json,
+)
 
 
 def partitions(n):
@@ -294,8 +298,9 @@ def indicator(target):
 
 
 def classfunction_to_json(chi):
-    """A class function as JSON: h, mode, l, and its values with their classes in class order."""
-    return {
+    """A class function as JSON, read back from its text: h, mode, l, and its values with their
+    classes in class order."""
+    return json.loads(dumps({
         "h": chi.h,
         "mode": mode_to_json(chi.mode),
         "l": chi.l,
@@ -303,7 +308,23 @@ def classfunction_to_json(chi):
             {"class": class_to_json(c), "value": value_to_json(v)}
             for c, v in zip(chi.classes, chi.values)
         ],
-    }
+    }))
+
+
+def value_json_reference(value):
+    """The JSON of an exact value as plain lists and dicts, one dict per term and monomial entry,
+    read through sorted_terms: the reference of the writer's term-by-term polynomial text."""
+    if not isinstance(value, PsiPolynomial):
+        return value_to_json(value)
+    return [
+        {
+            "monomial": [
+                {"family": sym.family, "orbit": orbit_to_json(sym.orbit), "power": e} for sym, e in mono
+            ],
+            "value": fraction_to_str(coeff),
+        }
+        for mono, coeff in value.sorted_terms()
+    ]
 
 
 def mode_from_json(obj):

@@ -1,5 +1,6 @@
 """Genus layer: models, symmetric powers, Hecke/lambda/Adams, product formula."""
 import gc
+import json
 import weakref
 from fractions import Fraction
 from math import comb
@@ -34,7 +35,7 @@ from orbigenus.orbits import (
     ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _orbit_stream, canonicalize, enumerate_orbits,
 )
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
-from orbigenus.serialize import comparison_to_json, value_to_json
+from orbigenus.serialize import comparison_to_json, dumps, value_to_json
 from orbigenus.series import TruncatedSeries
 
 from helpers import class_items, indicator, lambda_operation, variable
@@ -306,7 +307,8 @@ def test_verifier_left_side_walks_the_classes(monkeypatch):
     (cls,) = dropped
     difference = -psi_of_class(model, cls) * Fraction(1, centralizer_order(cls))
     assert report.lhs.coeffs[3] - report.rhs.coeffs[3] == difference
-    assert comparison_to_json(report)["difference"] == value_to_json(difference)
+    reread = json.loads(dumps(comparison_to_json(report)))
+    assert reread["difference"] == json.loads(dumps(value_to_json(difference)))
 
 
 def _mixed_model(h, mode, prec):

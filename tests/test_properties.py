@@ -5,11 +5,12 @@ match a plain Fraction-coefficient reference, the orbit-type product for the sym
 equals the class sum, the Adams and geometric series equal their routes
 through series inversion, the integer-numerator sums (the summing helper, the
 Hecke operators, sigma and the Young sums) equal plain Fraction sums, the
-JSON writer matches json.dumps, series inversion, exp and log undo each
-other, log agrees with the integrated logarithmic derivative, sorted_terms
-keeps the monomial order, no output of a polynomial depends on
-the order its symbols were interned in, rational strings round-trip, and
-the class of a commuting tuple is invariant under conjugation."""
+JSON writer matches json.dumps (a polynomial's text that of a dict per
+term), series inversion, exp and log undo each other, log agrees with the
+integrated logarithmic derivative, sorted_terms keeps the monomial order,
+no output of a polynomial depends on the order its symbols were interned
+in, rational strings round-trip, and the class of a commuting tuple is
+invariant under conjugation."""
 import json
 from fractions import Fraction
 from math import gcd, prod
@@ -37,17 +38,19 @@ from orbigenus.classfun import (
     restrict_young,
 )
 from orbigenus.genus import (
-    SymbolicModel, TableModel, adams_series, geometric_power_series, hecke_operator, lambda_series, sigma,
-    symmetric_power_series,
+    SeriesComparison, SymbolicModel, TableModel, adams_series, geometric_power_series, hecke_operator,
+    lambda_series, sigma, symmetric_power_series,
 )
 from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
 from orbigenus.psipoly import _IDS, PsiPolynomial, PsiSymbol, _ExactSum
-from orbigenus.serialize import dumps, fraction_from_str, fraction_to_str, orbit_to_json, value_to_json
+from orbigenus.serialize import (
+    comparison_to_json, dumps, fraction_from_str, fraction_to_str, orbit_to_json, value_to_json,
+)
 from orbigenus.series import TruncatedSeries
 
 from helpers import (
     class_of_key, coefficient_of, compose, identity, inverse, key_of, keyed_splits, reference_add, reference_mul,
-    reference_of, reference_terms, sub_multisets_reference,
+    reference_of, reference_terms, sub_multisets_reference, value_json_reference,
 )
 
 P2 = Mode(2)
@@ -540,6 +543,37 @@ def test_writer_matches_json_dumps_deeply_nested(depth):
     for i in range(depth):
         obj = [obj, i] if i % 2 else {"k": obj, "": []}
     assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+# polynomials for the writer: zero, constants, and terms in two families on the same orbits,
+# so orbits repeat, with exponents up to 3 and negative and non-integer coefficients
+json_polynomial = (st.just(PsiPolynomial()) | reference_coefficient.map(PsiPolynomial.constant)
+                   | polynomial_terms.map(PsiPolynomial) | polynomial())
+
+
+@SETTINGS
+@given(json_polynomial)
+def test_polynomial_json_matches_a_dict_per_term_reference(p):
+    for depth in range(4):
+        for shape in ("list", "dict", "both"):
+            obj, ref = value_to_json(p), value_json_reference(p)
+            for i in range(depth):
+                if shape == "list" or shape == "both" and i % 2:
+                    obj, ref = [i, obj], [i, ref]
+                else:
+                    obj, ref = {"value": obj, "n": i}, {"value": ref, "n": i}
+            assert dumps(obj) == json.dumps(ref, indent=2)
+    if p:  # as the difference of a failing comparison
+        one = PsiPolynomial.constant(1)
+        lhs, rhs = TruncatedSeries([one, p + one], prec=1), TruncatedSeries([one, one], prec=1)
+        report = SeriesComparison.compare(2, P2, lhs, rhs)
+        expected = {
+            "h": 2, "p": 2, "precision": 1, "equal": False,
+            "lhs": [value_json_reference(c) for c in lhs.coeffs],
+            "rhs": [value_json_reference(c) for c in rhs.coeffs],
+            "first_mismatch": 1, "difference": value_json_reference(p),
+        }
+        assert dumps(comparison_to_json(report)) == json.dumps(expected, indent=2)
 
 
 @SETTINGS

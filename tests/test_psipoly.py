@@ -1,6 +1,10 @@
 """Polynomials in power-operation symbols: ring laws, coercion, evaluation."""
 import ast
+import copy
+import os
+import pickle
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -11,7 +15,7 @@ import pytest
 import orbigenus
 from orbigenus.orbits import Mode, enumerate_orbits
 from orbigenus.psipoly import _IDS, _SYMBOLS, PsiPolynomial, PsiSymbol
-from orbigenus.serialize import value_to_json
+from orbigenus.serialize import dumps, value_to_json
 from orbigenus.series import TruncatedSeries
 
 from helpers import coefficient_of, degree, evaluate, variable, zero
@@ -150,7 +154,7 @@ def test_reading_a_polynomial_interns_nothing():
     assert p.sorted_terms() == [((), 3), (((s, 1), (t, 2)), 2)]
     assert str(p) == "3 + 2*x*psi[1,0|0,2](y)^2"
     assert p == p and p != 3 and hash(p) == hash(p + 0)
-    assert value_to_json(p) == value_to_json(p + 0)
+    assert dumps(value_to_json(p)) == dumps(value_to_json(p + 0))
     assert len(_SYMBOLS) == interned
     assert _IDS == ids
 
@@ -330,3 +334,52 @@ def test_only_psipoly_reads_how_a_polynomial_is_stored():
         for node in ast.walk(ast.parse(path.read_text())):
             assert not (isinstance(node, ast.Attribute) and node.attr in fields), (path.name, node.lineno)
             assert not (isinstance(node, ast.Constant) and node.value in fields), (path.name, node.lineno)
+
+
+# Builds p, a polynomial in two families, with a repeated symbol, a square and a non-integer coefficient
+_BUILD = """
+from fractions import Fraction
+from orbigenus.genus import SymbolicModel
+from orbigenus.orbits import enumerate_orbits
+o = enumerate_orbits(2, 2)
+x, y = SymbolicModel("x").psi(o[1]), SymbolicModel("y").psi(o[0])
+p = 3 * x ** 2 - Fraction(1, 2) * x * y + y - 7
+"""
+
+
+def _run(code, *args):
+    src = Path(orbigenus.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    return done.stdout
+
+
+def test_a_pickled_polynomial_loads_by_its_symbols_in_another_process(tmp_path):
+    path = str(tmp_path / "p.pickle")
+    save = "import pickle, sys\nprint(p)\nwith open(sys.argv[1], 'wb') as f:\n    pickle.dump(p, f)\n"
+    expected = _run(_BUILD + save, path)
+    assert expected == "-7 + psi[1,0|0,2](y) + -1/2*psi[1,1|0,2](x)*psi[1,0|0,2](y) + 3*psi[1,1|0,2](x)^2\n"
+    load = "import pickle, sys\nwith open(sys.argv[1], 'rb') as f:\n    print(pickle.load(f))\n"
+    # in a process that interned nothing, and in one that gave y's symbols the first ids
+    first_y = ("from orbigenus.orbits import enumerate_orbits\nfrom orbigenus.psipoly import PsiPolynomial, PsiSymbol\n"
+               "for t in enumerate_orbits(2, 2):\n    PsiPolynomial.symbol(PsiSymbol('y', t))\n")
+    assert _run(load, path) == _run(first_y + load, path) == expected
+    namespace = {}
+    exec(_BUILD, namespace)  # and here, where both families have ids already
+    with open(path, "rb") as f:
+        assert pickle.load(f) == namespace["p"]
+
+
+def test_a_polynomial_refuses_to_set_or_delete_a_field():
+    x = variable("x", 2)
+    p = 2 * x ** 2 + Fraction(1, 3)
+    text = str(p)
+    for name in ("_terms", "_den", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, {})
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(p, name)
+    assert str(p) == text and p == 2 * x ** 2 + Fraction(1, 3)
+    assert not hasattr(p, "__dict__")
+    assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p

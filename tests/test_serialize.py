@@ -27,7 +27,7 @@ from orbigenus.serialize import (
 )
 from orbigenus.series import TruncatedSeries
 
-from helpers import classfunction_to_json, mode_from_json
+from helpers import classfunction_to_json, mode_from_json, value_json_reference
 
 P2 = Mode(2)
 
@@ -129,7 +129,7 @@ def test_value_json():
     assert value_to_json(4) == "4"
     orbit = enumerate_orbits(2, 2, P2)[0]
     poly = PsiPolynomial.symbol(PsiSymbol("x", orbit)) * Fraction(1, 2) + 3
-    obj = value_to_json(poly)
+    obj = json.loads(dumps(value_to_json(poly)))
     assert isinstance(obj, list) and len(obj) == 2
     assert obj[0] == {"monomial": [], "value": "3"}
     assert obj[1]["value"] == "1/2"
@@ -248,6 +248,18 @@ def test_dump_streams_in_big_chunks():
     assert small.chunks == ["[]"]
 
 
+def test_dump_streams_a_long_polynomial_in_big_chunks():
+    orbits = [t for n in (1, 2, 4, 8) for t in enumerate_orbits(2, n, P2)]
+    p = sum(PsiPolynomial.symbol(PsiSymbol(f, t)) for f in ("x", "y") for t in orbits) ** 2
+    text = json.dumps(value_json_reference(p), indent=2)
+    assert len(text) > 4 << 16
+    out = _Recorder()
+    dump(value_to_json(p), out)
+    assert "".join(out.chunks) == text
+    assert len(out.chunks) > 4
+    assert all(len(c) >= 1 << 16 for c in out.chunks[:-1])
+
+
 def test_writer_renders_each_orbit_object_by_its_fields():
     t, u = enumerate_orbits(2, 2, P2)[:2]
     a, b = orbit_to_json(t), orbit_to_json(t)
@@ -269,6 +281,10 @@ def test_writer_cache_eviction_keeps_the_text_exact():
     changed["size"] = "99"
     obj = [objs[0], changed, *objs, changed, objs[0]]
     assert dumps(obj) == json.dumps(obj, indent=2)
+    # a polynomial with more distinct monomial entries than that, twice, next to an orbit object
+    p = PsiPolynomial([(((PsiSymbol("x", t), 1),), i % 7 - 3) for i, t in enumerate(orbits)])
+    ref = value_json_reference(p)
+    assert dumps([value_to_json(p), objs[0], value_to_json(p)]) == json.dumps([ref, objs[0], ref], indent=2)
 
 
 @pytest.mark.parametrize("bad", [0.5, [1, 2.0], {1: "x"}, {"a": Fraction(1, 2)}, object()])
