@@ -201,26 +201,23 @@ def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> _ClassTable:
     )
 
 
-def _split_key(key, sizes, degree: int) -> list:
-    """The splits of a class key as (left, right, ways), left of the given degree.
+def _split_choices(shape, degree: int) -> list:
+    """The ways to take the given degree off a key of shape ((orbit size, multiplicity), ...).
 
-    left and right are keys that merge into key; ways = prod_T C(m_T, left_T)
-    is the centralizer ratio z(key) / (z(left) z(right)).  Splits come in
-    lexicographic order of the multiplicities that left takes.
+    Each is (choices, ways): choices holds the copies of each entry's orbit taken, in
+    lexicographic order, and ways = prod_T C(m_T, c_T) is the centralizer ratio z(m) / (z(a) z(b)).
     """
-    partial = [((), (), 1, degree)]  # splits of the entries so far, and the degree left to take
-    room = sum(m * sizes[i] for i, m in key)
-    for i, m in key:
-        s = sizes[i]
+    partial = [((), 1, degree)]  # choices for the entries so far, and the degree left to take
+    room = sum(m * s for s, m in shape)
+    for s, m in shape:
         room -= m * s  # what the later entries can still take
         partial = [
-            (left + ((i, c),) if c else left, right + ((i, m - c),) if c < m else right,
-             ways * comb(m, c), rest - c * s)
-            for left, right, ways, rest in partial
+            (choices + (c,), ways * comb(m, c), rest - c * s)
+            for choices, ways, rest in partial
             # c copies of this orbit, so that 0 <= rest - c * s <= room
             for c in range(max(0, -((room - rest) // s)), min(m, rest // s) + 1)
         ]
-    return [(left, right, ways) for left, right, ways, rest in partial if not rest]
+    return [(choices, ways) for choices, ways, rest in partial if not rest]
 
 
 def _merge_keys(a, b) -> tuple:

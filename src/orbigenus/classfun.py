@@ -13,7 +13,7 @@ import itertools
 import operator
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .classes import (
     GuardExceededError,
@@ -21,7 +21,7 @@ from .classes import (
     _enumerate_classes_cached,
     _merge_keys,
     _orbit_type_from_images,
-    _split_key,
+    _split_choices,
     class_representative,
     enumerate_classes,
 )
@@ -117,11 +117,25 @@ def augmentation(chi: ClassFunction):
 
 
 def inner_product(chi: ClassFunction, xi: ClassFunction):
-    """Bilinear pairing: augmentation(chi * xi), so ValueError unless (h, l, mode) match.
+    """Bilinear, symmetric, unconjugated pairing: augmentation(chi * xi), in one _ExactSum.
 
-    Symmetric and unconjugated: the values are exact rationals or polynomials.
+    TypeError unless chi and xi are ClassFunctions, ValueError unless their (h, l, mode) match.
     """
-    return augmentation(chi * xi)
+    if not (isinstance(chi, ClassFunction) and isinstance(xi, ClassFunction)):
+        raise TypeError(f"inner_product pairs two ClassFunctions, got {chi!r} and {xi!r}")
+    chi._check_match(xi)
+    total = _ExactSum()
+    for va, vb, z in zip(chi.values, xi.values, chi._table().z):
+        (xa, da), (xb, db) = _ratio(va, z), _ratio(vb)
+        total.add(xa * xb, da * db)
+    return total.value()
+
+
+def _numerators(chi: ClassFunction) -> tuple[dict, int]:
+    """chi times one int denominator D, by key (ints, or polynomials where chi has them), and D."""
+    ratios = list(map(_ratio, chi.values))
+    den = lcm(*[d for _, d in ratios])
+    return dict(zip(chi._table().positions, [x * (den // d) for x, d in ratios])), den
 
 
 def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
@@ -129,23 +143,27 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
 
     The value on a class m sums chi(a) xi(b) over the splits of the orbit
     multiset as a disjoint union a + b with |a| = j, weighted by the integer
-    prod_T C(m_T, a_T), the centralizer ratio z(m) / (z(a) z(b)).  It splits
-    the int keys of the class table and reads chi and xi by key.
+    prod_T C(m_T, a_T), the centralizer ratio z(m) / (z(a) z(b)).  The split choices of
+    each key shape are searched once; chi and xi are read over one denominator each.
     """
     chi._check_match(xi, same_degree=False)
-    h, mode = chi.h, chi.mode
-    j, k = chi.l, xi.l
-    chi_ratios = dict(zip(chi._table().positions, map(_ratio, chi.values)))
-    xi_ratios = dict(zip(xi._table().positions, map(_ratio, xi.values)))
-    table = _enumerate_classes_cached(h, j + k, mode)
+    j, n = chi.l, chi.l + xi.l
+    (chi_nums, chi_den), (xi_nums, xi_den) = _numerators(chi), _numerators(xi)
+    den = chi_den * xi_den
+    table = _enumerate_classes_cached(chi.h, n, chi.mode)
+    by_shape: dict = {}  # shape -> [(left multiplicities, right multiplicities, ways)]
     values = []
     for key in table.positions:
-        total = _ExactSum()
-        for a, b, ways in _split_key(key, table.sizes, j):
-            (xa, da), (xb, db) = chi_ratios[a], xi_ratios[b]
-            total.add(ways * xa * xb, da * db)
-        values.append(total.value())
-    return ClassFunction(h, mode, j + k, values)
+        shape = tuple([(table.sizes[i], m) for i, m in key])
+        if shape not in by_shape:
+            by_shape[shape] = [(c, tuple([m - x for (_, m), x in zip(shape, c)]), ways)
+                               for c, ways in _split_choices(shape, j)]
+        ids, total = [i for i, _ in key], 0
+        for c, r, ways in by_shape[shape]:  # compress drops the entries a half takes no copy of
+            a, b = tuple(itertools.compress(zip(ids, c), c)), tuple(itertools.compress(zip(ids, r), r))
+            total += ways * chi_nums[a] * xi_nums[b]
+        values.append(Fraction(total, den) if isinstance(total, int) else total * Fraction(1, den))
+    return ClassFunction(chi.h, chi.mode, n, values)
 
 
 def restrict_young(zeta: ClassFunction, j: int, k: int) -> tuple:

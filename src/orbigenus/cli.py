@@ -113,29 +113,24 @@ def _cmd_verify_frobenius(args, mode: Mode) -> int:
     if args.l < 2 or args.trials < 1:
         raise ValueError("nothing to check: frobenius needs --l >= 2 and --trials >= 1")
     rng = random.Random(args.seed)
-    ok = True
+    failures = []  # each check that failed, with both of its sides
     for j in range(1, args.l // 2 + 1):
         k = args.l - j
-        for _ in range(args.trials):
+        for trial in range(args.trials):
             chi = _random_classfunction(args.h, mode, j, rng)
             xi = _random_classfunction(args.h, mode, k, rng)
             zeta = _random_classfunction(args.h, mode, args.l, rng)
             induced = induce_young(chi, xi)
-            lhs = inner_product(induced, zeta)
-            rhs = product_inner_product(chi, xi, restrict_young(zeta, j, k))
-            mult = augmentation(induced) == augmentation(chi) * augmentation(xi)
-            if lhs != rhs or not mult:
-                ok = False
-    _emit_json(
-        {
-            "h": args.h,
-            "mode": serialize.mode_to_json(mode),
-            "l": args.l,
-            "trials": args.l // 2 * args.trials,
-            "equal": ok,
-        }
-    )
-    return 0 if ok else 1
+            sides = (("reciprocity", inner_product(induced, zeta),
+                      product_inner_product(chi, xi, restrict_young(zeta, j, k))),
+                     ("augmentation", augmentation(induced), augmentation(chi) * augmentation(xi)))
+            failures += [{"j": j, "k": k, "trial": trial, "check": check,
+                          "lhs": serialize.fraction_to_str(lhs), "rhs": serialize.fraction_to_str(rhs)}
+                         for check, lhs, rhs in sides if lhs != rhs]
+    report = {"h": args.h, "mode": serialize.mode_to_json(mode), "l": args.l,
+              "trials": args.l // 2 * args.trials, "equal": not failures}
+    _emit_json({**report, "first_failure": failures[0]} if failures else report)
+    return 1 if failures else 0
 
 
 def _cmd_verify_oracle(args, mode: Mode) -> int:

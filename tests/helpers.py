@@ -21,7 +21,7 @@ from orbigenus.classes import (
     Permutation,
     _enumerate_classes_cached,
     _orbit_pool,
-    _split_key,
+    _split_choices,
     centralizer_order,
     enumerate_classes,
 )
@@ -418,16 +418,20 @@ def class_of_key(h, mode, pool, key):
 
 
 def keyed_splits(m, degree):
-    """The keyed splits of the class m off the given degree, as (class, class, ways) triples.
+    """The splits of the class m off the given degree, as (class, class, ways) triples.
 
-    The halves are rebuilt with class_of_key, so a half that is not a valid
-    sorted key raises.
+    The split choices of m's key shape give each half's multiplicities, entry
+    by entry; the halves are rebuilt with class_of_key, so a half that is not
+    a valid sorted key raises.
     """
-    table = _enumerate_classes_cached(m.h, m.degree, m.mode)
     pool = _orbit_pool(m.h, m.degree, m.mode)
+    key = key_of(m)
+    shape = tuple((pool[i].size, k) for i, k in key)
     return [
-        (class_of_key(m.h, m.mode, pool, a), class_of_key(m.h, m.mode, pool, b), ways)
-        for a, b, ways in _split_key(key_of(m), table.sizes, degree)
+        (class_of_key(m.h, m.mode, pool, [(i, c) for (i, _), c in zip(key, choices) if c]),
+         class_of_key(m.h, m.mode, pool, [(i, k - c) for (i, k), c in zip(key, choices) if c < k]),
+         ways)
+        for choices, ways in _split_choices(shape, degree)
     ]
 
 

@@ -103,8 +103,19 @@ def test_parameter_mismatch_raises():
         chi + ClassFunction.one(2, P2, 3)
     with pytest.raises(ValueError):
         chi * ClassFunction.one(2, P3, 2)
-    with pytest.raises(ValueError):
-        inner_product(chi, ClassFunction.one(1, P2, 2))
+    for other in (ClassFunction.one(1, P2, 2), ClassFunction.one(2, P2, 3), ClassFunction.one(2, P3, 2)):
+        with pytest.raises(ValueError, match="class function parameters do not match"):
+            inner_product(chi, other)
+
+
+@pytest.mark.parametrize("other", [3, Fraction(1, 2), PsiPolynomial.constant(1), "x", None, (1, 1)],
+                         ids=["int", "Fraction", "polynomial", "str", "None", "tuple"])
+def test_inner_product_pairs_only_class_functions(other):
+    # anything that * accepts, as well as anything it does not, is refused on either side
+    chi = ClassFunction.one(2, P2, 2)
+    for args in ((chi, other), (other, chi), (other, other)):
+        with pytest.raises(TypeError, match="ClassFunction"):
+            inner_product(*args)
 
 
 @pytest.mark.parametrize(
@@ -292,6 +303,32 @@ def test_induce_young_matches_centralizer_ratio_reference(h, mode):
         for j in range(n + 1):
             chi, xi = rand_cf(rng, h, mode, j), rand_cf(rng, h, mode, n - j)
             assert induce_young(chi, xi) == _induce_reference(chi, xi), (h, mode, j, n - j)
+
+
+@pytest.mark.parametrize("h, mode", [(1, ALL_ORDERS), (2, P2), (2, P3)], ids=["h1", "h2-p2", "h2-p3"])
+def test_induce_young_on_polynomial_and_mixed_values(h, mode):
+    # each value equals the reference's and has its type: a polynomial where some
+    # split read a polynomial, a Fraction where every split read Fractions
+    rng = random.Random(10 * h + (mode.p or 0))
+
+    def psi(l):
+        return equivariant_power_classfunction(SymbolicModel("x"), l, h, mode)
+
+    def mixed(l):
+        return ClassFunction(h, mode, l, [
+            v if rng.random() < 0.5 else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for v in psi(l).values
+        ])
+
+    kinds = set()
+    for n in range(7):
+        for j in range(n + 1):
+            for chi, xi in ((psi(j), psi(n - j)), (mixed(j), mixed(n - j)),
+                            (rand_cf(rng, h, mode, j), psi(n - j))):
+                got, want = induce_young(chi, xi).values, _induce_reference(chi, xi).values
+                assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (j, n - j)
+                kinds.update(type(v) for v in got)
+    assert kinds == {Fraction, PsiPolynomial}
 
 
 def test_oracle_of_zero_is_zero():

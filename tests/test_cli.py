@@ -150,15 +150,21 @@ def _perturb_closed_form(real):
         (genus, "hecke_log_series", _perturb_hecke_log,
          ("verify", "dmvv", "--h", "2", "--p", "2", "--n", "4"),
          {"equal": False, "first_mismatch": 1, "difference": [{"monomial": [], "value": "-1"}]}),
+        # trial 0 holds: its chi is 0 on the class whose row is scaled
         (cli, "restrict_young", _scale_one_restricted_value,
          ("verify", "frobenius", "--h", "2", "--p", "2", "--l", "4", "--trials", "2"),
-         {"equal": False}),
+         {"equal": False, "first_failure": {"j": 1, "k": 3, "trial": 1, "check": "reciprocity",
+                                            "lhs": "-519/64", "rhs": "-513/64"}}),
+        (cli, "augmentation", _perturb_closed_form,
+         ("verify", "frobenius", "--h", "2", "--p", "2", "--l", "4", "--trials", "2"),
+         {"equal": False, "first_failure": {"j": 1, "k": 3, "trial": 0, "check": "augmentation",
+                                            "lhs": "1", "rhs": "11/36"}}),
         (cli, "brute_force_classes", _drop_one_class,
          ("verify", "oracle", "--h", "2", "--p", "2", "--l", "3"), {"equal": False}),
         (cli, "geometric_power_series", _perturb_closed_form,
          ("genus", "todd", "--d", "2", "--n", "4"), {"closed_form": False}),
     ],
-    ids=["dmvv", "frobenius", "oracle", "todd"],
+    ids=["dmvv", "frobenius", "frobenius-augmentation", "oracle", "todd"],
 )
 def test_a_failed_identity_exits_1_with_its_full_report(capsys, monkeypatch, module, name, wrap,
                                                          argv, expected):

@@ -5,6 +5,8 @@ match a plain Fraction-coefficient reference, the orbit-type product for the sym
 equals the class sum, the Adams and geometric series equal their routes
 through series inversion, the integer-numerator sums (the summing helper, the
 Hecke operators, sigma and the Young sums) equal plain Fraction sums, the
+split choices of a key shape equal their product-and-filter, the pairing
+equals the augmentation of the product, the
 JSON writer matches json.dumps (a polynomial's text that of a dict per
 term), series inversion, exp and log undo each other, log agrees with the
 integrated logarithmic derivative, sorted_terms keeps the monomial order,
@@ -13,7 +15,8 @@ in, rational strings round-trip, and the class of a commuting tuple is
 invariant under conjugation."""
 import json
 from fractions import Fraction
-from math import gcd, prod
+from itertools import product
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +28,7 @@ from orbigenus.classes import (
     _enumerate_classes_cached,
     _merge_keys,
     _orbit_pool,
+    _split_choices,
     centralizer_order,
     class_representative,
     enumerate_classes,
@@ -34,6 +38,7 @@ from orbigenus.classfun import (
     ClassFunction,
     augmentation,
     induce_young,
+    inner_product,
     product_inner_product,
     restrict_young,
 )
@@ -119,6 +124,10 @@ monomial = st.lists(
     st.tuples(st.sampled_from(SYMBOLS), st.integers(1, 3)), max_size=3, unique_by=lambda se: se[0]
 )
 coefficient = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+linear_polynomial = st.lists(
+    st.tuples(st.lists(st.tuples(st.sampled_from(SYMBOLS[:3]), st.just(1)), max_size=1), coefficient),
+    max_size=3,
+).map(PsiPolynomial)
 
 
 @SETTINGS
@@ -416,6 +425,21 @@ def test_keyed_splits_equal_product_and_filter(m, data):
 
 
 @SETTINGS
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), max_size=4).map(tuple), st.data())
+def test_split_choices_equal_product_and_filter(shape, data):
+    top = sum(s * m for s, m in shape)
+    degree = data.draw(st.integers(-1, top + 1))
+    choices = [cs for cs in product(*(range(m + 1) for _, m in shape))
+               if sum(s * c for (s, _), c in zip(shape, cs)) == degree]
+    splits = _split_choices(shape, degree)
+    assert [cs for cs, _ in splits] == choices
+    assert all(ways == prod(comb(m, c) for (_, m), c in zip(shape, cs)) for cs, ways in splits)
+    # every sub-multiset is taken at exactly one degree
+    total = sum(ways for d in range(top + 1) for _, ways in _split_choices(shape, d))
+    assert total == 2 ** sum(m for _, m in shape)
+
+
+@SETTINGS
 @given(class_params(), st.data())
 def test_keyed_merge_equals_the_union(params, data):
     h, mode, l = params
@@ -449,8 +473,8 @@ def test_class_table_round_trips_keys_in_canonical_order(params):
 
 
 @st.composite
-def young_case(draw):
-    """chi, xi and zeta of degrees j, k and j + k <= 6 at h <= 2, with random exact values."""
+def young_case(draw, values=coefficient):
+    """chi, xi and zeta of degrees j, k and j + k <= 6 at h <= 2, with random values drawn from values."""
     h = draw(st.integers(1, 2))
     mode = draw(st.sampled_from([ALL_ORDERS, P2, P3]))
     j = draw(st.integers(0, 3))
@@ -458,7 +482,7 @@ def young_case(draw):
 
     def class_function(l):
         n = len(enumerate_classes(h, l, mode))
-        return ClassFunction(h, mode, l, draw(st.lists(coefficient, min_size=n, max_size=n)))
+        return ClassFunction(h, mode, l, draw(st.lists(values, min_size=n, max_size=n)))
 
     return class_function(j), class_function(k), class_function(j + k)
 
@@ -482,6 +506,16 @@ def test_induce_young_equals_a_fraction_fold(case):
         _fold(ways * chi.value(a) * xi.value(b) for a, b, ways in keyed_splits(m, chi.l))
         for m in induced.classes
     ]
+
+
+@SETTINGS
+@given(young_case(coefficient | linear_polynomial))
+def test_inner_product_equals_the_augmentation_of_the_product(case):
+    # in value and in type: a polynomial once some class holds one, else a Fraction
+    chi, xi, zeta = case
+    for a, b in ((chi, chi), (induce_young(chi, xi), zeta)):
+        pairing, reference = inner_product(a, b), augmentation(a * b)
+        assert (type(pairing), pairing) == (type(reference), reference)
 
 
 @SETTINGS
@@ -605,12 +639,6 @@ def test_invert_exp_and_log_undo_each_other(unit, a, b):
 
 
 # degree <= 1 in three symbols, so that series of them stay cheap to invert
-linear_polynomial = st.lists(
-    st.tuples(st.lists(st.tuples(st.sampled_from(SYMBOLS[:3]), st.just(1)), max_size=1), coefficient),
-    max_size=3,
-).map(PsiPolynomial)
-
-
 @st.composite
 def unit_series(draw):
     """Constant term one, as a Fraction or a polynomial; the other coefficients all
