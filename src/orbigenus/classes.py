@@ -169,18 +169,18 @@ def _walk_classes(pool: list[TransitiveOrbit], top: int):
             return
 
 
-class _ClassTable:
-    """The classes of one (h, l, mode) in canonical order, with int keys and z.
+class _ClassTable(_Value):
+    """The classes of one (h, l, mode) in canonical order, with int keys and z; frozen, as it is cached.
 
     A key is ((pool index, multiplicity), ...).  Each degree's orbit pool is a prefix of the
     next one's, so keys of all degrees share one numbering.  positions maps key -> position,
     built in canonical order; z holds the centralizer orders, sizes the orbit size by pool index.
     """
 
-    __slots__ = ("classes", "positions", "z", "sizes")
+    __slots__ = _fields = ("classes", "positions", "z", "sizes")
 
     def __init__(self, classes: tuple, positions: dict, z: tuple, sizes: tuple):
-        self.classes, self.positions, self.z, self.sizes = classes, positions, z, sizes
+        self._set(classes, positions, z, sizes)
 
 
 @lru_cache(maxsize=None)

@@ -67,15 +67,10 @@ class ClassFunction(_Value):
             raise KeyError(f"not a class of (h={self.h}, l={self.l}, {self.mode}): {cls}")
         return self.values[i]
 
-    def _check_match(self, other: "ClassFunction", same_degree: bool = True):
-        """ValueError unless other has the same h and mode, and the same l if same_degree."""
-        if (self.h, self.mode) != (other.h, other.mode) or (same_degree and self.l != other.l):
-            raise ValueError("class function parameters do not match")
-
     def _pointwise(self, other, op):
         """op applied value by value, against a matching ClassFunction or a scalar."""
         if isinstance(other, ClassFunction):
-            self._check_match(other)
+            _matched(self, other)
             values = map(op, self.values, other.values)
         elif isinstance(other, _SCALARS):
             c = exact(other)
@@ -103,6 +98,16 @@ class ClassFunction(_Value):
         return f"ClassFunction(h={self.h}, l={self.l}, {self.mode}, {len(self.values)} classes)"
 
 
+def _matched(chi, *others, same_degree: bool = True) -> None:
+    """The gate of every routine here: TypeError naming ClassFunction unless every argument is one,
+    then ValueError unless all share h and mode, and l too if same_degree."""
+    for f in (chi, *others):
+        if not isinstance(f, ClassFunction):
+            raise TypeError(f"expected a ClassFunction, got {type(f).__name__}")
+    if any((chi.h, chi.mode) != (xi.h, xi.mode) or (same_degree and chi.l != xi.l) for xi in others):
+        raise ValueError("class function parameters do not match")
+
+
 def augmentation(chi: ClassFunction):
     """Sum of chi over the group, divided by the group order.
 
@@ -110,6 +115,7 @@ def augmentation(chi: ClassFunction):
     _ExactSum, so one Fraction or one polynomial; for the constant function 1 of
     degree l it gives the number of commuting h-tuples divided by l!.
     """
+    _matched(chi)
     total = _ExactSum()
     for v, z in zip(chi.values, chi._table().z):
         total.add(v, z)
@@ -121,9 +127,7 @@ def inner_product(chi: ClassFunction, xi: ClassFunction):
 
     TypeError unless chi and xi are ClassFunctions, ValueError unless their (h, l, mode) match.
     """
-    if not (isinstance(chi, ClassFunction) and isinstance(xi, ClassFunction)):
-        raise TypeError(f"inner_product pairs two ClassFunctions, got {chi!r} and {xi!r}")
-    chi._check_match(xi)
+    _matched(chi, xi)
     total = _ExactSum()
     for va, vb, z in zip(chi.values, xi.values, chi._table().z):
         (xa, da), (xb, db) = _ratio(va, z), _ratio(vb)
@@ -146,7 +150,7 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
     prod_T C(m_T, a_T), the centralizer ratio z(m) / (z(a) z(b)).  The split choices of
     each key shape are searched once; chi and xi are read over one denominator each.
     """
-    chi._check_match(xi, same_degree=False)
+    _matched(chi, xi, same_degree=False)
     j, n = chi.l, chi.l + xi.l
     (chi_nums, chi_den), (xi_nums, xi_den) = _numerators(chi), _numerators(xi)
     den = chi_den * xi_den
@@ -175,6 +179,7 @@ def restrict_young(zeta: ClassFunction, j: int, k: int) -> tuple:
     in the class table.  No split is used, so it checks induce_young
     independently.  j and k must be ints.
     """
+    _matched(zeta)
     if _count(j, "j") < 0 or _count(k, "k") < 0 or j + k != zeta.l:
         raise ValueError(f"split {j}+{k} does not match degree {zeta.l}")
     h, mode = zeta.h, zeta.mode
@@ -195,7 +200,7 @@ def product_inner_product(chi: ClassFunction, xi: ClassFunction, table: tuple):
     position, reading z from the two class tables.  ValueError names the
     expected shape if ``table`` or one of its rows has another.
     """
-    chi._check_match(xi, same_degree=False)
+    _matched(chi, xi, same_degree=False)
     rows, cols = len(chi.values), len(xi.values)
     if len(table) != rows or any(len(row) != cols for row in table):
         raise ValueError(f"table must have {rows} rows of {cols} values")
@@ -218,7 +223,7 @@ def thm_d_induction_oracle(
     tuple and sums chi x xi over all g in Sigma_n that conjugate the tuple
     into the Young subgroup, divided by j! k!.  Exponential in n; guarded.
     """
-    chi._check_match(xi, same_degree=False)
+    _matched(chi, xi, same_degree=False)
     h, mode = chi.h, chi.mode
     j, k = chi.l, xi.l
     n = j + k

@@ -10,6 +10,7 @@ verifiers, that the identity holds), 1 means a verified identity failed,
 from __future__ import annotations
 
 import argparse
+import operator
 import random
 import re
 import sys
@@ -137,16 +138,19 @@ def _cmd_verify_oracle(args, mode: Mode) -> int:
     counted = brute_force_classes(args.h, args.l, mode, guard=args.guard)
     expected = {c: class_size(c) for c in enumerate_classes(args.h, args.l, mode)}
     ok = counted == expected
-    _emit_json(
-        {
-            "h": args.h,
-            "mode": serialize.mode_to_json(mode),
-            "l": args.l,
-            "classes": len(expected),
-            "tuples": str(sum(expected.values())),
-            "equal": ok,
-        }
-    )
+    report = {
+        "h": args.h,
+        "mode": serialize.mode_to_json(mode),
+        "l": args.l,
+        "classes": len(expected),
+        "tuples": str(sum(expected.values())),
+        "equal": ok,
+    }
+    if not ok:  # the first class, in canonical order, counted otherwise than class_size says
+        differs = [c for c in expected.keys() | counted.keys() if counted.get(c, 0) != expected.get(c, 0)]
+        cls = min(differs, key=operator.attrgetter("entries"))
+        report["first_failure"] = {"class": serialize.class_to_json(cls), "counted": str(counted.get(cls, 0))}
+    _emit_json(report)
     return 0 if ok else 1
 
 

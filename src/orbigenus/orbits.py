@@ -59,8 +59,8 @@ def _is_prime(p: int) -> bool:
 
 class _Value:
     """Base of the immutable classes.  A subclass names its fields in ``_fields`` and ``__slots__``
-    and sets each once through its slot descriptor's setter, as ``_set`` does; setting or
-    deleting an attribute after that raises AttributeError.  Like a frozen dataclass, an instance
+    and sets each slot once through its setter in ``_setters``, in slot order, as ``_set`` does;
+    setting or deleting an attribute then raises AttributeError.  Like a frozen dataclass, it
     compares, hashes, shows and pickles (through its checked constructor) as its field tuple.
     """
 
@@ -68,7 +68,7 @@ class _Value:
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls._fields
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _set(self, *values) -> None:
         for setter, value in zip(self._setters, values):
@@ -217,9 +217,7 @@ class TransitiveOrbit(_Value):
         return f"T[{self.label()}]"
 
 
-# bound once: orbit enumeration sets three slots per orbit
-_set_h, _set_rows, _set_size, _set_sort_key = (
-    getattr(TransitiveOrbit, name).__set__ for name in ("h", "rows", "size", "_sort_key"))
+_set_h, _set_rows, _set_size, _set_sort_key = TransitiveOrbit._setters  # enumeration sets three per orbit
 
 
 def _reduce(w: list, rows, start: int) -> None:

@@ -136,7 +136,7 @@ def _mono_str(m) -> str:
     return "*".join(parts)
 
 
-class PsiPolynomial:
+class PsiPolynomial(_Value):
     """Immutable polynomial with exact rational coefficients and structural equality.
 
     ``terms`` maps monomials of (PsiSymbol, exponent) pairs, exponents ints >= 1
@@ -150,8 +150,8 @@ class PsiPolynomial:
     operand is never made a polynomial: it is added at the constant monomial, or scales each term.
     """
 
-    __slots__ = ("_terms", "_den")
-    __setattr__ = __delattr__ = _Value.__setattr__  # each field is set once, by _set_terms and _set_den
+    __slots__ = ("_terms", "_den")  # each set once, by _set_terms and _set_den
+    _fields = ()  # compared, hashed, shown and pickled by its own methods below
 
     def __init__(self, terms=None):
         data: dict[Monomial, Fraction] = {}
@@ -305,7 +305,7 @@ class PsiPolynomial:
         return PsiPolynomial, (self.sorted_terms(),)
 
 
-_set_terms, _set_den = (getattr(PsiPolynomial, name).__set__ for name in PsiPolynomial.__slots__)
+_set_terms, _set_den = PsiPolynomial._setters
 
 
 class _ExactSum(dict):

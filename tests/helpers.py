@@ -5,7 +5,8 @@ groups; the HNF helpers rebuild the orbit enumeration one matrix entry at a
 time.  All of it deliberately shares no code with the lattice machinery
 under test.  Elements of a group prod Z/m_i are tuples under componentwise
 addition.  The functions after class_count use the library's own types:
-conveniences that several tests share, and the product-and-filter
+conveniences that several tests share, the primary-decomposition map onto
+the orbits of a composite size, and the product-and-filter
 reference that the keyed class split is checked against, the plain
 Fraction-coefficient reference of polynomial arithmetic, and the
 dict-per-term reference of a polynomial's JSON.
@@ -27,7 +28,7 @@ from orbigenus.classes import (
 )
 from orbigenus.classfun import ClassFunction
 from orbigenus.genus import lambda_series
-from orbigenus.orbits import ALL_ORDERS, Mode, enumerate_orbits
+from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import (
     _json_int, class_to_json, dumps, fraction_to_str, mode_to_json, orbit_to_json, value_to_json,
@@ -447,6 +448,17 @@ def sub_multisets_reference(m, degree):
             m.h, m.mode, tuple((o, k - c) for (o, k), c in zip(m.entries, choice) if k - c)
         )
         yield a, b, Fraction(centralizer_order(m), centralizer_order(a) * centralizer_order(b))
+
+
+def primary_products(h, m, n):
+    """The orbit of canonicalize(h, n rows(L_m) + m rows(L_n)) for each pair of orbits of coprime
+    sizes m and n, in pair order.  That lattice is L_m meet L_n (1 = a m + b n splits each of its
+    vectors), so by the primary decomposition of Z^h / L the map is a bijection onto the orbits of
+    size m n."""
+    return [
+        canonicalize(h, [[n * x for x in row] for row in a.rows] + [[m * x for x in row] for row in b.rows])
+        for a in enumerate_orbits(h, m) for b in enumerate_orbits(h, n)
+    ]
 
 
 # Filled by the acceptance suite; conftest prints it after the run so the

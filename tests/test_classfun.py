@@ -1,5 +1,6 @@
 """Class-function algebra: augmentation, inner product, Young induction."""
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -116,6 +117,46 @@ def test_inner_product_pairs_only_class_functions(other):
     for args in ((chi, other), (other, chi), (other, other)):
         with pytest.raises(TypeError, match="ClassFunction"):
             inner_product(*args)
+
+
+class _Impostor:
+    """Has no field of a ClassFunction: a gate that reads one before refusing fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name!r} of a non-ClassFunction")
+
+
+NOT_CLASS_FUNCTIONS = [3, Fraction(1, 2), PsiPolynomial.constant(1), "x", None, (1, 1), _Impostor()]
+CHI = ClassFunction.one(2, P2, 2)
+RESTRICTED = restrict_young(ClassFunction.one(2, P2, 4), 2, 2)
+ROUTINES = {  # each routine, and ClassFunction arguments it accepts
+    "augmentation": (augmentation, (CHI,)),
+    "inner_product": (inner_product, (CHI, CHI)),
+    "induce_young": (induce_young, (CHI, CHI)),
+    "restrict_young": (lambda zeta: restrict_young(zeta, 1, 1), (CHI,)),
+    "product_inner_product": (lambda chi, xi: product_inner_product(chi, xi, RESTRICTED), (CHI, CHI)),
+    "thm_d_induction_oracle": (thm_d_induction_oracle, (CHI, CHI)),
+}
+
+
+@pytest.mark.parametrize("routine, args", ROUTINES.values(), ids=ROUTINES)
+def test_every_class_function_routine_refuses_anything_else_in_any_position(routine, args):
+    routine(*args)  # accepted as given
+    for other in NOT_CLASS_FUNCTIONS:
+        for i in range(len(args)):
+            with pytest.raises(TypeError, match="ClassFunction"):
+                routine(*args[:i], other, *args[i + 1:])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_pointwise_operators_refuse_non_scalars_in_either_position(op):
+    for other in NOT_CLASS_FUNCTIONS[2:]:  # 3 and 1/2 are scalars, taken value by value
+        assert CHI._pointwise(other, op) is NotImplemented
+        for args in ((CHI, other), (other, CHI)):
+            with pytest.raises(TypeError, match="ClassFunction"):
+                op(*args)
+    with pytest.raises(ValueError, match="class function parameters do not match"):
+        op(CHI, ClassFunction.one(2, P2, 3))
 
 
 @pytest.mark.parametrize(

@@ -159,8 +159,13 @@ def _perturb_closed_form(real):
          ("verify", "frobenius", "--h", "2", "--p", "2", "--l", "4", "--trials", "2"),
          {"equal": False, "first_failure": {"j": 1, "k": 3, "trial": 0, "check": "augmentation",
                                             "lhs": "1", "rhs": "11/36"}}),
+        # the dropped class, the first that brute force finds, is the identity tuple's
         (cli, "brute_force_classes", _drop_one_class,
-         ("verify", "oracle", "--h", "2", "--p", "2", "--l", "3"), {"equal": False}),
+         ("verify", "oracle", "--h", "2", "--p", "2", "--l", "3"),
+         {"equal": False, "first_failure": {
+             "class": {"type": [{"orbit": {"h": 2, "size": "1", "hnf": [[1, 0], [0, 1]]}, "mult": 3}],
+                       "centralizer_order": "6", "class_size": "1"},
+             "counted": "0"}}),
         (cli, "geometric_power_series", _perturb_closed_form,
          ("genus", "todd", "--d", "2", "--n", "4"), {"closed_form": False}),
     ],

@@ -1,5 +1,7 @@
 """Property tests: the canonical order does not depend on how objects were built,
-canonicalize lands in the orbit enumeration and agrees with reduce, monomials
+canonicalize lands in the orbit enumeration and agrees with reduce, the
+orbits of coprime sizes m and n multiply onto those of size m n, the commuting
+h-tuples count the classes one level down, monomials
 have one normal form, polynomial arithmetic, comparisons, readers and sums
 match a plain Fraction-coefficient reference, the orbit-type product for the symmetric-power series
 equals the class sum, the Adams and geometric series equal their routes
@@ -16,7 +18,7 @@ invariant under conjugation."""
 import json
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +34,7 @@ from orbigenus.classes import (
     centralizer_order,
     class_representative,
     enumerate_classes,
+    hom_count,
     orbit_type_of_tuple,
 )
 from orbigenus.classfun import (
@@ -43,7 +46,7 @@ from orbigenus.classfun import (
     restrict_young,
 )
 from orbigenus.genus import (
-    SeriesComparison, SymbolicModel, TableModel, adams_series, geometric_power_series, hecke_operator,
+    IntegerModel, SeriesComparison, SymbolicModel, TableModel, adams_series, geometric_power_series, hecke_operator,
     lambda_series, sigma, symmetric_power_series,
 )
 from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
@@ -54,8 +57,8 @@ from orbigenus.serialize import (
 from orbigenus.series import TruncatedSeries
 
 from helpers import (
-    class_of_key, coefficient_of, compose, identity, inverse, key_of, keyed_splits, reference_add, reference_mul,
-    reference_of, reference_terms, sub_multisets_reference, value_json_reference,
+    class_of_key, coefficient_of, compose, identity, inverse, key_of, keyed_splits, primary_products, reference_add,
+    reference_mul, reference_of, reference_terms, sub_multisets_reference, value_json_reference,
 )
 
 P2 = Mode(2)
@@ -94,6 +97,38 @@ def test_canonicalize_lands_in_the_enumeration(t):
     # enumeration builds its matrices from shared rows; canonicalize reduces
     # generators by gcd steps, sharing nothing with it
     assert t in enumerate_orbits(t.h, t.size)
+
+
+@st.composite
+def coprime_sizes(draw):
+    """h <= 4 and coprime m, n with m n <= 24, or <= 12 at h = 4."""
+    h = draw(st.integers(1, 4))
+    top = 24 if h <= 3 else 12
+    m = draw(st.integers(1, top))
+    n = draw(st.sampled_from([n for n in range(1, top // m + 1) if gcd(m, n) == 1]))
+    return h, m, n
+
+
+@settings(SETTINGS, max_examples=30)
+@given(coprime_sizes())
+@example((2, 4, 9))
+@example((3, 4, 3))
+@example((3, 8, 3))
+@example((4, 4, 3))
+def test_coprime_orbits_multiply_by_the_primary_decomposition(case):
+    # one orbit of size m n per pair of orbits of sizes m and n: none missed, none twice
+    h, m, n = case
+    assert sorted(primary_products(h, m, n)) == list(enumerate_orbits(h, m * n))
+
+
+@settings(SETTINGS, max_examples=30)
+@given(st.integers(2, 4), st.integers(0, 6))
+def test_commuting_tuples_count_the_classes_one_level_down(h, l):
+    # Burnside: the commuting h-tuples of Sigma_l are l! times the classes of commuting (h-1)-tuples;
+    # the classes count Sigma_l-orbits of commuting (h-1)-tuples, each weighted by its centralizer
+    classes_below = len(enumerate_classes(h - 1, l))
+    assert sigma(IntegerModel(1), l, h) == classes_below
+    assert hom_count(h, l) == factorial(l) * classes_below
 
 
 @SETTINGS

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import orbigenus
-from orbigenus.orbits import Mode, enumerate_orbits
+from orbigenus.orbits import Mode, _Value, enumerate_orbits
 from orbigenus.psipoly import _IDS, _SYMBOLS, PsiPolynomial, PsiSymbol
 from orbigenus.serialize import dumps, value_to_json
 from orbigenus.series import TruncatedSeries
@@ -381,5 +381,6 @@ def test_a_polynomial_refuses_to_set_or_delete_a_field():
         with pytest.raises(AttributeError, match="immutable"):
             delattr(p, name)
     assert str(p) == text and p == 2 * x ** 2 + Fraction(1, 3)
-    assert not hasattr(p, "__dict__")
+    assert isinstance(p, _Value) and not hasattr(p, "__dict__")
+    assert p.__reduce__() == (PsiPolynomial, (p.sorted_terms(),))  # by symbols, not by ids
     assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbigenus
-from orbigenus.classes import OrbitTypeMultiset, Permutation
+from orbigenus.classes import OrbitTypeMultiset, Permutation, _ClassTable, _enumerate_classes_cached
+from orbigenus.classfun import ClassFunction, augmentation
 from orbigenus.genus import IntegerModel, TableModel, verify_product_formula
-from orbigenus.orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
+from orbigenus.orbits import ALL_ORDERS, Mode, TransitiveOrbit, _Value, enumerate_orbits
 from orbigenus.psipoly import PsiSymbol
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -70,6 +71,20 @@ def check_contract(value, fields: tuple, text: str):
 @pytest.mark.parametrize("value,fields,text", FIXED, ids=[type(v).__name__ for v, _, _ in FIXED])
 def test_value_classes_keep_the_frozen_dataclass_contract(value, fields, text):
     check_contract(value, fields, text)
+
+
+def test_the_cached_class_table_refuses_to_set_or_delete_a_field():
+    # one table serves the whole run, so a write would change every later result for its (h, l, mode)
+    table = _enumerate_classes_cached(2, 2, Mode(2))
+    fields = table._astuple()
+    assert isinstance(table, _Value) and not hasattr(table, "__dict__")
+    for name in (*_ClassTable._fields, "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(table, name, (1,))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(table, name)
+    assert _enumerate_classes_cached(2, 2, Mode(2)) is table and table._astuple() == fields
+    assert augmentation(ClassFunction.one(2, Mode(2), 2)) == 2
 
 
 @st.composite
