@@ -189,12 +189,15 @@ def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> _ClassTable:
     pool = _orbit_pool(h, l, mode)
     classes, positions = ([OrbitTypeMultiset(h, mode, ())], {(): 0}) if l == 0 else ([], {})
     key: list[tuple[int, int]] = []
+    new = OrbitTypeMultiset.__new__  # the walk yields sorted admissible rank-h entries: no check
     for depth, i, mult, degree in _walk_classes(pool, l):
         del key[depth - 1:]
         key.append((i, mult))
         if degree == l:
             positions[tuple(key)] = len(classes)
-            classes.append(OrbitTypeMultiset(h, mode, tuple((pool[i], m) for i, m in key)))
+            cls = new(OrbitTypeMultiset)
+            cls._set(h, mode, tuple([(pool[i], m) for i, m in key]))
+            classes.append(cls)
     return _ClassTable(
         tuple(classes), positions, tuple(map(centralizer_order, classes)),
         tuple(orbit.size for orbit in pool),
@@ -226,6 +229,37 @@ def _merge_keys(a, b) -> tuple:
     for i, m in b:
         merged[i] = merged.get(i, 0) + m
     return tuple(sorted(merged.items()))
+
+
+@lru_cache(maxsize=1)
+def _young_splits(h: int, n: int, mode: Mode, j: int) -> tuple:
+    """The split plan: per class of degree n, in table order, one (ways, position at degree j, position
+    at degree n - j) per split from _split_choices, searched once per key shape; one plan is kept."""
+    table = _enumerate_classes_cached(h, n, mode)
+    left, right = (_enumerate_classes_cached(h, d, mode).positions for d in (j, n - j))
+    by_shape: dict = {}  # shape -> [(left multiplicities, right multiplicities, ways)]
+    plan = []
+    for key in table.positions:
+        shape = tuple([(table.sizes[i], m) for i, m in key])
+        if shape not in by_shape:
+            by_shape[shape] = [(c, tuple([m - x for (_, m), x in zip(shape, c)]), ways)
+                               for c, ways in _split_choices(shape, j)]
+        ids = [i for i, _ in key]
+        plan.append(tuple([  # compress drops the entries a half takes no copy of
+            (ways, left[tuple(itertools.compress(zip(ids, c), c))],
+             right[tuple(itertools.compress(zip(ids, r), r))])
+            for c, r, ways in by_shape[shape]
+        ]))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=1)
+def _young_unions(h: int, j: int, k: int, mode: Mode) -> tuple:
+    """The union plan of degrees j and k: for each class a of degree j, a row holding, for each class b
+    of degree k, the position at degree j + k of _merge_keys(a, b); only the last plan is kept."""
+    keys_j, keys_k = (_enumerate_classes_cached(h, d, mode).positions for d in (j, k))
+    positions = _enumerate_classes_cached(h, j + k, mode).positions
+    return tuple(tuple([positions[_merge_keys(ka, kb)] for kb in keys_k]) for ka in keys_j)
 
 
 def enumerate_classes(h: int, l: int, mode: Mode = ALL_ORDERS) -> tuple[OrbitTypeMultiset, ...]:

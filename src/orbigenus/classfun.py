@@ -19,9 +19,9 @@ from .classes import (
     GuardExceededError,
     OrbitTypeMultiset,
     _enumerate_classes_cached,
-    _merge_keys,
     _orbit_type_from_images,
-    _split_choices,
+    _young_splits,
+    _young_unions,
     class_representative,
     enumerate_classes,
 )
@@ -46,6 +46,13 @@ class ClassFunction(_Value):
                 f"expected {len(classes)} values for (h={h}, l={l}, {mode}), got {len(vals)}"
             )
         self._set(h, mode, l, tuple(vals))
+
+    @classmethod
+    def _trusted(cls, h: int, mode: Mode, l: int, values) -> "ClassFunction":
+        """Unchecked: values must already be exact and aligned with the class table of (h, l, mode)."""
+        chi = cls.__new__(cls)
+        chi._set(h, mode, l, tuple(values))
+        return chi
 
     @classmethod
     def one(cls, h: int, mode: Mode, l: int) -> "ClassFunction":
@@ -77,7 +84,7 @@ class ClassFunction(_Value):
             values = (op(a, c) for a in self.values)
         else:
             return NotImplemented
-        return ClassFunction(self.h, self.mode, self.l, values)
+        return ClassFunction._trusted(self.h, self.mode, self.l, values)
 
     def __add__(self, other):
         return self._pointwise(other, operator.add)
@@ -86,6 +93,12 @@ class ClassFunction(_Value):
 
     def __sub__(self, other):
         return self._pointwise(other, operator.sub)
+
+    def __rsub__(self, other):
+        return self._pointwise(other, lambda a, c: c - a)
+
+    def __neg__(self):
+        return self.__rsub__(0)
 
     def __mul__(self, other):
         return self._pointwise(other, operator.mul)
@@ -135,11 +148,11 @@ def inner_product(chi: ClassFunction, xi: ClassFunction):
     return total.value()
 
 
-def _numerators(chi: ClassFunction) -> tuple[dict, int]:
-    """chi times one int denominator D, by key (ints, or polynomials where chi has them), and D."""
+def _numerators(chi: ClassFunction) -> tuple[list, int]:
+    """chi times one int denominator D, by position (ints, or polynomials where chi has them), and D."""
     ratios = list(map(_ratio, chi.values))
     den = lcm(*[d for _, d in ratios])
-    return dict(zip(chi._table().positions, [x * (den // d) for x, d in ratios])), den
+    return [x * (den // d) for x, d in ratios], den
 
 
 def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
@@ -147,27 +160,18 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
 
     The value on a class m sums chi(a) xi(b) over the splits of the orbit
     multiset as a disjoint union a + b with |a| = j, weighted by the integer
-    prod_T C(m_T, a_T), the centralizer ratio z(m) / (z(a) z(b)).  The split choices of
-    each key shape are searched once; chi and xi are read over one denominator each.
+    prod_T C(m_T, a_T), the centralizer ratio z(m) / (z(a) z(b)), read by position from
+    the split plan of (h, n, mode, j); chi and xi are read over one denominator each.
     """
     _matched(chi, xi, same_degree=False)
-    j, n = chi.l, chi.l + xi.l
+    n = chi.l + xi.l
     (chi_nums, chi_den), (xi_nums, xi_den) = _numerators(chi), _numerators(xi)
     den = chi_den * xi_den
-    table = _enumerate_classes_cached(chi.h, n, chi.mode)
-    by_shape: dict = {}  # shape -> [(left multiplicities, right multiplicities, ways)]
     values = []
-    for key in table.positions:
-        shape = tuple([(table.sizes[i], m) for i, m in key])
-        if shape not in by_shape:
-            by_shape[shape] = [(c, tuple([m - x for (_, m), x in zip(shape, c)]), ways)
-                               for c, ways in _split_choices(shape, j)]
-        ids, total = [i for i, _ in key], 0
-        for c, r, ways in by_shape[shape]:  # compress drops the entries a half takes no copy of
-            a, b = tuple(itertools.compress(zip(ids, c), c)), tuple(itertools.compress(zip(ids, r), r))
-            total += ways * chi_nums[a] * xi_nums[b]
+    for splits in _young_splits(chi.h, n, chi.mode, chi.l):
+        total = sum([ways * chi_nums[a] * xi_nums[b] for ways, a, b in splits])
         values.append(Fraction(total, den) if isinstance(total, int) else total * Fraction(1, den))
-    return ClassFunction(chi.h, chi.mode, n, values)
+    return ClassFunction._trusted(chi.h, chi.mode, n, values)
 
 
 def restrict_young(zeta: ClassFunction, j: int, k: int) -> tuple:
@@ -175,19 +179,15 @@ def restrict_young(zeta: ClassFunction, j: int, k: int) -> tuple:
 
     Row a holds one value per class b of degree k, and there is one row per
     class a of degree j, both in enumerate_classes order.  The value is zeta
-    on the disjoint union of a and b: the merge of their int keys, looked up
-    in the class table.  No split is used, so it checks induce_young
-    independently.  j and k must be ints.
+    on the disjoint union of a and b, read by position from the union plan of
+    (h, j, k, mode), which merges int keys.  No split is used, so it checks
+    induce_young independently.  j and k must be ints.
     """
     _matched(zeta)
     if _count(j, "j") < 0 or _count(k, "k") < 0 or j + k != zeta.l:
         raise ValueError(f"split {j}+{k} does not match degree {zeta.l}")
-    h, mode = zeta.h, zeta.mode
-    keys_j, keys_k = (_enumerate_classes_cached(h, d, mode).positions for d in (j, k))
-    positions, values = zeta._table().positions, zeta.values
-    return tuple(
-        tuple(values[positions[_merge_keys(ka, kb)]] for kb in keys_k) for ka in keys_j
-    )
+    values = zeta.values
+    return tuple(tuple([values[p] for p in row]) for row in _young_unions(zeta.h, j, k, zeta.mode))
 
 
 def product_inner_product(chi: ClassFunction, xi: ClassFunction, table: tuple):

@@ -102,12 +102,15 @@ def _cmd_verify_dmvv(args, mode: Mode) -> int:
     return 0 if report.equal else 1
 
 
+# row n + 6 holds Fraction(n, d), d = 1..4; choosing a row, then an entry, draws as randint does
+_DRAWS = tuple(tuple(Fraction(n, d) for d in range(1, 5)) for n in range(-6, 7))
+
+
 def _random_classfunction(h, mode, l, rng) -> ClassFunction:
-    values = [
-        Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        for _ in enumerate_classes(h, l, mode)
-    ]
-    return ClassFunction(h, mode, l, values)
+    """Fraction(rng.randint(-6, 6), rng.randint(1, 4)) per class, read from _DRAWS."""
+    choice = rng.choice
+    values = [choice(choice(_DRAWS)) for _ in enumerate_classes(h, l, mode)]
+    return ClassFunction._trusted(h, mode, l, values)
 
 
 def _cmd_verify_frobenius(args, mode: Mode) -> int:

@@ -180,6 +180,19 @@ def test_enumerate_classes_degree_zero():
         enumerate_classes(1, -1)
 
 
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("mode", [ALL_ORDERS, P2, P3], ids=str)
+def test_walked_classes_equal_their_checked_build(h, mode):
+    # the walk builds its classes unchecked: each must equal, and hash like, the checked one
+    for l in range(9 if h < 3 else 7):
+        for c in enumerate_classes(h, l, mode):
+            checked = OrbitTypeMultiset(h, mode, c.entries)
+            assert (c, hash(c)) == (checked, hash(checked))
+            assert (c.h, c.mode, c.degree) == (h, mode, l)
+    with pytest.raises(AttributeError, match="immutable"):
+        enumerate_classes(h, 2, mode)[0].entries = ()
+
+
 def test_enumerate_classes_deterministic():
     # enumeration does not sort: classes must come out lexicographic in entries
     for h in (1, 2, 3):

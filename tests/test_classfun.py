@@ -9,6 +9,8 @@ import pytest
 from orbigenus.classes import (
     GuardExceededError,
     OrbitTypeMultiset,
+    _young_splits,
+    _young_unions,
     centralizer_order,
     enumerate_classes,
 )
@@ -96,6 +98,21 @@ def test_pointwise_algebra():
     assert chi != 1 and not chi == 1
     with pytest.raises(AttributeError, match="immutable"):
         chi.values = ()
+
+
+def test_reflected_subtraction_and_negation():
+    chi = rand_cf(random.Random(5), 2, P2, 3)
+    psi = equivariant_power_classfunction(SymbolicModel("x"), 3, 2, P2)
+    for f in (chi, psi):
+        for s in (3, Fraction(-2, 3)):
+            assert s - f == -(f - s)
+            assert (s - f).values == tuple(s - v for v in f.values)
+        assert -f == f * -1
+        assert (-f).values == tuple(-v for v in f.values)
+        assert [type(v) for v in (3 - f).values] == [type(v) for v in f.values]
+    for other in ("x", None, (1, 1), 0.5, PsiPolynomial.constant(3)):
+        with pytest.raises(TypeError):
+            other - chi
 
 
 def test_parameter_mismatch_raises():
@@ -344,6 +361,26 @@ def test_induce_young_matches_centralizer_ratio_reference(h, mode):
         for j in range(n + 1):
             chi, xi = rand_cf(rng, h, mode, j), rand_cf(rng, h, mode, n - j)
             assert induce_young(chi, xi) == _induce_reference(chi, xi), (h, mode, j, n - j)
+
+
+def test_plans_follow_interleaved_split_degrees():
+    # one plan of each kind is kept, so each change of (h, mode, j, k) must rebuild it, and
+    # a repeat of the last must reuse it; both sides are checked against the references
+    rng = random.Random(31)
+    steps = [(2, P2, 1, 5), (2, P2, 2, 4), (2, P2, 1, 5), (2, P2, 3, 3), (2, P2, 3, 3), (2, P2, 0, 6),
+             (2, P2, 1, 4), (1, ALL_ORDERS, 1, 5), (2, P3, 1, 5), (2, ALL_ORDERS, 2, 4), (2, P2, 1, 5)]
+    for step, (h, mode, j, k) in enumerate(steps):
+        chi, xi, zeta = rand_cf(rng, h, mode, j), rand_cf(rng, h, mode, k), rand_cf(rng, h, mode, j + k)
+        hits = _young_splits.cache_info().hits, _young_unions.cache_info().hits
+        assert induce_young(chi, xi) == _induce_reference(chi, xi), (h, mode, j, k)
+        assert restrict_young(zeta, j, k) == tuple(
+            tuple(zeta.value(union(a, b)) for b in enumerate_classes(h, k, mode))
+            for a in enumerate_classes(h, j, mode)
+        ), (h, mode, j, k)
+        repeat = step > 0 and steps[step - 1] == (h, mode, j, k)
+        assert _young_splits.cache_info().hits == hits[0] + repeat
+        assert _young_unions.cache_info().hits == hits[1] + repeat
+    assert _young_splits.cache_info().currsize == _young_unions.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("h, mode", [(1, ALL_ORDERS), (2, P2), (2, P3)], ids=["h1", "h2-p2", "h2-p3"])

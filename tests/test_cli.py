@@ -1,13 +1,17 @@
 """CLI behavior: output shapes, exit codes, determinism, error paths."""
 import hashlib
 import json
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from orbigenus import cli, genus
+from orbigenus.classes import enumerate_classes
+from orbigenus.classfun import ClassFunction
 from orbigenus.cli import main
-from orbigenus.orbits import enumerate_orbits
+from orbigenus.orbits import ALL_ORDERS, Mode, enumerate_orbits
 from orbigenus.serialize import dumps, orbit_to_json
 from orbigenus.series import TruncatedSeries
 
@@ -93,6 +97,21 @@ def test_verify_frobenius(capsys):
     for l in ("4", "5"):  # two splits each: 1+3 and 2+2, or 1+4 and 2+3
         code, out, _ = run(capsys, "verify", "frobenius", "--h", "1", "--l", l, "--trials", "2")
         assert code == 0 and json.loads(out)["trials"] == 4
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_random_class_functions_draw_as_randint_does(h):
+    # stdout shows only whether the checks held, so a change in the draws is seen here alone
+    for mode in (ALL_ORDERS, Mode(2), Mode(3)):
+        for l in range(7):
+            for seed in range(20):
+                rng, reference = random.Random(seed), random.Random(seed)
+                chi = cli._random_classfunction(h, mode, l, rng)
+                want = [Fraction(reference.randint(-6, 6), reference.randint(1, 4))
+                        for _ in enumerate_classes(h, l, mode)]
+                assert [(type(v), v) for v in chi.values] == [(Fraction, v) for v in want]
+                assert chi == ClassFunction(h, mode, l, want)
+                assert rng.getstate() == reference.getstate(), (h, mode, l, seed)
 
 
 @pytest.mark.parametrize("extra", [("--l", "1"), ("--l", "4", "--trials", "0"),

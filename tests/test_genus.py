@@ -9,8 +9,8 @@ import pytest
 
 from orbigenus import genus
 from orbigenus.classes import (
-    OrbitTypeMultiset, _enumerate_classes_cached, brute_force_classes, centralizer_order,
-    enumerate_classes,
+    OrbitTypeMultiset, _enumerate_classes_cached, _young_splits, _young_unions, brute_force_classes,
+    centralizer_order, enumerate_classes,
 )
 from orbigenus.classes import _walk_classes as walk_classes
 from orbigenus.classfun import ClassFunction, augmentation, restrict_young
@@ -512,7 +512,9 @@ SIZED_CALLS = {
 @pytest.mark.parametrize("call", SIZED_CALLS.values(), ids=SIZED_CALLS.keys())
 def test_a_non_int_size_raises_type_error_before_any_cache(call, bad):
     # 2.0 and True hash like 2 and 1, so a cache keyed on one would serve an int's entry
-    before = _enumerate_classes_cached.cache_info().currsize
+    caches = (_enumerate_classes_cached, _young_splits, _young_unions)
+    before = [cache.cache_info() for cache in caches]
     with pytest.raises(TypeError, match="must be an int, got"):
         call(bad)
-    assert _enumerate_classes_cached.cache_info().currsize == before
+    assert [cache.cache_info().currsize for cache in caches] == [info.currsize for info in before]
+    assert [cache.cache_info().misses for cache in caches[1:]] == [info.misses for info in before[1:]]
