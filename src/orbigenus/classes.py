@@ -170,17 +170,17 @@ def _walk_classes(pool: list[TransitiveOrbit], top: int):
 
 
 class _ClassTable(_Value):
-    """The classes of one (h, l, mode) in canonical order, with int keys and z; frozen, as it is cached.
+    """The classes of one (h, l, mode) in canonical order, with int keys and sizes; frozen, as it is cached.
 
     A key is ((pool index, multiplicity), ...).  Each degree's orbit pool is a prefix of the
     next one's, so keys of all degrees share one numbering.  positions maps key -> position,
-    built in canonical order; z holds the centralizer orders, sizes the orbit size by pool index.
+    built in canonical order; counts holds the class sizes l! / z, sizes the orbit size by pool index.
     """
 
-    __slots__ = _fields = ("classes", "positions", "z", "sizes")
+    __slots__ = _fields = ("classes", "positions", "counts", "sizes")
 
-    def __init__(self, classes: tuple, positions: dict, z: tuple, sizes: tuple):
-        self._set(classes, positions, z, sizes)
+    def __init__(self, classes: tuple, positions: dict, counts: tuple, sizes: tuple):
+        self._set(classes, positions, counts, sizes)
 
 
 @lru_cache(maxsize=None)
@@ -198,10 +198,8 @@ def _enumerate_classes_cached(h: int, l: int, mode: Mode) -> _ClassTable:
             cls = new(OrbitTypeMultiset)
             cls._set(h, mode, tuple([(pool[i], m) for i, m in key]))
             classes.append(cls)
-    return _ClassTable(
-        tuple(classes), positions, tuple(map(centralizer_order, classes)),
-        tuple(orbit.size for orbit in pool),
-    )
+    counts = tuple([factorial(l) // centralizer_order(cls) for cls in classes])
+    return _ClassTable(tuple(classes), positions, counts, tuple(orbit.size for orbit in pool))
 
 
 def _split_choices(shape, degree: int) -> list:
@@ -399,5 +397,6 @@ def brute_force_classes(
 
 
 def hom_count(h: int, l: int, mode: Mode = ALL_ORDERS) -> int:
-    """Number of commuting h-tuples of degree l, from the class-size formula."""
-    return sum(class_size(c) for c in enumerate_classes(h, l, mode))
+    """Number of commuting h-tuples of degree l: the class sizes of the class table, summed."""
+    _check_walk(h, l, "degree")
+    return sum(_enumerate_classes_cached(h, l, mode).counts)

@@ -3,7 +3,8 @@
 A class function of degree l assigns a value (Fraction, or a polynomial
 coefficient) to every conjugacy class of commuting h-tuples in Sigma_l.
 The augmentation sums values against inverse centralizer orders; the inner
-product of two class functions is the augmentation of their product.
+product of two class functions is the augmentation of their product.  Both weight
+numerators over one denominator D by the class sizes l!/z(c), and divide once by D l!.
 Induction and restriction along the Young subgroup Sigma_j x Sigma_k come
 with a literal group-averaging oracle for cross-checking.
 """
@@ -13,7 +14,7 @@ import itertools
 import operator
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .classes import (
     GuardExceededError,
@@ -26,7 +27,7 @@ from .classes import (
     enumerate_classes,
 )
 from .orbits import Mode, _count, _Value
-from .psipoly import _SCALARS, _ExactSum, _ratio, exact
+from .psipoly import _SCALARS, _divided, _numerators, _quotient, exact
 
 
 class ClassFunction(_Value):
@@ -124,35 +125,23 @@ def _matched(chi, *others, same_degree: bool = True) -> None:
 def augmentation(chi: ClassFunction):
     """Sum of chi over the group, divided by the group order.
 
-    Equals sum over classes of chi(c)/z(c), z read from the class table, in one
-    _ExactSum, so one Fraction or one polynomial; for the constant function 1 of
-    degree l it gives the number of commuting h-tuples divided by l!.
+    Equals sum over classes of chi(c)/z(c), as one Fraction or one polynomial;
+    for the constant function 1 of degree l it gives the number of commuting
+    h-tuples divided by l!.
     """
     _matched(chi)
-    total = _ExactSum()
-    for v, z in zip(chi.values, chi._table().z):
-        total.add(v, z)
-    return total.value()
+    nums, den = _numerators(chi.values)
+    return _quotient(nums, chi._table().counts, den * factorial(chi.l))
 
 
 def inner_product(chi: ClassFunction, xi: ClassFunction):
-    """Bilinear, symmetric, unconjugated pairing: augmentation(chi * xi), in one _ExactSum.
+    """Bilinear, symmetric, unconjugated pairing: augmentation(chi * xi), without building chi * xi.
 
     TypeError unless chi and xi are ClassFunctions, ValueError unless their (h, l, mode) match.
     """
     _matched(chi, xi)
-    total = _ExactSum()
-    for va, vb, z in zip(chi.values, xi.values, chi._table().z):
-        (xa, da), (xb, db) = _ratio(va, z), _ratio(vb)
-        total.add(xa * xb, da * db)
-    return total.value()
-
-
-def _numerators(chi: ClassFunction) -> tuple[list, int]:
-    """chi times one int denominator D, by position (ints, or polynomials where chi has them), and D."""
-    ratios = list(map(_ratio, chi.values))
-    den = lcm(*[d for _, d in ratios])
-    return [x * (den // d) for x, d in ratios], den
+    (xs, dx), (ys, dy) = _numerators(chi.values), _numerators(xi.values)
+    return _quotient(map(operator.mul, xs, ys), chi._table().counts, dx * dy * factorial(chi.l))
 
 
 def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
@@ -165,12 +154,9 @@ def induce_young(chi: ClassFunction, xi: ClassFunction) -> ClassFunction:
     """
     _matched(chi, xi, same_degree=False)
     n = chi.l + xi.l
-    (chi_nums, chi_den), (xi_nums, xi_den) = _numerators(chi), _numerators(xi)
-    den = chi_den * xi_den
-    values = []
-    for splits in _young_splits(chi.h, n, chi.mode, chi.l):
-        total = sum([ways * chi_nums[a] * xi_nums[b] for ways, a, b in splits])
-        values.append(Fraction(total, den) if isinstance(total, int) else total * Fraction(1, den))
+    (chi_nums, chi_den), (xi_nums, xi_den) = _numerators(chi.values), _numerators(xi.values)
+    values = [_divided(sum([ways * chi_nums[a] * xi_nums[b] for ways, a, b in splits]), chi_den * xi_den)
+              for splits in _young_splits(chi.h, n, chi.mode, chi.l)]
     return ClassFunction._trusted(chi.h, chi.mode, n, values)
 
 
@@ -196,22 +182,19 @@ def product_inner_product(chi: ClassFunction, xi: ClassFunction, table: tuple):
     ``table`` has one row per class of chi's degree j and one entry per
     class of xi's degree k, both in enumerate_classes order, as produced by
     restrict_young; chi and xi supply the degree-j and degree-k factors of
-    the other side.  Sums chi(a) xi(b) table[a][b] / (z(a) z(b)) by
-    position, reading z from the two class tables.  ValueError names the
+    the other side.  Sums chi(a) xi(b) table[a][b] / (z(a) z(b)) by position, as
+    numerators weighted by |a| |b| and divided once.  ValueError names the
     expected shape if ``table`` or one of its rows has another.
     """
     _matched(chi, xi, same_degree=False)
     rows, cols = len(chi.values), len(xi.values)
     if len(table) != rows or any(len(row) != cols for row in table):
         raise ValueError(f"table must have {rows} rows of {cols} values")
-    xi_z = [_ratio(vb, z) for vb, z in zip(xi.values, xi._table().z)]
-    total = _ExactSum()
-    for row, va, za in zip(table, chi.values, chi._table().z):
-        xa, da = _ratio(va, za)
-        for (xb, db), w in zip(xi_z, row):
-            xw, dw = _ratio(w)
-            total.add(xa * xb * xw, da * db * dw)
-    return total.value()
+    (xs, dx), (ys, dy) = _numerators(chi.values), _numerators(xi.values)
+    ts, dt = _numerators(itertools.chain.from_iterable(table))
+    xs, ys = (list(map(operator.mul, v, f._table().counts)) for v, f in ((xs, chi), (ys, xi)))
+    return _quotient(map(operator.mul, [x * y for x in xs for y in ys], ts), itertools.repeat(1),
+                     dx * dy * dt * factorial(chi.l) * factorial(xi.l))
 
 
 def thm_d_induction_oracle(

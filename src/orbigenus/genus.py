@@ -11,19 +11,20 @@ together by the exponential product formula
 
 The verifier checks that identity coefficient by coefficient, exactly,
 with the class sum as its left side: one depth-first walk of every class
-of degree <= prec, which carries each class's psi product and centralizer
-order down to the classes that extend it and keeps no class.  The genus
-series themselves take the same coefficients from a product over orbit
-types, which enumerates no classes.
+of degree <= prec, which keeps no class.  The genus series take the same
+coefficients from a product over orbit types, which enumerates no classes.
+Both count: with D the lcm of the scalar psi denominators, degree k sums the
+integers (or polynomials) N_k = k! D^k sigma_k = sum_c |c| D^k psi(c), divided once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial, prod
 
 from .classes import OrbitTypeMultiset, _check_walk, _orbit_pool, _walk_classes, enumerate_classes
 from .classfun import ClassFunction
 from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, _count, _orbit_stream, _Value
-from .psipoly import PsiPolynomial, PsiSymbol, _ExactSum, _ratio, exact
+from .psipoly import PsiPolynomial, PsiSymbol, _ExactSum, _divided, _numerators, exact
 from .series import TruncatedSeries
 
 
@@ -70,50 +71,50 @@ class TableModel:
 
 def psi_of_class(model, cls: OrbitTypeMultiset):
     """Product of psi over the orbits of a class, with multiplicity; TypeError unless exact."""
-    value = Fraction(1)
-    for orbit, mult in cls.entries:
-        value = value * model.psi(orbit) ** mult
-    return exact(value)
+    return exact(prod((model.psi(orbit) ** mult for orbit, mult in cls.entries), start=Fraction(1)))
 
 
-def _orbit_powers(model, pool, prec: int) -> list:
-    """One row per orbit T of the pool, of size s: [None], then psi(T)^m / (s^m m!) as (x, d)
-    for m = 1 .. prec // s, d an int and x an int or, for a PsiPolynomial psi, the polynomial.
-    The one construction of these weights; model.psi is called once per orbit."""
+def _orbit_powers(model, pool, prec: int) -> tuple[list, int]:
+    """The weights of both sigma routes, and D, the lcm of the scalar psi denominators over the pool.
+
+    A row per orbit T of size s, with w = D^s psi(T): 1, then the integers (or polynomials) W[m] =
+    w^m (ms)! / (s^m m!) = W[m - 1] w C(ms - 1, s - 1) (s - 1)!, m <= prec // s, psi read once per orbit.
+    """
+    nums, den = _numerators(model.psi(orbit) for orbit in pool)
     powers = []
-    for orbit in pool:
-        psi, s = model.psi(orbit), orbit.size
-        row, value, z = [None], Fraction(1), 1
-        for m in range(1, prec // s + 1):
-            value, z = value * psi, z * s * m
-            row.append(_ratio(value, z))
+    for orbit, x in zip(pool, nums):
+        s = orbit.size
+        w, step, row = x * den ** (s - 1), factorial(s - 1), [1]
+        for ms in range(s, prec + 1, s):
+            row.append(row[-1] * w * (comb(ms - 1, s - 1) * step))
         powers.append(row)
-    return powers
+    return powers, den
 
 
 def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
     """[sigma_0, ..., sigma_prec]: psi(c) / z(c) summed over the classes c, in one walk.
 
-    The walk visits every class of degree <= prec once, depth first, and
-    carries its psi / z down to the classes that extend it as x / d.  A class
-    that adds m copies of an orbit T multiplies its parent's x and d by entry m
-    of T's _orbit_powers row, the weights symmetric_power_series reads too.
-    Its x / d goes into its degree's _ExactSum: scalars are summed as integer
-    numerators, so a degree builds one Fraction unless some class of it has a
-    PsiPolynomial product; a psi value that is not exact raises TypeError.
-    What stays independent of the orbit-type product is the summation, not
-    the weights: classes are summed one by one, never regrouped by orbit type.
+    The walk visits each class of degree <= prec once, depth first; degree k sums |c| D^k psi(c).
+    A class adding m copies of T to its parent at degree k takes the parent's product times W[m] of
+    T's _orbit_powers row, and the parent's int count times C(k, ms), scaled in by _ExactSum.add on a
+    polynomial.  The weights are symmetric_power_series', the sum class by class, never regrouped.
     """
     pool = _orbit_pool(h, prec, mode)
-    powers = _orbit_powers(model, pool, prec)
-    sums = [_ExactSum({1: 1})] + [_ExactSum() for _ in range(prec)]  # degree 0: the empty class
-    xs, ds = [1] * (prec + 1), [1] * (prec + 1)  # psi / z as x / d at each depth of the walk
+    powers, den = _orbit_powers(model, pool, prec)
+    sizes = [orbit.size for orbit in pool]
+    choose = [[comb(k, j) for j in range(k + 1)] for k in range(prec + 1)]
+    ints, sums = [1] + [0] * prec, [_ExactSum() for _ in range(prec + 1)]  # degree 0: the empty class
+    xs, ns = [1] * (prec + 1), [1] * (prec + 1)  # product and count at each depth of the walk
     for depth, i, mult, degree in _walk_classes(pool, prec):
-        x, d = powers[i][mult]
-        x = xs[depth] = xs[depth - 1] * x
-        d = ds[depth] = ds[depth - 1] * d
-        sums[degree].add(x, d)
-    return [s.value() for s in sums]
+        x = xs[depth] = xs[depth - 1] * powers[i][mult]
+        n = ns[depth] = ns[depth - 1] * choose[degree][mult * sizes[i]]
+        if x.__class__ is int:
+            ints[degree] += x * n
+        else:
+            sums[degree].add(x, n)
+    for total, n in zip(sums, ints):
+        total.add(n)
+    return [total.value(factorial(k) * den ** k) for k, total in enumerate(sums)]
 
 
 def sigma(model, n: int, h: int, mode: Mode = ALL_ORDERS):
@@ -143,18 +144,18 @@ def symmetric_power_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) ->
     goes into the coefficient list in place, top degree first, m >= 1 terms only.
     """
     pool = _orbit_pool(h, prec, mode)  # checks h and prec before the list is built
-    coeffs = [Fraction(1)] + [Fraction(0)] * prec
-    for orbit, row in zip(pool, _orbit_powers(model, pool, prec)):
+    powers, den = _orbit_powers(model, pool, prec)
+    nums = [1] + [0] * prec  # N_k = k! D^k sigma_k over the orbits so far
+    for orbit, row in zip(pool, powers):
         s = orbit.size
-        powers = [None] + [Fraction(1, d) * x for x, d in row[1:]]  # (psi(T) / s)^m / m!
         for k in range(prec, s - 1, -1):
-            acc = coeffs[k]
+            acc = nums[k]
             for m in range(1, k // s + 1):
-                c = coeffs[k - m * s]
+                c = nums[k - m * s]
                 if c:
-                    acc = acc + c * powers[m]
-            coeffs[k] = acc
-    return TruncatedSeries(coeffs, prec=prec)
+                    acc = acc + c * row[m] * comb(k, m * s)
+            nums[k] = acc
+    return TruncatedSeries([_divided(x, factorial(k) * den ** k) for k, x in enumerate(nums)], prec=prec)
 
 
 def hecke_operator(model, n: int, h: int, mode: Mode = ALL_ORDERS):
@@ -165,8 +166,8 @@ def hecke_operator(model, n: int, h: int, mode: Mode = ALL_ORDERS):
     """
     total = _ExactSum()
     for orbit in _orbit_stream(h, n, mode):
-        total.add(model.psi(orbit), n)
-    return total.value()
+        total.add(model.psi(orbit))
+    return total.value(n)
 
 
 def hecke_log_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
@@ -195,11 +196,7 @@ class SeriesComparison(_Value):
     def compare(cls, h, mode, lhs: TruncatedSeries, rhs: TruncatedSeries) -> "SeriesComparison":
         if lhs.prec != rhs.prec:
             raise ValueError("series precisions differ")
-        mismatch = None
-        for n in range(lhs.prec + 1):
-            if not lhs.coeffs[n] == rhs.coeffs[n]:
-                mismatch = n
-                break
+        mismatch = next((n for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if not a == b), None)
         return cls(h, mode, lhs.prec, lhs, rhs, mismatch is None, mismatch)
 
 

@@ -2,6 +2,7 @@
 
 An exact value is an int, a Fraction or a PsiPolynomial: exact is the one gate, anything else
 raising TypeError, and _ExactSum the one sum.  No other module reads how a polynomial is stored.
+A sum adds int multiples of numerators over a denominator fixed before it starts, and divides once.
 
 Symbols are indexed by a family tag (the name of a formal variable, "x",
 "y", ...) and a transitive orbit.  Polynomials combine freely with int and
@@ -28,6 +29,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .orbits import TransitiveOrbit, _count, _Value
 
@@ -39,14 +41,9 @@ def exact(c):
     """An exact value: an int as a Fraction, a Fraction or a PsiPolynomial as is; else TypeError."""
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, (Fraction, PsiPolynomial)):
+    if isinstance(c, (PsiPolynomial, Fraction)):  # a polynomial first: isinstance(c, Fraction) is slow on one
         return c
     raise TypeError(f"not an exact value (an int, Fraction or PsiPolynomial): {c!r}")
-
-
-def _ratio(v, d=1):
-    """v / d as (x, e), e an int: (numerator, d * denominator) for a Fraction, else (v, d)."""
-    return (v.numerator, v.denominator * d) if isinstance(v, Fraction) else (v, d)
 
 
 def _power(x, n, one):
@@ -163,8 +160,8 @@ class PsiPolynomial(_Value):
                     raise TypeError(f"coefficient must be exact, got {type(coeff).__name__}")
                 mono = _checked_monomial(mono)
                 data[mono] = data.get(mono, 0) + c
-        den = lcm(*[c.denominator for c in data.values()])
-        terms, den = _reduced({m: c.numerator * (den // c.denominator) for m, c in data.items()}, den)
+        nums, den = _numerators(data.values())
+        terms, den = _reduced(dict(zip(data, nums)), den)
         _set_terms(self, terms)
         _set_den(self, den)
 
@@ -179,6 +176,8 @@ class PsiPolynomial(_Value):
 
     def _scaled(self, c) -> "PsiPolynomial":
         """c * self for an int or Fraction c: each numerator times c's, the denominator times c's."""
+        if c == 1:  # values are immutable, so a product by 1 need not copy
+            return self
         n = c.numerator
         terms = {m: a * n for m, a in self._terms.items()}
         return PsiPolynomial._from_terms(terms, self._den * c.denominator)
@@ -253,10 +252,8 @@ class PsiPolynomial(_Value):
         return self._scaled(-1)._sum(other, 1)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._scaled(other)
-        if not isinstance(other, PsiPolynomial):
-            return NotImplemented
+        if not isinstance(other, PsiPolynomial):  # first, as in _ExactSum.add
+            return self._scaled(other) if isinstance(other, _SCALARS) else NotImplemented
         acc: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -308,36 +305,59 @@ class PsiPolynomial(_Value):
 _set_terms, _set_den = PsiPolynomial._setters
 
 
+def _numerators(values) -> tuple[list, int]:
+    """The values times D, the lcm of their scalar denominators, and D: ints, or polynomials with their own."""
+    values = list(values)
+    if not {int, Fraction}.issuperset(map(type, values)):  # a polynomial, or a value for the gate
+        values = list(map(exact, values))
+    den = lcm(*{v.denominator for v in values if v.__class__ is not PsiPolynomial})
+    return [v * den if v.__class__ is PsiPolynomial else v.numerator * (den // v.denominator) for v in values], den
+
+
+def _divided(x, den: int):
+    """x / den for an int or PsiPolynomial x and an int den > 0: a Fraction or a polynomial."""
+    return Fraction(x, den) if isinstance(x, int) else x * Fraction(1, den)
+
+
+def _quotient(xs, ks, den: int):
+    """sum k x / den over int or PsiPolynomial xs and int ks: one int sum, or one _ExactSum given a polynomial."""
+    xs = list(xs)
+    if {int}.issuperset(map(type, xs)):
+        return Fraction(sum(map(mul, xs, ks)), den)
+    total = _ExactSum()
+    for x, k in zip(xs, ks):
+        total.add(x, k)
+    return total.value(den)
+
+
 class _ExactSum(dict):
-    """A sum of exact terms x / d, d an int > 0, with no Fraction per term.  An int or Fraction x adds
-    its int numerator at its denominator: self maps denominator -> int numerator.  A PsiPolynomial x
-    adds its int numerators at d times its denominator: polys maps denominator -> monomial -> int
-    numerator; anything else raises exact's TypeError.  value() brings all to the one lcm of the
-    denominators: one Fraction, or once a polynomial was added, one polynomial, scalars at ()."""
+    """A sum of int multiples k x of exact values, with no Fraction per term: scalars as int numerators by
+    denominator (self), polynomials as int numerators by denominator and monomial (polys), anything else
+    raising exact's TypeError.  value(den) divides once: a Fraction, or a polynomial once one was added."""
 
     polys = None
 
-    def add(self, x, d=1):
-        if not isinstance(x, int):  # an int first: isinstance(x, Fraction) is slow on one
-            if not isinstance(x, Fraction):
-                x = exact(x)
-                if self.polys is None:
-                    self.polys = {}
-                bucket = self.polys.setdefault(d * x._den, {})
-                for m, c in x._terms.items():
-                    bucket[m] = bucket.get(m, 0) + c
-                return
-            x, d = x.numerator, x.denominator * d
-        self[d] = self.get(d, 0) + x
+    def add(self, x, k=1):
+        if isinstance(x, int):  # ints and polynomials first: isinstance(x, Fraction) is slow on them
+            self[1] = self.get(1, 0) + k * x
+        elif isinstance(x, PsiPolynomial):
+            if self.polys is None:
+                self.polys = {}
+            bucket = self.polys.setdefault(x._den, {})
+            for m, c in x._terms.items():
+                bucket[m] = bucket.get(m, 0) + k * c
+        else:
+            d = exact(x).denominator
+            self[d] = self.get(d, 0) + k * x.numerator
 
-    def value(self):
-        den = lcm(*(self.polys or ()), *self)
-        num = sum(n * (den // d) for d, n in self.items())
+    def value(self, den=1):
+        lcd = lcm(*(self.polys or ()), *self)
+        num = sum(n * (lcd // d) for d, n in self.items())
         if self.polys is None:
-            return Fraction(num, den)
+            return Fraction(num, lcd * den)
         terms = {(): num}
         for d, bucket in self.polys.items():
-            scale = den // d
+            scale = lcd // d
             for m, c in bucket.items():
                 terms[m] = terms.get(m, 0) + c * scale
-        return PsiPolynomial._from_terms(terms, den)
+        return PsiPolynomial._from_terms(terms, lcd * den)

@@ -547,6 +547,12 @@ GOLDEN_STDOUT = {
         "d61d1d8be87de39c4491365c2101dc09967b5509e1d1d1973dad1ceefa0ee050",
     "classes --h 1 --p 3 --l 6 --format json":
         "27db87d4ae1b3242afc9f0a9b7368d7b1a60bce849b2042ef2ae763abb521f97",
+    # recorded while both sigma routes carried each term as an (x, d) pair:
+    # the integer class walk at h = 3 and the integer orbit product
+    "verify dmvv --h 3 --p 2 --n 10 --model integer:1":
+        "1c37126911a052fe4bcf121b8fd1bcf5c35a1ea8be04aa39e529f1fdefdd6489",
+    "genus lambda --h 3 --n 12 --model integer:3 --format tsv":
+        "3bf385f7d97f79ba59bce3eb0a57e26c38865999735bdbe93016259425ee3e3a",
 }
 
 

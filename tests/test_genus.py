@@ -338,6 +338,42 @@ def test_sigma_is_the_sum_over_enumerated_classes(model, h, mode, prec):
     assert lhs.coeffs == tuple(sigma(model, n, h, mode) for n in range(prec + 1))
 
 
+def _rational_model(h, mode, prec):
+    # polynomial psi whose coefficients are not integers: each polynomial keeps a denominator of its
+    # own (6 or 9), next to a scalar on the trivial orbit and a plain symbol on every third orbit
+    values = {}
+    for s in mode.sizes_up_to(prec):
+        for i, t in enumerate(enumerate_orbits(h, s, mode)):
+            x = sym("x", t)
+            values[t] = (Fraction(-3, 4) if s == 1 else x if i % 3 == 2
+                         else Fraction(1, 3) * x + Fraction(1, 2) if i % 3 == 0
+                         else Fraction(2, 9) * x * x - Fraction(5, 3))
+    return TableModel(values)
+
+
+@pytest.mark.parametrize("h,mode,prec", [(2, P2, 6), (1, ALL_ORDERS, 6), (2, P3, 6), (2, ALL_ORDERS, 4)])
+def test_polynomials_with_rational_coefficients_on_the_sigma_and_hecke_routes(h, mode, prec):
+    # every route against the Fraction fold, class by class and orbit by orbit
+    model = _rational_model(h, mode, prec)
+    expected = []
+    for n in range(prec + 1):
+        total = Fraction(0)
+        for cls in enumerate_classes(h, n, mode):
+            total = total + psi_of_class(model, cls) * Fraction(1, centralizer_order(cls))
+        expected.append(total)
+    for got in ([sigma(model, n, h, mode) for n in range(prec + 1)],
+                list(symmetric_power_series(model, prec, h, mode).coeffs),
+                list(verify_product_formula(model, prec, h, mode).lhs.coeffs)):
+        assert got == expected and list(map(type, got)) == list(map(type, expected))
+    assert any(c.denominator > 1 for _, c in expected[-1].sorted_terms())
+    for n in mode.sizes_up_to(prec):
+        total = Fraction(0)
+        for t in enumerate_orbits(h, n, mode):
+            total = total + model.psi(t)
+        assert hecke_operator(model, n, h, mode) == total * Fraction(1, n)
+    assert verify_product_formula(model, prec, h, mode).equal
+
+
 def test_class_sum_rejects_bad_rank_and_precision():
     # at prec 0 the walk visits only the empty class, so it checks h itself
     for prec in (0, 2):

@@ -1,6 +1,7 @@
 """Property tests: the canonical order does not depend on how objects were built,
 canonicalize lands in the orbit enumeration and agrees with reduce, the
-orbits of coprime sizes m and n multiply onto those of size m n, the commuting
+orbits of coprime sizes m and n multiply onto those of size m n, and so do the
+Hecke sums of a psi that is a product over primary parts, the commuting
 h-tuples count the classes one level down, monomials
 have one normal form, polynomial arithmetic, comparisons, readers and sums
 match a plain Fraction-coefficient reference, the orbit-type product for the symmetric-power series
@@ -17,6 +18,7 @@ in, rational strings round-trip, and the class of a commuting tuple is
 invariant under conjugation."""
 import json
 from fractions import Fraction
+from random import Random
 from itertools import product
 from math import comb, factorial, gcd, prod
 
@@ -33,6 +35,7 @@ from orbigenus.classes import (
     _split_choices,
     centralizer_order,
     class_representative,
+    class_size,
     enumerate_classes,
     hom_count,
     orbit_type_of_tuple,
@@ -119,6 +122,20 @@ def test_coprime_orbits_multiply_by_the_primary_decomposition(case):
     # one orbit of size m n per pair of orbits of sizes m and n: none missed, none twice
     h, m, n = case
     assert sorted(primary_products(h, m, n)) == list(enumerate_orbits(h, m * n))
+
+
+@pytest.mark.parametrize("h,m,n", [(2, 4, 3), (3, 8, 5), (4, 4, 3), (2, 8, 9)])
+def test_all_orders_hecke_sums_are_products_of_the_p_typical_ones(h, m, n):
+    # psi a product over primary parts, from a 2- or 3-power table and a table prime to it: then
+    # (m n) T_mn over all orders is (m T_m in Mode(p)) (n T_n in Mode(q)), each an _ExactSum of Fractions
+    p, q = (next(r for r in (2, 3, 5) if k % r == 0) for k in (m, n))
+    rng = Random(f"{h} {m} {n}")
+    draws = [{t: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for t in enumerate_orbits(h, k, Mode(r))}
+             for k, r in ((m, p), (n, q))]
+    products = {t: a * b for t, (a, b) in zip(primary_products(h, m, n), product(*(d.values() for d in draws)))}
+    whole = m * n * hecke_operator(TableModel(products), m * n, h, ALL_ORDERS)
+    parts = (k * hecke_operator(TableModel(d), k, h, Mode(r)) for d, k, r in zip(draws, (m, n), (p, q)))
+    assert type(whole) is Fraction and whole == prod(parts)
 
 
 @settings(SETTINGS, max_examples=30)
@@ -328,18 +345,19 @@ def test_polynomial_comparisons_and_readers_match_a_fraction_reference(f_terms, 
 
 @SETTINGS
 @given(
-    st.lists(st.tuples(reference_coefficient | polynomial_terms.map(PsiPolynomial), st.integers(1, 12)),
+    st.lists(st.tuples(reference_coefficient | polynomial_terms.map(PsiPolynomial), st.integers(-12, 12)),
              max_size=8),
+    st.integers(1, 12),
     st.booleans(),
 )
-def test_exact_sum_of_polynomials_and_scalars_matches_a_fraction_reference(terms, cancel):
+def test_exact_sum_of_polynomials_and_scalars_matches_a_fraction_reference(terms, den, cancel):
     if cancel:  # the terms of the first half again, negated: their part of the sum is 0
-        terms += [(-x, d) for x, d in terms[: len(terms) // 2]]
+        terms += [(-x, k) for x, k in terms[: len(terms) // 2]]
     acc, expected = _ExactSum(), {}
-    for x, d in terms:
-        acc.add(x, d)
-        expected = reference_add(expected, reference_mul(reference_of(x), reference_of(Fraction(1, d))))
-    total = acc.value()
+    for x, k in terms:
+        acc.add(x, k)
+        expected = reference_add(expected, reference_mul(reference_of(x), reference_of(Fraction(k, den))))
+    total = acc.value(den)
     if any(isinstance(x, PsiPolynomial) for x, _ in terms):
         assert _in_lowest_terms(total)
     else:
@@ -388,28 +406,30 @@ def _fold(values):
 
 @st.composite
 def scalar_terms(draw):
-    """Terms (x, d) of mixed signs and denominators; a list may end in terms that
-    cancel its sum to 0 or reduce it to denominator 1."""
+    """Terms (x, k), k * x of mixed signs and denominators, and a divisor den; a list may end in
+    terms that cancel its sum to 0 or reduce the sum over den to denominator 1."""
     numerator = st.integers(-30, 30) | st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
-    terms = draw(st.lists(st.tuples(numerator, st.integers(1, 12)), max_size=12))
-    total = _fold(Fraction(x) / d for x, d in terms)
+    terms = draw(st.lists(st.tuples(numerator, st.integers(-12, 12)), max_size=12))
+    den = draw(st.integers(1, 12))
+    total = _fold(Fraction(x) * k / den for x, k in terms)
     ending = draw(st.sampled_from(["none", "cancel", "integer"]))
     if ending == "cancel":
-        terms += [(-x, d) for x, d in terms]
+        terms += [(-x, k) for x, k in terms]
     elif ending == "integer":
-        terms.append((-(total.numerator % total.denominator), total.denominator))
-    return draw(st.permutations(terms))
+        terms.append((Fraction(-(total.numerator % total.denominator) * den, total.denominator), 1))
+    return draw(st.permutations(terms)), den
 
 
 @SETTINGS
 @given(scalar_terms())
-def test_exact_sum_equals_a_fraction_fold(terms):
+def test_exact_sum_equals_a_fraction_fold(case):
+    terms, den = case
     acc = _ExactSum()
-    for x, d in terms:
-        acc.add(x, d)
-    total = acc.value()
+    for x, k in terms:
+        acc.add(x, k)
+    total = acc.value(den)
     assert type(total) is Fraction
-    assert total == _fold(Fraction(x) / d for x, d in terms)
+    assert total == _fold(Fraction(x) * k / den for x, k in terms)
 
 
 @SETTINGS
@@ -504,7 +524,7 @@ def test_class_table_round_trips_keys_in_canonical_order(params):
     for n, (cls, key) in enumerate(zip(table.classes, keys)):
         assert class_of_key(h, mode, pool, key) == cls
         assert table.positions[key] == n
-        assert table.z[n] == centralizer_order(cls)
+        assert table.counts[n] == class_size(cls)
 
 
 @st.composite
