@@ -26,15 +26,16 @@ from .classes import (
     class_representative,
     enumerate_classes,
 )
-from .orbits import Mode, _count, _Value
-from .psipoly import _SCALARS, _divided, _numerators, _quotient, exact
+from .orbits import Mode, _count
+from .psipoly import _divided, _numerators, _quotient, _Ring, _scalar, exact
 
 
-class ClassFunction(_Value):
+class ClassFunction(_Ring):
     """A function on the conjugacy classes of commuting h-tuples of degree l.
 
     Values are stored densely, aligned with the canonical class list for
-    (h, l, mode).  Pointwise ring structure; parameters must match.
+    (h, l, mode).  Pointwise ring structure; parameters must match.  +, - and * take a
+    ClassFunction or any exact scalar, polynomials included, and give NotImplemented otherwise.
     """
 
     __slots__ = _fields = ("h", "mode", "l", "values")
@@ -76,13 +77,12 @@ class ClassFunction(_Value):
         return self.values[i]
 
     def _pointwise(self, other, op):
-        """op applied value by value, against a matching ClassFunction or a scalar."""
+        """op applied value by value, against a matching ClassFunction or an exact scalar."""
         if isinstance(other, ClassFunction):
             _matched(self, other)
             values = map(op, self.values, other.values)
-        elif isinstance(other, _SCALARS):
-            c = exact(other)
-            values = (op(a, c) for a in self.values)
+        elif _scalar(other):
+            values = [op(a, other) for a in self.values]
         else:
             return NotImplemented
         return ClassFunction._trusted(self.h, self.mode, self.l, values)
@@ -90,21 +90,14 @@ class ClassFunction(_Value):
     def __add__(self, other):
         return self._pointwise(other, operator.add)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._pointwise(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._pointwise(other, lambda a, c: c - a)
-
-    def __neg__(self):
-        return self.__rsub__(0)
-
     def __mul__(self, other):
         return self._pointwise(other, operator.mul)
 
-    __rmul__ = __mul__
+    def _scaled(self, c) -> "ClassFunction":
+        return self._pointwise(c, operator.mul)
+
+    def _one(self) -> "ClassFunction":
+        return ClassFunction.one(self.h, self.mode, self.l)
 
     __hash__ = None  # equal when h, mode, l and values are
 

@@ -1,8 +1,9 @@
 """Exact values, and sparse exact-rational polynomials in formal power-operation symbols.
 
-An exact value is an int, a Fraction or a PsiPolynomial: exact is the one gate, anything else
-raising TypeError, and _ExactSum the one sum.  No other module reads how a polynomial is stored.
-A sum adds int multiples of numerators over a denominator fixed before it starts, and divides once.
+An exact value is an int (not a bool), a Fraction or a PsiPolynomial: exact is the one gate,
+anything else raising TypeError, _scalar the one scalar rule of the rings, and _ExactSum the one
+sum.  No other module reads how a polynomial is stored.  A sum adds int multiples of numerators
+over a denominator fixed before it starts, and divides once.
 
 Symbols are indexed by a family tag (the name of a formal variable, "x",
 "y", ...) and a transitive orbit.  Polynomials combine freely with int and
@@ -33,13 +34,10 @@ from operator import mul
 
 from .orbits import TransitiveOrbit, _count, _Value
 
-# the exact scalars every layer accepts next to its own ring elements
-_SCALARS = (int, Fraction)
-
 
 def exact(c):
-    """An exact value: an int as a Fraction, a Fraction or a PsiPolynomial as is; else TypeError."""
-    if isinstance(c, int):
+    """An exact value: an int (not a bool) as a Fraction, a Fraction or a PsiPolynomial as is, else TypeError."""
+    if c.__class__ is int:
         return Fraction(c)
     if isinstance(c, (PsiPolynomial, Fraction)):  # a polynomial first: isinstance(c, Fraction) is slow on one
         return c
@@ -57,6 +55,40 @@ def _power(x, n, one):
         if n:
             x = x * x
     return one() if out is None else out
+
+
+def _scalar(c) -> bool:
+    """The one scalar rule of every ring: c is an exact value (a bool is not)."""
+    return c.__class__ is int or isinstance(c, (PsiPolynomial, Fraction))
+
+
+class _Ring(_Value):
+    """Base of the value rings PsiPolynomial, TruncatedSeries and ClassFunction, all commutative.
+
+    A ring writes __add__ and __mul__ (NotImplemented for an operand neither its own nor a _scalar),
+    _scaled(c) = c * self and _one(); -, unary - and ** are derived from them here, and the
+    reflected + and * are bound to them.
+    """
+
+    __slots__ = _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.__radd__, cls.__rmul__ = cls.__add__, cls.__mul__
+
+    def __neg__(self):
+        return self._scaled(-1)
+
+    def __sub__(self, other):
+        if other.__class__ is self.__class__ or _scalar(other):
+            return self + -other
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __pow__(self, n):
+        return _power(self, n, self._one)
 
 
 class PsiSymbol(_Value):
@@ -133,7 +165,7 @@ def _mono_str(m) -> str:
     return "*".join(parts)
 
 
-class PsiPolynomial(_Value):
+class PsiPolynomial(_Ring):
     """Immutable polynomial with exact rational coefficients and structural equality.
 
     ``terms`` maps monomials of (PsiSymbol, exponent) pairs, exponents ints >= 1
@@ -219,41 +251,27 @@ class PsiPolynomial(_Value):
             raise ValueError("polynomial is not constant")
         return Fraction(self._terms.get((), 0), self._den)
 
-    def _sum(self, other, sign: int):
-        """self + sign * other, for a polynomial or an exact scalar other: both brought to the
+    def __add__(self, other):
+        """self + other, for a polynomial or an exact scalar other: both brought to the
         lcm of the two denominators, each operand rescaled once."""
-        if isinstance(other, PsiPolynomial):
+        if other.__class__ is PsiPolynomial:
             terms, d = other._terms, other._den
-        elif isinstance(other, _SCALARS):
+        elif _scalar(other):  # an int or a Fraction, a polynomial being taken above
             terms, d = {(): other.numerator}, other.denominator
         else:
             return NotImplemented
         if not other:
             return self
         den = lcm(self._den, d)
-        a, b = den // self._den, sign * (den // d)
+        a, b = den // self._den, den // d
         out = {m: c * a for m, c in self._terms.items()} if a != 1 else dict(self._terms)
         for m, c in terms.items():
             out[m] = out.get(m, 0) + b * c
         return PsiPolynomial._from_terms(out, den)
 
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._scaled(-1)
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        return self._scaled(-1)._sum(other, 1)
-
     def __mul__(self, other):
-        if not isinstance(other, PsiPolynomial):  # first, as in _ExactSum.add
-            return self._scaled(other) if isinstance(other, _SCALARS) else NotImplemented
+        if other.__class__ is not PsiPolynomial:  # first, as in _ExactSum.add
+            return self._scaled(other) if _scalar(other) else NotImplemented
         acc: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -261,15 +279,13 @@ class PsiPolynomial(_Value):
                 acc[m] = acc.get(m, 0) + c1 * c2
         return PsiPolynomial._from_terms(acc, self._den * other._den)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return _power(self, n, lambda: PsiPolynomial.constant(1))
+    def _one(self) -> "PsiPolynomial":
+        return PsiPolynomial.constant(1)
 
     def __eq__(self, other):
         if isinstance(other, PsiPolynomial):
             return self._den == other._den and self._terms == other._terms
-        if isinstance(other, _SCALARS):
+        if isinstance(other, (int, Fraction)):
             return (self.is_constant and self._den == other.denominator
                     and self._terms.get((), 0) == other.numerator)
         return NotImplemented
@@ -338,7 +354,7 @@ class _ExactSum(dict):
     polys = None
 
     def add(self, x, k=1):
-        if isinstance(x, int):  # ints and polynomials first: isinstance(x, Fraction) is slow on them
+        if x.__class__ is int:  # ints and polynomials first: isinstance(x, Fraction) is slow on them
             self[1] = self.get(1, 0) + k * x
         elif isinstance(x, PsiPolynomial):
             if self.polys is None:

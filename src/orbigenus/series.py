@@ -1,21 +1,22 @@
 """Truncated formal power series in one variable t, with exact coefficients.
 
-Every coefficient goes through psipoly.exact: an int, a Fraction or a PsiPolynomial;
-anything else, a float included, raises TypeError.  Binary operations truncate to the
+Every coefficient goes through psipoly.exact: an int (not a bool), a Fraction or a PsiPolynomial;
+anything else, a float included, raises TypeError.  The operators take a series or an exact scalar,
+and give NotImplemented for anything else.  Binary operations truncate to the
 smaller precision; a series of precision N carries coefficients of t^0 .. t^N.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .orbits import _count, _Value
-from .psipoly import PsiPolynomial, _power, exact
+from .orbits import _count
+from .psipoly import PsiPolynomial, _Ring, _scalar, exact
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class TruncatedSeries(_Value):
+class TruncatedSeries(_Ring):
     """A series known through degree ``prec`` inclusive."""
 
     __slots__ = _fields = ("coeffs", "prec")
@@ -39,21 +40,9 @@ class TruncatedSeries(_Value):
         if isinstance(other, TruncatedSeries):
             n = min(self.prec, other.prec)
             return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], prec=n)
-        c = exact(other)
-        out = list(self.coeffs)
-        out[0] = out[0] + c
-        return TruncatedSeries(out, prec=self.prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], prec=self.prec)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -exact(other))
-
-    def __rsub__(self, other):
-        return (-self) + exact(other)
+        if not _scalar(other):
+            return NotImplemented
+        return TruncatedSeries((self.coeffs[0] + other, *self.coeffs[1:]), prec=self.prec)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -69,13 +58,13 @@ class TruncatedSeries(_Value):
                         continue
                     out[i + j] = out[i + j] + a * b
             return TruncatedSeries(out, prec=n)
-        c = exact(other)
+        return self._scaled(other) if _scalar(other) else NotImplemented
+
+    def _scaled(self, c) -> "TruncatedSeries":
         return TruncatedSeries([c * a for a in self.coeffs], prec=self.prec)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return _power(self, n, lambda: TruncatedSeries.one(self.prec))
+    def _one(self) -> "TruncatedSeries":
+        return TruncatedSeries.one(self.prec)
 
     __hash__ = None  # equal when coeffs and prec are
 

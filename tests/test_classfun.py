@@ -104,15 +104,21 @@ def test_reflected_subtraction_and_negation():
     chi = rand_cf(random.Random(5), 2, P2, 3)
     psi = equivariant_power_classfunction(SymbolicModel("x"), 3, 2, P2)
     for f in (chi, psi):
-        for s in (3, Fraction(-2, 3)):
+        for s in (3, Fraction(-2, 3), PsiPolynomial.constant(3)):
             assert s - f == -(f - s)
             assert (s - f).values == tuple(s - v for v in f.values)
         assert -f == f * -1
         assert (-f).values == tuple(-v for v in f.values)
         assert [type(v) for v in (3 - f).values] == [type(v) for v in f.values]
-    for other in ("x", None, (1, 1), 0.5, PsiPolynomial.constant(3)):
+    # a polynomial scalar, taken class by class: every value becomes a polynomial
+    three = PsiPolynomial.constant(3)
+    for c, v, w in zip(chi.classes, (three - chi).values, (chi - three).values):
+        assert v == 3 - chi.value(c) and w == chi.value(c) - 3 and isinstance(v, PsiPolynomial)
+    for other in ("x", None, (1, 1), 0.5):
         with pytest.raises(TypeError):
             other - chi
+        with pytest.raises(TypeError):
+            chi - other
 
 
 def test_parameter_mismatch_raises():
@@ -167,11 +173,15 @@ def test_every_class_function_routine_refuses_anything_else_in_any_position(rout
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
 def test_pointwise_operators_refuse_non_scalars_in_either_position(op):
-    for other in NOT_CLASS_FUNCTIONS[2:]:  # 3 and 1/2 are scalars, taken value by value
-        assert CHI._pointwise(other, op) is NotImplemented
+    forward, reflected = getattr(CHI, f"__{op.__name__}__"), getattr(CHI, f"__r{op.__name__}__")
+    for other in [*NOT_CLASS_FUNCTIONS[3:], 0.5]:
+        assert forward(other) is NotImplemented and reflected(other) is NotImplemented
         for args in ((CHI, other), (other, CHI)):
             with pytest.raises(TypeError, match="ClassFunction"):
                 op(*args)
+    for scalar in NOT_CLASS_FUNCTIONS[:3]:  # 3, 1/2 and a polynomial, taken value by value
+        assert op(CHI, scalar).values == tuple(op(v, scalar) for v in CHI.values)
+        assert op(scalar, CHI).values == tuple(op(scalar, v) for v in CHI.values)
     with pytest.raises(ValueError, match="class function parameters do not match"):
         op(CHI, ClassFunction.one(2, P2, 3))
 

@@ -4,7 +4,8 @@ orbits of coprime sizes m and n multiply onto those of size m n, and so do the
 Hecke sums of a psi that is a product over primary parts, the commuting
 h-tuples count the classes one level down, monomials
 have one normal form, polynomial arithmetic, comparisons, readers and sums
-match a plain Fraction-coefficient reference, the orbit-type product for the symmetric-power series
+match a plain Fraction-coefficient reference, the three value rings keep the
+ring laws with scalars on either side, the orbit-type product for the symmetric-power series
 equals the class sum, the Adams and geometric series equal their routes
 through series inversion, the integer-numerator sums (the summing helper, the
 Hecke operators, sigma and the Young sums) equal plain Fraction sums, the
@@ -17,6 +18,7 @@ no output of a polynomial depends on the order its symbols were interned
 in, rational strings round-trip, and the class of a commuting tuple is
 invariant under conjugation."""
 import json
+import operator
 from fractions import Fraction
 from random import Random
 from itertools import product
@@ -341,6 +343,52 @@ def test_polynomial_comparisons_and_readers_match_a_fraction_reference(f_terms, 
         assert not f.is_constant
         with pytest.raises(ValueError):
             f.constant_value()
+
+
+# the scalars every ring takes in either position: ints, Fractions and polynomials
+ring_scalar = st.integers(-6, 6) | coefficient | linear_polynomial
+# every (h, mode, l) drawn below has 3 or 4 classes
+CLASS_PARAMS = [(1, ALL_ORDERS, 3), (2, ALL_ORDERS, 2), (2, P2, 2)]
+
+
+@st.composite
+def ring_elements(draw):
+    """Three elements of one ring: polynomials, or series or class functions over Fractions and polynomials."""
+    ring = draw(st.sampled_from(["polynomial", "series", "class function"]))
+    if ring == "polynomial":
+        return draw(st.lists(linear_polynomial, min_size=3, max_size=3))
+    values = st.lists(coefficient | linear_polynomial, min_size=1, max_size=4)
+    if ring == "series":
+        prec = draw(st.integers(0, 3))
+        return [TruncatedSeries(draw(values), prec) for _ in range(3)]
+    h, mode, l = draw(st.sampled_from(CLASS_PARAMS))
+    size = len(enumerate_classes(h, l, mode))
+    return [ClassFunction(h, mode, l, (draw(values) * size)[:size]) for _ in range(3)]
+
+
+@SETTINGS
+@given(ring_elements(), ring_scalar, ring_scalar, st.integers(1, 4))
+def test_the_three_value_rings_keep_the_ring_laws_with_scalars_in_either_position(elements, s, t, n):
+    a, b, c = elements
+    assert a - b == a + (-b) and a - s == a + (-s)
+    assert s - a == -(a - s)
+    assert a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c
+    assert s * (a + b) == s * a + s * b and (a + b) * s == a * s + b * s
+    assert (s + t) * a == s * a + t * a and a * (s - t) == a * s - a * t
+    power = a
+    for _ in range(n - 1):
+        power = power * a
+    assert a ** n == power and a ** 0 == a._one() and a._one() * a == a
+    foreign = ["x", None, 0.5, True]
+    if isinstance(a, TruncatedSeries):
+        foreign.append(ClassFunction.one(*CLASS_PARAMS[0]))
+    elif isinstance(a, ClassFunction):
+        foreign.append(TruncatedSeries.one(2))
+    for x in foreign:
+        for op in (operator.add, operator.sub, operator.mul):
+            for args in ((a, x), (x, a)):
+                with pytest.raises(TypeError):
+                    op(*args)
 
 
 @SETTINGS

@@ -51,6 +51,17 @@ def test_exact_takes_only_ints_fractions_and_polynomials():
             build()
 
 
+def test_a_bool_is_not_an_exact_value():
+    # as _count and the JSON writer refuse a bool for an int; equality is not arithmetic and still holds
+    s, chi, p = TruncatedSeries.one(2), ClassFunction.one(1, ALL_ORDERS, 2), PsiPolynomial.constant(1)
+    for op in (lambda: exact(True), lambda: TruncatedSeries([True], 1), lambda: s + True,
+               lambda: chi * True, lambda: p * True, lambda: True + s, lambda: True * chi,
+               lambda: True - p, lambda: _ExactSum().add(False)):
+        with pytest.raises(TypeError):
+            op()
+    assert p == True and s + 1 == TruncatedSeries([2], 2)  # noqa: E712
+
+
 def test_immutable():
     s = TruncatedSeries.one(3)
     with pytest.raises(AttributeError):
