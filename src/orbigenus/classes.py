@@ -14,7 +14,8 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .orbits import (
-    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _count, _Value, canonicalize, enumerate_orbits,
+    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _check_mode, _count, _Value, canonicalize,
+    enumerate_orbits,
 )
 
 
@@ -57,6 +58,7 @@ class Permutation(_Value):
     def order_admissible(self, mode: Mode) -> bool:
         # the order is the lcm of the cycle lengths, so p-power order is
         # exactly "every cycle length is a p-power"
+        _check_mode(mode)
         return all(mode.admits_size(n) for n in self.cycle_lengths())
 
 
@@ -75,6 +77,7 @@ class OrbitTypeMultiset(_Value):
     __slots__ = _fields = ("h", "mode", "entries")
 
     def __init__(self, h: int, mode: Mode, entries):
+        _check_mode(mode)
         entries = tuple(map(tuple, entries))
         for orbit, mult in entries:
             if orbit.h != h:
@@ -122,15 +125,16 @@ def class_size(cls: OrbitTypeMultiset) -> int:
     return n // z
 
 
-def _check_walk(h: int, top: int, name: str = "precision") -> None:
-    """Gate h >= 1, then top >= 0 as name: a walk over sizes <= 0 enumerates no orbit to check h."""
+def _check_walk(h: int, top: int, mode: Mode, name: str = "precision") -> None:
+    """Gate h >= 1, then top >= 0 as name, then mode: at top = 0 no orbit is built to check them."""
     _count(h, "h", "positive")
     _count(top, name, "nonnegative")
+    _check_mode(mode)
 
 
 def _orbit_pool(h: int, top: int, mode: Mode) -> list[TransitiveOrbit]:
     """The orbits of every admissible size <= top, by size, each size in canonical order, after _check_walk."""
-    _check_walk(h, top)
+    _check_walk(h, top, mode)
     pool: list[TransitiveOrbit] = []
     for s in mode.sizes_up_to(top):
         pool.extend(enumerate_orbits(h, s, mode))
@@ -266,7 +270,7 @@ def enumerate_classes(h: int, l: int, mode: Mode = ALL_ORDERS) -> tuple[OrbitTyp
     In p-power mode only tuples of p-power-order permutations count, which
     restricts the orbit sizes to powers of p.  l = 0 gives the empty class.
     """
-    _check_walk(h, l, "degree")
+    _check_walk(h, l, mode, "degree")
     return _enumerate_classes_cached(h, l, mode).classes
 
 
@@ -309,6 +313,7 @@ def orbit_type_of_tuple(perms, mode: Mode = ALL_ORDERS) -> OrbitTypeMultiset:
     Validates that the permutations commute pairwise and, in p-power mode,
     that each has p-power order.  The result is conjugation invariant.
     """
+    _check_mode(mode)
     perms = list(perms)
     h = len(perms)
     if h < 1:
@@ -363,7 +368,7 @@ def brute_force_classes(
     and buckets it through orbit_type_of_tuple.  Exponential; refuses when
     l exceeds the guard (default 6 for h <= 2, else 5) rather than hang.
     """
-    _check_walk(h, l, "degree")
+    _check_walk(h, l, mode, "degree")
     limit = (6 if h <= 2 else 5) if guard is None else guard
     if l > limit:
         raise GuardExceededError(f"degree {l} exceeds brute-force guard {limit}")
@@ -398,5 +403,5 @@ def brute_force_classes(
 
 def hom_count(h: int, l: int, mode: Mode = ALL_ORDERS) -> int:
     """Number of commuting h-tuples of degree l: the class sizes of the class table, summed."""
-    _check_walk(h, l, "degree")
+    _check_walk(h, l, mode, "degree")
     return sum(_enumerate_classes_cached(h, l, mode).counts)

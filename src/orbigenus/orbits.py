@@ -21,6 +21,12 @@ def _count(n, name: str, bound: str | None = None) -> int:
     return n
 
 
+def _check_mode(mode) -> None:
+    """Gate an order mode before any cache or allocation: TypeError unless a Mode."""
+    if not isinstance(mode, Mode):
+        raise TypeError(f"mode must be a Mode, got {mode!r}")
+
+
 class ModeError(ValueError):
     """Requested size/order is not admissible for the order mode."""
 
@@ -274,6 +280,7 @@ def _orbit_stream(h: int, n: int, mode: Mode):
     never rescans a tuple of every orbit of size n."""
     _count(h, "h", "positive")
     _count(n, "orbit size", "positive")
+    _check_mode(mode)
     if not mode.admits_size(n):
         raise ModeError(f"size {n} is not admissible in {mode} mode")
     return _canonical_orbits(h, n)

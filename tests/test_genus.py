@@ -9,8 +9,8 @@ import pytest
 
 from orbigenus import genus
 from orbigenus.classes import (
-    OrbitTypeMultiset, _enumerate_classes_cached, _young_splits, _young_unions, brute_force_classes,
-    centralizer_order, enumerate_classes,
+    OrbitTypeMultiset, Permutation, _enumerate_classes_cached, _young_splits, _young_unions,
+    brute_force_classes, centralizer_order, enumerate_classes, hom_count, orbit_type_of_tuple,
 )
 from orbigenus.classes import _walk_classes as walk_classes
 from orbigenus.classfun import ClassFunction, augmentation, restrict_young
@@ -554,3 +554,34 @@ def test_a_non_int_size_raises_type_error_before_any_cache(call, bad):
         call(bad)
     assert [cache.cache_info().currsize for cache in caches] == [info.currsize for info in before]
     assert [cache.cache_info().misses for cache in caches[1:]] == [info.misses for info in before[1:]]
+
+
+MODE_CALLS = {
+    "enumerate_orbits": lambda m: enumerate_orbits(2, 4, m),
+    "hecke_operator": lambda m: hecke_operator(IntegerModel(1), 4, 2, m),
+    "hecke_log_series": lambda m: hecke_log_series(IntegerModel(1), 4, 2, m),
+    "symmetric_power_series": lambda m: symmetric_power_series(IntegerModel(1), 4, 2, m),
+    "verify_product_formula": lambda m: verify_product_formula(IntegerModel(1), 3, 2, m),
+    "sigma": lambda m: sigma(IntegerModel(1), 3, 2, m),
+    "lambda_series": lambda m: lambda_series(IntegerModel(1), 3, 2, m),
+    "adams_series": lambda m: adams_series(IntegerModel(1), 3, 2, m),
+    "equivariant_power_classfunction": lambda m: equivariant_power_classfunction(IntegerModel(1), 3, 2, m),
+    "enumerate_classes": lambda m: enumerate_classes(2, 3, m),
+    "hom_count": lambda m: hom_count(2, 3, m),
+    "brute_force_classes": lambda m: brute_force_classes(2, 3, m),
+    "orbit_type_of_tuple": lambda m: orbit_type_of_tuple([Permutation((1, 0))], m),
+    "Permutation.order_admissible": lambda m: Permutation((1, 0)).order_admissible(m),
+    "OrbitTypeMultiset": lambda m: OrbitTypeMultiset(1, m, ()),
+    "ClassFunction": lambda m: ClassFunction.one(1, m, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [2, "2", None, [2]], ids=["int", "str", "None", "list"])
+@pytest.mark.parametrize("call", MODE_CALLS.values(), ids=MODE_CALLS.keys())
+def test_a_mode_that_is_not_a_mode_raises_type_error_before_any_cache(call, bad):
+    # once an AttributeError from the first mode method read, or lru_cache's "unhashable type"
+    caches = (_enumerate_classes_cached, _young_splits, _young_unions)
+    before = [cache.cache_info() for cache in caches]
+    with pytest.raises(TypeError, match="^mode must be a Mode, got "):
+        call(bad)
+    assert [cache.cache_info() for cache in caches] == before
