@@ -9,12 +9,13 @@ together by the exponential product formula
 
     sum_n sigma_n t^n  =  exp( sum_T psi(T) t^|T| / |T| ).
 
-The verifier checks that identity coefficient by coefficient, exactly,
-with the class sum as its left side: one depth-first walk of every class
-of degree <= prec, which keeps no class.  The genus series take the same
-coefficients from a product over orbit types, which enumerates no classes.
-Both count: with D the lcm of the scalar psi denominators, degree k sums the
-integers (or polynomials) N_k = k! D^k sigma_k = sum_c |c| D^k psi(c), divided once.
+The genus series take the right side, the exp of the Hecke sums, which
+streams the orbits of each size and enumerates no classes.  The verifier
+checks it coefficient by coefficient, exactly, against the class sum: one
+depth-first walk of every class of degree <= prec, which keeps no class.
+With D the lcm of the scalar psi denominators over the orbits, the walk's
+degree k sums the integers (or polynomials) N_k = k! D^k sigma_k =
+sum_c |c| D^k psi(c), divided once.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from math import comb, factorial, prod
 from .classes import OrbitTypeMultiset, _check_walk, _orbit_pool, _walk_classes, enumerate_classes
 from .classfun import ClassFunction
 from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, _count, _orbit_stream, _Value
-from .psipoly import PsiPolynomial, PsiSymbol, _ExactSum, _divided, _numerators, exact
+from .psipoly import PsiPolynomial, PsiSymbol, _ExactSum, _numerators, exact
 from .series import TruncatedSeries
 
 
@@ -75,7 +76,7 @@ def psi_of_class(model, cls: OrbitTypeMultiset):
 
 
 def _orbit_powers(model, pool, prec: int) -> tuple[list, int]:
-    """The weights of both sigma routes, and D, the lcm of the scalar psi denominators over the pool.
+    """The weights of the class walk, and D, the lcm of the scalar psi denominators over the pool.
 
     A row per orbit T of size s, with w = D^s psi(T): 1, then the integers (or polynomials) W[m] =
     w^m (ms)! / (s^m m!) = W[m - 1] w C(ms - 1, s - 1) (s - 1)!, m <= prec // s, psi read once per orbit.
@@ -97,7 +98,7 @@ def _class_sum(model, prec: int, h: int, mode: Mode) -> list:
     The walk visits each class of degree <= prec once, depth first; degree k sums |c| D^k psi(c).
     A class adding m copies of T to its parent at degree k takes the parent's product times W[m] of
     T's _orbit_powers row, and the parent's int count times C(k, ms), scaled in by _ExactSum.add on a
-    polynomial.  The weights are symmetric_power_series', the sum class by class, never regrouped.
+    polynomial.  The sum runs class by class and is never regrouped by orbit type.
     """
     pool = _orbit_pool(h, prec, mode)
     powers, den = _orbit_powers(model, pool, prec)
@@ -123,7 +124,7 @@ def sigma(model, n: int, h: int, mode: Mode = ALL_ORDERS):
     This is the definition, summed class by class: coefficient n of the
     class sum that verify_product_formula takes as its left side, so one walk
     of the classes of degree <= n.  The genus commands take the faster
-    orbit-type product of symmetric_power_series instead, so the product
+    exp of the Hecke sums of symmetric_power_series instead, so the product
     formula stays tested against the classes rather than assumed.
     """
     _check_walk(h, n, mode, "symmetric power degree")
@@ -131,31 +132,12 @@ def sigma(model, n: int, h: int, mode: Mode = ALL_ORDERS):
 
 
 def symmetric_power_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
-    """S_t = sum_{n>=0} sigma_n t^n through degree prec, as a product over orbit types.
+    """S_t = sum_{n>=0} sigma_n t^n through degree prec, as exp(sum_n T_n t^n): the product formula.
 
-    A class is a multiset of orbits, m_T copies of each type T, and its
-    centralizer order is prod_T |T|^m_T m_T!.  Its term psi/centralizer
-    therefore factors over the types, and the class sum regroups exactly into
-
-        S_t = prod_T sum_{m>=0} (psi(T) t^|T| / |T|)^m / m!,
-
-    one factor per orbit of size <= prec, from its _orbit_powers row.  The cost
-    is #orbits * prec^2 ring operations, with no class enumerated.  Each factor
-    goes into the coefficient list in place, top degree first, m >= 1 terms only.
+    Each orbit is freed once its psi is read, and no class is enumerated;
+    verify_product_formula checks this series against the class sum.
     """
-    pool = _orbit_pool(h, prec, mode)  # checks h and prec before the list is built
-    powers, den = _orbit_powers(model, pool, prec)
-    nums = [1] + [0] * prec  # N_k = k! D^k sigma_k over the orbits so far
-    for orbit, row in zip(pool, powers):
-        s = orbit.size
-        for k in range(prec, s - 1, -1):
-            acc = nums[k]
-            for m in range(1, k // s + 1):
-                c = nums[k - m * s]
-                if c:
-                    acc = acc + c * row[m] * comb(k, m * s)
-            nums[k] = acc
-    return TruncatedSeries([_divided(x, factorial(k) * den ** k) for k, x in enumerate(nums)], prec=prec)
+    return hecke_log_series(model, prec, h, mode).exp()
 
 
 def hecke_operator(model, n: int, h: int, mode: Mode = ALL_ORDERS):
@@ -208,11 +190,11 @@ def verify_product_formula(model, prec: int, h: int, mode: Mode = ALL_ORDERS) ->
     """Check S_t = exp(sum_n T_n t^n) through the given precision, exactly.
 
     The left side is the class sum of sigma_0 .. sigma_prec, taken in one
-    walk of the conjugacy classes; the right side is built from single
-    orbits.  Their agreement is the product-formula identity.
+    walk of the conjugacy classes; the right side is symmetric_power_series,
+    built from single orbits.  Their agreement is the product-formula identity.
     """
     lhs = TruncatedSeries(_class_sum(model, prec, h, mode), prec=prec)
-    rhs = hecke_log_series(model, prec, h, mode).exp()
+    rhs = symmetric_power_series(model, prec, h, mode)
     return SeriesComparison.compare(h, mode, lhs, rhs)
 
 
@@ -224,9 +206,8 @@ def lambda_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> Truncate
 def adams_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
     """sum_n psi_n t^n computed as t d/dt log S_t, which is -t d/dt log Lambda_{-t}.
 
-    Independent route to n * T_n: goes through the orbit-type product for
-    S_t and the logarithmic derivative rather than through the Hecke sums
-    over the orbits of each size.
+    Since S_t is the exp of the Hecke sums, this is n * T_n at t^n, through
+    the series log; the tests compare it with the class walk's series too.
     """
     return symmetric_power_series(model, prec, h, mode).log().t_ddt()
 
@@ -245,9 +226,8 @@ def todd_orbifold_series(d: int, prec: int) -> TruncatedSeries:
     """Generating series of Todd genera of symmetric powers of a d-dimensional class.
 
     Computed as the symmetric-power series of IntegerModel(d) at h = 1 with
-    no order restriction, so as the orbit-type product over the one orbit of
-    each size n <= prec, prod_n exp(d t^n / n); the expected closed form is
-    (1 - t)^(-d).
+    no order restriction, so from the one orbit of each size n <= prec, as
+    exp(sum_n d t^n / n); the expected closed form is (1 - t)^(-d).
     """
     _count(d, "dimension", "nonnegative")
     return symmetric_power_series(IntegerModel(d), prec, 1, ALL_ORDERS)
@@ -255,4 +235,5 @@ def todd_orbifold_series(d: int, prec: int) -> TruncatedSeries:
 
 def geometric_power_series(d: int, prec: int) -> TruncatedSeries:
     """(1 - t)^(-d) through the given precision: the all-ones series 1/(1 - t) to the power d."""
+    _count(d, "dimension", "nonnegative")
     return TruncatedSeries([1] * (_count(prec, "precision", "nonnegative") + 1), prec=prec) ** d

@@ -153,6 +153,15 @@ GOLDEN = {
         "6dd26c951b7a000084192d0a5aa24cbae25a5d738e99e42933f171042788dad9",
     "verify dmvv --h 2 --n 2 --model table:{table2}":
         "f3fdfd947fba238e5caa96a24a9b669192036f14b3546305f5b2a320001a0116",
+    # recorded while the genus series were a product over orbit types:
+    # table2's mixed denominators through sigma and lambda, and a deep
+    # h = 4 pool
+    "genus sigma --h 2 --n 2 --model table:{table2} --format tsv":
+        "9cdeff0bab65d00c7a8135f2841b9dc317087dea7d21316f356cae201ffb50f3",
+    "genus lambda --h 2 --n 2 --model table:{table2}":
+        "bde1f6c1801d9d0ffc9d1cb947319d4c577280df09619fd7e77ee705c59bd2d3",
+    "genus sigma --h 4 --n 12 --model integer:1 --format tsv":
+        "a3a5ef69d086812846659a5012307193545a2dbd0b6b0dc4aa145f020abb40e0",
 }
 
 

@@ -183,6 +183,9 @@ def test_criterion_08_exponential_property():
     sx = symmetric_power_series(SymbolicModel("x"), N, 2, P2)
     sy = symmetric_power_series(SymbolicModel("y"), N, 2, P2)
     ok = total == sx * sy
+    # the class walk's series, which no exp builds, takes the same sum to the same product
+    walk = [verify_product_formula(m, N, 2, P2).lhs for m in (SumModel(), SymbolicModel("x"), SymbolicModel("y"))]
+    ok = ok and walk[0] == walk[1] * walk[2] == total
     # the same identity written out coefficientwise
     for n in range(N + 1):
         convolution = sum(
@@ -201,11 +204,13 @@ def test_criterion_09_lambda_and_hecke_round_trip():
             ok = ok and lam.coeffs[n] == comb(d, n)
     model = SymbolicModel("x")
     coeffs = symmetric_power_series(model, 9, 2, P3).log().coeffs
+    # the log of the class walk's series, which no exp builds, must give the Hecke sums too
+    walked = verify_product_formula(model, 9, 2, P3).lhs.log().coeffs
     for n in range(1, 10):
         if n in (1, 3, 9):
-            ok = ok and coeffs[n] == hecke_operator(model, n, 2, P3)
+            ok = ok and coeffs[n] == walked[n] == hecke_operator(model, n, 2, P3)
         else:
-            ok = ok and coeffs[n] == 0
+            ok = ok and coeffs[n] == walked[n] == 0
     _report(9, "lambda binomials and Hecke log round trip", ok)
 
 

@@ -150,6 +150,14 @@ def test_hecke_operator_frees_each_orbit_once_its_psi_is_added():
     assert spy.peak <= 2 and spy.alive == 0
 
 
+@pytest.mark.parametrize("build", [symmetric_power_series, lambda_series])
+def test_genus_series_free_each_orbit_once_its_psi_is_read(build):
+    spy = LiveOrbitModel()
+    build(spy, 10, 3)
+    assert spy.calls == sum(len(enumerate_orbits(3, s)) for s in range(1, 11))
+    assert spy.peak <= 2 and spy.alive == 0
+
+
 def test_orbit_arguments_are_checked_when_called_not_when_first_read():
     model = IntegerModel(1)
     with pytest.raises(ModeError, match="^size 3 is not admissible in 2-power mode$"):
@@ -200,7 +208,7 @@ def _table_model(h, mode, prec):
     return TableModel({t: Fraction((-1) ** i * (i % 4), i % 3 + 1) for i, t in enumerate(orbits)})
 
 
-# (h, mode, prec): the grid on which the orbit-type product must equal the class sum
+# (h, mode, prec): the grid on which the exp of the Hecke sums must equal the class sum
 PRODUCT_GRID = [
     (1, ALL_ORDERS, 8), (1, P2, 8), (1, P3, 8),
     (2, ALL_ORDERS, 8), (2, P2, 8), (2, P3, 8),
@@ -285,7 +293,7 @@ def test_product_formula_integer_model():
 def test_verifier_left_side_walks_the_classes(monkeypatch):
     # dropping one class of degree 3 from the walk must break the identity at
     # t^3, by exactly that class's term; a left side taken from the
-    # orbit-type product would not notice
+    # orbits, as symmetric_power_series is, would not notice
     dropped = []
 
     def one_class_short(pool, top):
@@ -406,11 +414,13 @@ def test_hecke_from_log_round_trip():
     model = SymbolicModel("x")
     S = symmetric_power_series(model, 9, 2, P3)
     coeffs = S.log().coeffs
+    # S is exp of the Hecke sums, so the class walk's series is the input that tests the log
+    walked = verify_product_formula(model, 9, 2, P3).lhs.log().coeffs
     for n in range(1, 10):
         if n in (1, 3, 9):
-            assert coeffs[n] == hecke_operator(model, n, 2, P3)
+            assert coeffs[n] == walked[n] == hecke_operator(model, n, 2, P3)
         else:
-            assert coeffs[n] == 0
+            assert coeffs[n] == walked[n] == 0
     # S = (1-t)^{-d}: T_n = d/n
     geom = geometric_power_series(3, 6)
     assert geom.log().coeffs == (0,) + tuple(Fraction(3, n) for n in range(1, 7))
@@ -444,11 +454,13 @@ def test_lambda_inverts_symmetric_series():
 def test_adams_equals_n_times_hecke(h, mode, prec):
     model = SymbolicModel("x")
     psi = adams_series(model, prec, h, mode)
+    # adams_series takes log of exp of the Hecke sums; t d/dt log of the class walk's series does not
+    walked = verify_product_formula(model, prec, h, mode).lhs.log().t_ddt()
     for n in range(1, prec + 1):
         if mode.admits_size(n):
-            assert psi.coeffs[n] == n * hecke_operator(model, n, h, mode)
+            assert psi.coeffs[n] == walked.coeffs[n] == n * hecke_operator(model, n, h, mode)
         else:
-            assert psi.coeffs[n] == 0
+            assert psi.coeffs[n] == walked.coeffs[n] == 0
 
 
 def test_adams_fixes_integers():
@@ -497,6 +509,15 @@ def test_todd_frozen_coefficients():
         todd_orbifold_series(-1, 4)
 
 
+def test_geometric_power_series_gates_its_dimension_first():
+    with pytest.raises(ValueError, match="^dimension must be nonnegative$"):
+        geometric_power_series(-1, 3)
+    with pytest.raises(ValueError, match="^dimension must be nonnegative$"):
+        geometric_power_series(-1, -1)
+    with pytest.raises(TypeError, match="^dimension must be an int, got 1.5$"):
+        geometric_power_series(1.5, -1)
+
+
 def test_two_family_exponential_property():
     """Power operations of a sum: sigma_n(x+y) = sum sigma_i(x) sigma_j(y)."""
 
@@ -513,6 +534,9 @@ def test_two_family_exponential_property():
     sx = symmetric_power_series(SymbolicModel("x"), N, 2, P2)
     sy = symmetric_power_series(SymbolicModel("y"), N, 2, P2)
     assert both == sx * sy
+    # the same on the class walk's series, which no exp builds
+    walk = [verify_product_formula(m, N, 2, P2).lhs for m in (SumModel(), SymbolicModel("x"), SymbolicModel("y"))]
+    assert walk[0] == walk[1] * walk[2] == both
 
 
 ZETA = ClassFunction.one(1, ALL_ORDERS, 2)
@@ -540,6 +564,8 @@ SIZED_CALLS = {
     "TruncatedSeries prec": lambda x: TruncatedSeries([1], prec=x),
     "todd_orbifold_series d": lambda x: todd_orbifold_series(x, 2),
     "todd_orbifold_series prec": lambda x: todd_orbifold_series(1, x),
+    "geometric_power_series d": lambda x: geometric_power_series(x, 2),
+    "geometric_power_series prec": lambda x: geometric_power_series(1, x),
     "IntegerModel d": lambda x: IntegerModel(x),
 }
 

@@ -5,7 +5,7 @@ Hecke sums of a psi that is a product over primary parts, the commuting
 h-tuples count the classes one level down, monomials
 have one normal form, polynomial arithmetic, comparisons, readers and sums
 match a plain Fraction-coefficient reference, the three value rings keep the
-ring laws with scalars on either side, the orbit-type product for the symmetric-power series
+ring laws with scalars on either side, the symmetric-power series, the exp of the Hecke sums,
 equals the class sum, the Adams and geometric series equal their routes
 through series inversion, the integer-numerator sums (the summing helper, the
 Hecke operators, sigma and the Young sums) equal plain Fraction sums, the
@@ -426,7 +426,7 @@ def table_model(draw):
 
 @SETTINGS
 @given(table_model())
-def test_orbit_type_product_equals_class_sum(case):
+def test_hecke_exp_equals_class_sum(case):
     model, h, mode, prec = case
     S = symmetric_power_series(model, prec, h, mode)
     assert list(S.coeffs) == [sigma(model, n, h, mode) for n in range(prec + 1)]
