@@ -62,8 +62,19 @@ class Permutation(_Value):
         return all(mode.admits_size(n) for n in self.cycle_lengths())
 
 
+def _on_one_point_set(perms) -> list[Permutation]:
+    """perms as a list: TypeError unless each is a Permutation, ValueError unless they share a degree."""
+    perms = list(perms)
+    for a in perms:
+        if not isinstance(a, Permutation):
+            raise TypeError(f"expected a Permutation, got {type(a).__name__}")
+    if len({a.degree for a in perms}) > 1:
+        raise ValueError("permutations act on different point sets")
+    return perms
+
+
 def commute(a: Permutation, b: Permutation) -> bool:
-    ia, ib = a.image, b.image
+    ia, ib = (x.image for x in _on_one_point_set((a, b)))
     return all(ia[ib[i]] == ib[ia[i]] for i in range(len(ia)))
 
 
@@ -314,14 +325,11 @@ def orbit_type_of_tuple(perms, mode: Mode = ALL_ORDERS) -> OrbitTypeMultiset:
     that each has p-power order.  The result is conjugation invariant.
     """
     _check_mode(mode)
-    perms = list(perms)
+    perms = _on_one_point_set(perms)
     h = len(perms)
     if h < 1:
         raise ValueError("need a nonempty tuple of permutations")
-    l = perms[0].degree
     for a in perms:
-        if a.degree != l:
-            raise ValueError("permutations act on different point sets")
         if not a.order_admissible(mode):
             raise ModeError(f"permutation order not admissible in {mode} mode")
     for a, b in itertools.combinations(perms, 2):

@@ -199,17 +199,13 @@ def verify_product_formula(model, prec: int, h: int, mode: Mode = ALL_ORDERS) ->
 
 
 def lambda_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
-    """Total lambda operation: Lambda_t = 1 / S_{-t}."""
-    return symmetric_power_series(model, prec, h, mode).negate_t().invert()
+    """Total lambda operation Lambda_t = 1 / S_{-t}, taken from the Hecke sums as exp(-sum_n T_n (-t)^n)."""
+    return (-hecke_log_series(model, prec, h, mode).negate_t()).exp()
 
 
 def adams_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> TruncatedSeries:
-    """sum_n psi_n t^n computed as t d/dt log S_t, which is -t d/dt log Lambda_{-t}.
-
-    Since S_t is the exp of the Hecke sums, this is n * T_n at t^n, through
-    the series log; the tests compare it with the class walk's series too.
-    """
-    return symmetric_power_series(model, prec, h, mode).log().t_ddt()
+    """sum_n psi_n t^n = t d/dt log S_t, taken from the Hecke sums as t d/dt of them: n * T_n at t^n."""
+    return hecke_log_series(model, prec, h, mode).t_ddt()
 
 
 def equivariant_power_classfunction(model, n: int, h: int, mode: Mode = ALL_ORDERS) -> ClassFunction:

@@ -92,21 +92,14 @@ def class_to_json(cls: OrbitTypeMultiset) -> dict:
     }
 
 
-class _PolynomialJSON:
-    """A polynomial's JSON, which the writer renders term by term: a list with one object
-    {"monomial": [{"family", "orbit", "power"}, ...], "value": "n/d"} per term of sorted_terms."""
-
-    __slots__ = ("poly",)
-
-
 def value_to_json(value):
-    """Encode a Fraction as a string, a polynomial as what dump and dumps write as its term list."""
+    """Encode a Fraction as a string.  A polynomial is its own JSON value: dump and dumps write it
+    as a list with one object {"monomial": [{"family", "orbit", "power"}, ...], "value": "n/d"}
+    per term of sorted_terms."""
     if isinstance(value, (int, Fraction)):
         return fraction_to_str(value)
     if isinstance(value, PsiPolynomial):
-        obj = _PolynomialJSON()
-        obj.poly = value
-        return obj
+        return value
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
@@ -192,7 +185,7 @@ _MAX_CACHED = 4096  # rendered orbits and monomial entries kept by one _write ca
 def _write(obj, write) -> None:
     """Render obj in the layout of ``json.dumps(obj, indent=2)``, passing the text to write().
 
-    Strings, ints, bools, None, dicts with string keys, polynomials from value_to_json, and any
+    Strings, ints, bools, None, dicts with string keys, polynomials (as value_to_json says), and any
     other iterable as a list; anything else, floats included, raises TypeError.  An orbit object
     (from orbit_to_json) is rendered once per nesting depth and then copied, while the same orbit
     comes with the same fields; so is each (symbol, power) entry of a polynomial's monomials.
@@ -236,8 +229,8 @@ def _write(obj, write) -> None:
             out.append("false")
         elif isinstance(o, int):
             out.append(int.__repr__(o))
-        elif type(o) is _PolynomialJSON:
-            polynomial(o.poly, depth, out)
+        elif isinstance(o, PsiPolynomial):
+            polynomial(o, depth, out)
         else:
             sequence(o, depth, out)
 
@@ -251,7 +244,7 @@ def _write(obj, write) -> None:
         return text if hit is not None else remember((id(o.orbit), depth), o, text)
 
     def polynomial(p: PsiPolynomial, depth: int, out: list):
-        # the list of _PolynomialJSON's docstring, one fragment per term, never the whole text
+        # the list of value_to_json's docstring, one fragment per term, never the whole text
         i1, i2, i3, i4 = ("\n" + "  " * (depth + k) for k in range(1, 5))
         sep = "[" + i1
         for mono, num, den in p._ordered_terms():

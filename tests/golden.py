@@ -105,7 +105,7 @@ GOLDEN = {
     "genus lambda --h 3 --n 12 --model integer:3 --format tsv":
         "3bf385f7d97f79ba59bce3eb0a57e26c38865999735bdbe93016259425ee3e3a",
     # recorded while each value ring wrote its own reflected operators:
-    # symbolic all-orders lambda drives them on polynomials through negate_t and invert
+    # symbolic all-orders lambda drives them on polynomials through negate_t, unary minus and exp
     "genus lambda --h 2 --n 6":
         "480802ca44b1f58c92c631e7c44d6de160b6ea394f04a8318bc53ef80d5f428a",
     # first pinned against the installed CLI only: the four bench/run.py

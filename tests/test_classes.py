@@ -69,6 +69,24 @@ def test_commute():
     assert not commute(a, c)
 
 
+@pytest.mark.parametrize("a,b", [((0,), (0, 2, 1)), ((0, 1), (0,)), ((1, 0, 2), (1, 0))])
+def test_commute_refuses_permutations_of_different_point_sets(a, b):
+    with pytest.raises(ValueError, match="permutations act on different point sets"):
+        commute(Permutation(a), Permutation(b))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: commute((1, 0), (0, 1)),
+    lambda: commute(Permutation((1, 0)), (0, 1)),
+    lambda: commute([1, 0], Permutation((0, 1))),
+    lambda: orbit_type_of_tuple([(1, 0)]),
+    lambda: orbit_type_of_tuple([Permutation((1, 0)), (1, 0)], Mode(2)),
+], ids=["commute tuples", "commute second", "commute first", "orbit type tuple", "orbit type second"])
+def test_permutation_gates_take_only_permutations(call):
+    with pytest.raises(TypeError, match="expected a Permutation"):
+        call()
+
+
 def test_multiset_validation():
     t1, t2, _ = enumerate_orbits(2, 2, P2)
     with pytest.raises(ValueError):

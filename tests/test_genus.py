@@ -450,11 +450,25 @@ def test_lambda_inverts_symmetric_series():
     assert lam * S.negate_t() == TruncatedSeries.one(5)
 
 
+def test_lambda_and_adams_neither_invert_nor_take_a_log(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a genus series inverted a series or took its log")
+    orbits = [t for s in P2.sizes_up_to(6) for t in enumerate_orbits(2, s, P2)]
+    table = TableModel({t: Fraction(i % 5 - 2, i % 3 + 1) for i, t in enumerate(orbits)})
+    for model in (SymbolicModel(), table):
+        S = symmetric_power_series(model, 6, 2, P2)
+        expected = S.negate_t().invert(), S.log().t_ddt()
+        with monkeypatch.context() as m:
+            m.setattr(TruncatedSeries, "invert", refuse)
+            m.setattr(TruncatedSeries, "log", refuse)
+            assert (lambda_series(model, 6, 2, P2), adams_series(model, 6, 2, P2)) == expected
+
+
 @pytest.mark.parametrize("h,mode,prec", [(1, ALL_ORDERS, 6), (2, P2, 6), (2, P3, 9)])
 def test_adams_equals_n_times_hecke(h, mode, prec):
     model = SymbolicModel("x")
     psi = adams_series(model, prec, h, mode)
-    # adams_series takes log of exp of the Hecke sums; t d/dt log of the class walk's series does not
+    # adams_series scales the Hecke sums by n; t d/dt log of the class walk's series is independent
     walked = verify_product_formula(model, prec, h, mode).lhs.log().t_ddt()
     for n in range(1, prec + 1):
         if mode.admits_size(n):

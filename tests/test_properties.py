@@ -436,10 +436,12 @@ def test_hecke_exp_equals_class_sum(case):
 @given(table_model())
 @example((SymbolicModel(), 2, P2, 6))
 def test_adams_and_the_geometric_series_match_their_inversion_routes(case):
-    # the routes through invert that adams_series and geometric_power_series no longer take
+    # the routes through invert and log that lambda_series, adams_series and
+    # geometric_power_series no longer take; the symbolic example runs them on polynomials
     model, h, mode, prec = case
     lam = lambda_series(model, prec, h, mode)
     assert adams_series(model, prec, h, mode) == -(lam.negate_t().log().t_ddt())
+    assert lam.negate_t().invert() == symmetric_power_series(model, prec, h, mode)
     for d in range(7):
         assert geometric_power_series(d, prec) == TruncatedSeries([1, -1], prec=prec).invert() ** d
 
