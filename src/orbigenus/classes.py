@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .orbits import (
-    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _check_mode, _count, _Value, canonicalize,
+    ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _check_mode, _count, _expect, _Value, canonicalize,
     enumerate_orbits,
 )
 
@@ -64,10 +64,7 @@ class Permutation(_Value):
 
 def _on_one_point_set(perms) -> list[Permutation]:
     """perms as a list: TypeError unless each is a Permutation, ValueError unless they share a degree."""
-    perms = list(perms)
-    for a in perms:
-        if not isinstance(a, Permutation):
-            raise TypeError(f"expected a Permutation, got {type(a).__name__}")
+    perms = [_expect(a, Permutation) for a in perms]
     if len({a.degree for a in perms}) > 1:
         raise ValueError("permutations act on different point sets")
     return perms
@@ -126,11 +123,12 @@ def centralizer_order(cls: OrbitTypeMultiset) -> int:
     Product over orbit types of |T|^mult * mult!: automorphisms of each
     copy, times permutations of identical copies.
     """
-    return prod(orbit.size ** mult * factorial(mult) for orbit, mult in cls.entries)
+    entries = _expect(cls, OrbitTypeMultiset).entries
+    return prod(orbit.size ** mult * factorial(mult) for orbit, mult in entries)
 
 
 def class_size(cls: OrbitTypeMultiset) -> int:
-    n = factorial(cls.degree)
+    n = factorial(_expect(cls, OrbitTypeMultiset).degree)
     z = centralizer_order(cls)
     assert n % z == 0
     return n // z
@@ -345,7 +343,7 @@ def class_representative(cls: OrbitTypeMultiset) -> tuple[Permutation, ...]:
     consecutively); on each orbit, generator i acts as translation by e_i
     on the coset representatives.
     """
-    l = cls.degree
+    l = _expect(cls, OrbitTypeMultiset).degree
     images = [[None] * l for _ in range(cls.h)]
     offset = 0
     for orbit, mult in cls.entries:
@@ -377,7 +375,7 @@ def brute_force_classes(
     l exceeds the guard (default 6 for h <= 2, else 5) rather than hang.
     """
     _check_walk(h, l, mode, "degree")
-    limit = (6 if h <= 2 else 5) if guard is None else guard
+    limit = (6 if h <= 2 else 5) if guard is None else _count(guard, "guard", "nonnegative")
     if l > limit:
         raise GuardExceededError(f"degree {l} exceeds brute-force guard {limit}")
     admissible = [

@@ -26,7 +26,7 @@ from .classes import (
     class_representative,
     enumerate_classes,
 )
-from .orbits import Mode, _count
+from .orbits import Mode, _count, _expect
 from .psipoly import _divided, _numerators, _quotient, _Ring, _scalar, exact
 
 
@@ -109,8 +109,7 @@ def _matched(chi, *others, same_degree: bool = True) -> None:
     """The gate of every routine here: TypeError naming ClassFunction unless every argument is one,
     then ValueError unless all share h and mode, and l too if same_degree."""
     for f in (chi, *others):
-        if not isinstance(f, ClassFunction):
-            raise TypeError(f"expected a ClassFunction, got {type(f).__name__}")
+        _expect(f, ClassFunction)
     if any((chi.h, chi.mode) != (xi.h, xi.mode) or (same_degree and chi.l != xi.l) for xi in others):
         raise ValueError("class function parameters do not match")
 
@@ -200,6 +199,7 @@ def thm_d_induction_oracle(
     into the Young subgroup, divided by j! k!.  Exponential in n; guarded.
     """
     _matched(chi, xi, same_degree=False)
+    _count(guard, "guard", "nonnegative")
     h, mode = chi.h, chi.mode
     j, k = chi.l, xi.l
     n = j + k

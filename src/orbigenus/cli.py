@@ -67,7 +67,7 @@ def _emit_json(obj):
 def _cmd_orbits(args, mode: Mode) -> int:
     orbits = enumerate_orbits(args.h, args.size, mode)
     if args.format == "json":
-        _emit_json(serialize.orbit_to_json(t) for t in orbits)
+        _emit_json(orbits)
     else:
         print("size\thnf")
         for t in orbits:

@@ -24,7 +24,7 @@ from math import comb, factorial, prod
 
 from .classes import OrbitTypeMultiset, _check_walk, _orbit_pool, _walk_classes, enumerate_classes
 from .classfun import ClassFunction
-from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, _count, _orbit_stream, _Value
+from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, _count, _expect, _orbit_stream, _Value
 from .psipoly import PsiPolynomial, PsiSymbol, _ExactSum, _numerators, exact
 from .series import TruncatedSeries
 
@@ -71,8 +71,10 @@ class TableModel:
 
 
 def psi_of_class(model, cls: OrbitTypeMultiset):
-    """Product of psi over the orbits of a class, with multiplicity; TypeError unless exact."""
-    return exact(prod((model.psi(orbit) ** mult for orbit, mult in cls.entries), start=Fraction(1)))
+    """Product of psi over the orbits of a class, with multiplicity; TypeError unless cls is an
+    OrbitTypeMultiset and the product is exact."""
+    entries = _expect(cls, OrbitTypeMultiset).entries
+    return exact(prod((model.psi(orbit) ** mult for orbit, mult in entries), start=Fraction(1)))
 
 
 def _orbit_powers(model, pool, prec: int) -> tuple[list, int]:

@@ -21,6 +21,15 @@ def _count(n, name: str, bound: str | None = None) -> int:
     return n
 
 
+def _expect(value, kind: type):
+    """value, gated before it is read: TypeError naming kind ("expected a Permutation, got tuple")
+    unless value is one."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"expected {article} {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _check_mode(mode) -> None:
     """Gate an order mode before any cache or allocation: TypeError unless a Mode."""
     if not isinstance(mode, Mode):

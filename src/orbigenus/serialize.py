@@ -7,9 +7,10 @@ enumeration orders, so equal objects serialize to identical bytes.
 
 ``dumps`` and ``dump`` render the layout of ``json.dumps(obj, indent=2)``
 with their own writer: CPython's C encoder does not handle ``indent``, and
-its pure-Python fallback rebuilds every repeated orbit object.  ``dump``
-streams, so the CLI writes long orbit and class lists as it produces them,
-and a polynomial, which value_to_json leaves to the writer, term by term.
+its pure-Python fallback rebuilds every repeated orbit object.  An orbit and
+a polynomial are their own JSON values, which only this writer renders.
+``dump`` streams, so the CLI writes long orbit and class lists as it
+produces them, and a polynomial term by term.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .classes import OrbitTypeMultiset, centralizer_order, class_size
 from .genus import SeriesComparison, TableModel
-from .orbits import Mode, TransitiveOrbit
+from .orbits import Mode, TransitiveOrbit, _expect
 from .psipoly import PsiPolynomial, exact
 from .series import TruncatedSeries
 
@@ -49,17 +50,10 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-class _OrbitJSON(dict):
-    """The JSON object of one orbit, a plain dict that also remembers the orbit: the writer keys
-    its rendered text on id(orbit), hashing none, and holds the orbit while it keeps the text."""
-
-    __slots__ = ("orbit",)
-
-
 def orbit_to_json(orbit: TransitiveOrbit) -> dict:
-    obj = _OrbitJSON(h=orbit.h, size=str(orbit.size), hnf=[list(row) for row in orbit.rows])
-    obj.orbit = orbit
-    return obj
+    """{"h", "size", "hnf"}: the JSON object as which dump and dumps write a TransitiveOrbit."""
+    _expect(orbit, TransitiveOrbit)
+    return {"h": orbit.h, "size": str(orbit.size), "hnf": [list(row) for row in orbit.rows]}
 
 
 def orbit_from_json(obj) -> TransitiveOrbit:
@@ -85,8 +79,9 @@ def mode_to_json(mode: Mode):
 
 
 def class_to_json(cls: OrbitTypeMultiset) -> dict:
+    """{"type": [{"orbit", "mult"}, ...], "centralizer_order", "class_size"}, each orbit as itself."""
     return {
-        "type": [{"orbit": orbit_to_json(orbit), "mult": mult} for orbit, mult in cls.entries],
+        "type": [{"orbit": orbit, "mult": mult} for orbit, mult in _expect(cls, OrbitTypeMultiset).entries],
         "centralizer_order": str(centralizer_order(cls)),
         "class_size": str(class_size(cls)),
     }
@@ -104,10 +99,11 @@ def value_to_json(value):
 
 
 def series_to_json(series: TruncatedSeries) -> list:
-    return [value_to_json(c) for c in series.coeffs]
+    return [value_to_json(c) for c in _expect(series, TruncatedSeries).coeffs]
 
 
 def comparison_to_json(report: SeriesComparison) -> dict:
+    _expect(report, SeriesComparison)
     out = {
         "h": report.h,
         "p": report.mode.p,
@@ -185,16 +181,16 @@ _MAX_CACHED = 4096  # rendered orbits and monomial entries kept by one _write ca
 def _write(obj, write) -> None:
     """Render obj in the layout of ``json.dumps(obj, indent=2)``, passing the text to write().
 
-    Strings, ints, bools, None, dicts with string keys, polynomials (as value_to_json says), and any
-    other iterable as a list; anything else, floats included, raises TypeError.  An orbit object
-    (from orbit_to_json) is rendered once per nesting depth and then copied, while the same orbit
-    comes with the same fields; so is each (symbol, power) entry of a polynomial's monomials.
+    Strings, ints, bools, None, dicts with string keys, orbits (as orbit_to_json's object),
+    polynomials (as value_to_json says), and any other iterable as a list; anything else, floats
+    included, raises TypeError.  An orbit is rendered once per nesting depth and then copied, and
+    so is each (symbol, power) entry of a polynomial's monomials; a dict is always rendered anew.
     """
     encode_str = json.encoder.encode_basestring_ascii
     parts: list[str] = []  # rendered text, not yet joined
     joined: list[str] = []  # joined runs of parts, not yet written
     size = 0  # characters in joined
-    # (id(orbit), depth) or (id(symbol), power, depth) -> (that object, so its id is not reused, text)
+    # (orbit, depth) or (id(symbol), power, depth) -> (the orbit or symbol, held so no id is reused, text)
     rendered: dict[tuple, tuple] = {}
 
     def flush(final: bool = False):
@@ -215,7 +211,7 @@ def _write(obj, write) -> None:
         return text
 
     def value(o, depth: int, out: list):
-        if isinstance(o, _OrbitJSON):
+        if isinstance(o, TransitiveOrbit):
             out.append(orbit(o, depth))
         elif isinstance(o, dict):
             mapping(o, depth, out)
@@ -234,14 +230,13 @@ def _write(obj, write) -> None:
         else:
             sequence(o, depth, out)
 
-    def orbit(o: _OrbitJSON, depth: int) -> str:
-        hit = rendered.get((id(o.orbit), depth))
-        if hit is not None and (hit[0] is o or hit[0] == o):
+    def orbit(o: TransitiveOrbit, depth: int) -> str:
+        hit = rendered.get((o, depth))
+        if hit is not None:
             return hit[1]
         own: list[str] = []
-        mapping(o, depth, own)
-        text = "".join(own)
-        return text if hit is not None else remember((id(o.orbit), depth), o, text)
+        mapping(orbit_to_json(o), depth, own)
+        return remember((o, depth), o, "".join(own))
 
     def polynomial(p: PsiPolynomial, depth: int, out: list):
         # the list of value_to_json's docstring, one fragment per term, never the whole text
@@ -253,7 +248,7 @@ def _write(obj, write) -> None:
                 hit = rendered.get((id(sym), e, depth))
                 texts.append(hit[1] if hit is not None else remember((id(sym), e, depth), sym, (
                     f'{i3}{{{i4}"family": {encode_str(sym.family)},{i4}"orbit": '
-                    f'{orbit(orbit_to_json(sym.orbit), depth + 4)},{i4}"power": {e}{i3}}}')))
+                    f'{orbit(sym.orbit, depth + 4)},{i4}"power": {e}{i3}}}')))
             monomial = f'[{",".join(texts)}{i2}]' if texts else "[]"
             coeff = num if den == 1 else f"{num}/{den}"
             out.append(f'{sep}{{{i2}"monomial": {monomial},{i2}"value": "{coeff}"{i1}}}')

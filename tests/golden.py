@@ -162,6 +162,14 @@ GOLDEN = {
         "bde1f6c1801d9d0ffc9d1cb947319d4c577280df09619fd7e77ee705c59bd2d3",
     "genus sigma --h 4 --n 12 --model integer:1 --format tsv":
         "a3a5ef69d086812846659a5012307193545a2dbd0b6b0dc4aa145f020abb40e0",
+    # recorded while the writer took each orbit as a dict from orbit_to_json:
+    # all-orders class lists at h = 2 and h = 3
+    "classes --h 2 --l 8 --format json":
+        "a7865af7c0c0bd0438d52ecf49023b90d9a2b9c82cfeee13740422157ca181a7",
+    "classes --h 3 --l 5 --format json":
+        "c1816b2e9d3aa4095482fb10f028d6bd0915059b52f150640d98534f5a053d30",
+    "classes --h 2 --l 8 --format tsv":
+        "b4027b2c78d316d5e391158e30f87efe0b00b6ed96dd695f40d76a9702c3a39d",
 }
 
 

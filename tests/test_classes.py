@@ -357,6 +357,11 @@ def test_guard():
         brute_force_classes(0, 9)
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         brute_force_classes(1, -1)
+    # a guard is gated as a size: 2.5 ran, True read as 1, and -1 was refused only by the degree
+    with pytest.raises(TypeError, match="^guard must be an int, got 2.5$"):
+        brute_force_classes(1, 2, guard=2.5)
+    with pytest.raises(ValueError, match="^guard must be nonnegative$"):
+        brute_force_classes(1, 2, guard=-1)
     # override upward works (h=1 stays cheap)
     counts = brute_force_classes(1, 7, guard=7)
     assert sum(counts.values()) == factorial(7)

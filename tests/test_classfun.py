@@ -432,3 +432,8 @@ def test_oracle_guard():
     with pytest.raises(GuardExceededError):
         thm_d_induction_oracle(chi, xi)
     assert thm_d_induction_oracle(chi, xi, guard=7) == induce_young(chi, xi)
+    with pytest.raises(TypeError, match="^guard must be an int, got 7.5$"):
+        thm_d_induction_oracle(chi, xi, guard=7.5)
+    empty = ClassFunction.one(1, ALL_ORDERS, 0)
+    with pytest.raises(ValueError, match="^guard must be nonnegative$"):
+        thm_d_induction_oracle(empty, empty, guard=-1)

@@ -208,6 +208,8 @@ def test_verify_oracle_guard(capsys):
     code, out, _ = run(capsys, "verify", "oracle", "--h", "1", "--l", "7", "--guard", "7")
     assert code == 0
     assert json.loads(out)["tuples"] == "5040"
+    code, out, err = run(capsys, "verify", "oracle", "--h", "1", "--l", "0", "--guard", "-1")
+    assert (code, out) == (2, "") and "guard must be nonnegative" in err
 
 
 def test_genus_sigma(capsys):

@@ -13,7 +13,7 @@ from orbigenus.classes import (
     brute_force_classes, centralizer_order, enumerate_classes, hom_count, orbit_type_of_tuple,
 )
 from orbigenus.classes import _walk_classes as walk_classes
-from orbigenus.classfun import ClassFunction, augmentation, restrict_young
+from orbigenus.classfun import ClassFunction, augmentation, restrict_young, thm_d_induction_oracle
 from orbigenus.genus import (
     IntegerModel,
     SeriesComparison,
@@ -554,7 +554,7 @@ def test_two_family_exponential_property():
 
 
 ZETA = ClassFunction.one(1, ALL_ORDERS, 2)
-# every entry point that takes a rank, size, degree, precision or dimension, with that argument x
+# every entry point that takes a rank, size, degree, precision, dimension or guard, with that argument x
 SIZED_CALLS = {
     "Mode p": lambda x: Mode(x),
     "TransitiveOrbit h": lambda x: TransitiveOrbit(x, ((1,),)),
@@ -565,6 +565,7 @@ SIZED_CALLS = {
     "enumerate_classes l": lambda x: enumerate_classes(1, x, P2),
     "brute_force_classes h": lambda x: brute_force_classes(x, 1),
     "brute_force_classes l": lambda x: brute_force_classes(1, x),
+    "brute_force_classes guard": lambda x: brute_force_classes(1, 1, guard=x),
     "ClassFunction h": lambda x: ClassFunction.one(x, P2, 2),
     "ClassFunction l": lambda x: ClassFunction.one(1, P2, x),
     "sigma n": lambda x: sigma(IntegerModel(1), x, 1),
@@ -575,6 +576,7 @@ SIZED_CALLS = {
     "verify_product_formula prec": lambda x: verify_product_formula(IntegerModel(1), x, 1),
     "restrict_young j": lambda x: restrict_young(ZETA, x, 1),
     "restrict_young k": lambda x: restrict_young(ZETA, 1, x),
+    "thm_d_induction_oracle guard": lambda x: thm_d_induction_oracle(ZETA, ZETA, guard=x),
     "TruncatedSeries prec": lambda x: TruncatedSeries([1], prec=x),
     "todd_orbifold_series d": lambda x: todd_orbifold_series(x, 2),
     "todd_orbifold_series prec": lambda x: todd_orbifold_series(1, x),

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from orbigenus.classes import enumerate_classes
+from orbigenus.classes import centralizer_order, class_representative, class_size, enumerate_classes
 from orbigenus.classfun import ClassFunction
-from orbigenus.genus import SeriesComparison, symmetric_power_series, SymbolicModel
+from orbigenus.genus import IntegerModel, SeriesComparison, psi_of_class, symmetric_power_series, SymbolicModel
 from orbigenus.orbits import ALL_ORDERS, Mode, TransitiveOrbit, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import (
@@ -116,12 +116,29 @@ def test_class_json_frozen():
             target = cls
             break
     assert target is not None
-    obj = class_to_json(target)
+    obj = json.loads(dumps(class_to_json(target)))
     assert obj["centralizer_order"] == "8"
     assert obj["class_size"] == "3"
     assert len(obj["type"]) == 1
     assert obj["type"][0]["mult"] == 2
     assert obj["type"][0]["orbit"]["size"] == "2"
+
+
+@pytest.mark.parametrize("call, kind, got", [
+    (lambda: centralizer_order((1, 2)), "an OrbitTypeMultiset", "tuple"),
+    (lambda: class_size((1, 2)), "an OrbitTypeMultiset", "tuple"),
+    (lambda: class_representative(3), "an OrbitTypeMultiset", "int"),
+    (lambda: psi_of_class(IntegerModel(1), []), "an OrbitTypeMultiset", "list"),
+    (lambda: class_to_json(enumerate_orbits(1, 1)[0]), "an OrbitTypeMultiset", "TransitiveOrbit"),
+    (lambda: orbit_to_json((1,)), "a TransitiveOrbit", "tuple"),
+    (lambda: series_to_json([1]), "a TruncatedSeries", "list"),
+    (lambda: comparison_to_json(1), "a SeriesComparison", "int"),
+], ids=["centralizer_order", "class_size", "class_representative", "psi_of_class", "class_to_json",
+        "orbit_to_json", "series_to_json", "comparison_to_json"])
+def test_calls_that_take_a_class_orbit_series_or_report_gate_its_type(call, kind, got):
+    # each raised AttributeError on the first field it read
+    with pytest.raises(TypeError, match=f"^expected {kind}, got {got}$"):
+        call()
 
 
 def test_value_json():
@@ -151,7 +168,7 @@ def test_classfunction_json():
     assert len(obj["values"]) == len(enumerate_classes(2, 2, P2))
     assert all(v["value"] == "1/3" for v in obj["values"])
     # values are aligned with the canonical class order
-    assert obj["values"][0]["class"] == class_to_json(chi.classes[0])
+    assert obj["values"][0]["class"] == json.loads(dumps(class_to_json(chi.classes[0])))
 
 
 def test_comparison_json():
@@ -281,6 +298,9 @@ def test_writer_cache_eviction_keeps_the_text_exact():
     changed["size"] = "99"
     obj = [objs[0], changed, *objs, changed, objs[0]]
     assert dumps(obj) == json.dumps(obj, indent=2)
+    # the orbits themselves, then one again after the clearing, and one next to its changed object
+    assert dumps([*orbits, orbits[0]]) == json.dumps([*objs, objs[0]], indent=2)
+    assert dumps([orbits[0], changed, [orbits[0]]]) == json.dumps([objs[0], changed, [objs[0]]], indent=2)
     # a polynomial with more distinct monomial entries than that, twice, next to an orbit object
     p = PsiPolynomial([(((PsiSymbol("x", t), 1),), i % 7 - 3) for i, t in enumerate(orbits)])
     ref = value_json_reference(p)
