@@ -80,6 +80,7 @@ class OrbitTypeMultiset(_Value):
 
     ``entries`` is sorted by orbit, with multiplicities >= 1; the degree l
     is the total number of points moved.  Entries are stored as a tuple of pairs.
+    An entry that is not a TransitiveOrbit and an int (not a bool) raises TypeError.
     """
 
     __slots__ = _fields = ("h", "mode", "entries")
@@ -88,9 +89,9 @@ class OrbitTypeMultiset(_Value):
         _check_mode(mode)
         entries = tuple(map(tuple, entries))
         for orbit, mult in entries:
-            if orbit.h != h:
+            if _expect(orbit, TransitiveOrbit).h != h:
                 raise ValueError("orbit rank does not match h")
-            if mult < 1:
+            if _count(mult, "multiplicity") < 1:
                 raise ValueError("multiplicities must be positive")
             if not mode.admits_size(orbit.size):
                 raise ModeError(f"orbit size {orbit.size} not admissible in {mode} mode")

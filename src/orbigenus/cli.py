@@ -128,8 +128,7 @@ def _cmd_verify_frobenius(args, mode: Mode) -> int:
             sides = (("reciprocity", inner_product(induced, zeta),
                       product_inner_product(chi, xi, restrict_young(zeta, j, k))),
                      ("augmentation", augmentation(induced), augmentation(chi) * augmentation(xi)))
-            failures += [{"j": j, "k": k, "trial": trial, "check": check,
-                          "lhs": serialize.fraction_to_str(lhs), "rhs": serialize.fraction_to_str(rhs)}
+            failures += [{"j": j, "k": k, "trial": trial, "check": check, "lhs": lhs, "rhs": rhs}
                          for check, lhs, rhs in sides if lhs != rhs]
     report = {"h": args.h, "mode": serialize.mode_to_json(mode), "l": args.l,
               "trials": args.l // 2 * args.trials, "equal": not failures}
@@ -160,7 +159,7 @@ def _cmd_verify_oracle(args, mode: Mode) -> int:
 def _emit_value_rows(rows, fmt: str):
     """rows: list of (n, value); json gives records, tsv a header plus lines."""
     if fmt == "json":
-        _emit_json([{"n": n, "value": serialize.value_to_json(v)} for n, v in rows])
+        _emit_json([{"n": n, "value": v} for n, v in rows])
     else:
         print("n\tvalue")
         for n, v in rows:
@@ -181,7 +180,7 @@ def _cmd_genus(args, mode: Mode) -> int:
                 {
                     "d": d,
                     "precision": args.n,
-                    "series": serialize.series_to_json(series),
+                    "series": series.coeffs,
                     "closed_form": equal,
                 }
             )

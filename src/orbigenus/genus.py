@@ -30,10 +30,10 @@ from .series import TruncatedSeries
 
 
 class SymbolicModel:
-    """Keeps every psi(T) as a formal symbol of one family."""
+    """Keeps every psi(T) as a formal symbol of one family, a str (else TypeError)."""
 
     def __init__(self, family: str = "x"):
-        self.family = family
+        self.family = _expect(family, str)
 
     def psi(self, orbit: TransitiveOrbit) -> PsiPolynomial:
         return PsiPolynomial.symbol(PsiSymbol(self.family, orbit))
@@ -56,10 +56,11 @@ class IntegerModel:
 
 
 class TableModel:
-    """psi values looked up in an explicit orbit table, a dict orbit -> value."""
+    """psi values looked up in an explicit orbit table, a dict TransitiveOrbit -> exact value
+    (else TypeError)."""
 
     def __init__(self, table):
-        self.table = {orbit: exact(value) for orbit, value in table.items()}
+        self.table = {_expect(orbit, TransitiveOrbit): exact(value) for orbit, value in table.items()}
 
     def psi(self, orbit: TransitiveOrbit):
         if orbit not in self.table:
@@ -171,21 +172,34 @@ def hecke_log_series(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> Trunc
     return TruncatedSeries(coeffs, prec=prec)
 
 
+def _verdict(lhs: TruncatedSeries, rhs: TruncatedSeries) -> tuple[int, bool, int | None]:
+    """(precision, equal, first_mismatch) of two series of one precision, else ValueError."""
+    if _expect(lhs, TruncatedSeries).prec != _expect(rhs, TruncatedSeries).prec:
+        raise ValueError("series precisions differ")
+    mismatch = next((n for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if not a == b), None)
+    return lhs.prec, mismatch is None, mismatch
+
+
 class SeriesComparison(_Value):
-    """Outcome of an exact coefficient-by-coefficient series comparison."""
+    """Outcome of an exact coefficient-by-coefficient series comparison.
+
+    precision, equal and first_mismatch are what _verdict reads off lhs and rhs: the constructor
+    raises ValueError for any other, so no report claims a verdict its sides contradict.
+    """
 
     __slots__ = _fields = ("h", "mode", "precision", "lhs", "rhs", "equal", "first_mismatch")
 
     def __init__(self, h: int, mode: Mode, precision: int, lhs: TruncatedSeries,
                  rhs: TruncatedSeries, equal: bool, first_mismatch: int | None):
+        claimed, verdict = (precision, equal, first_mismatch), _verdict(lhs, rhs)
+        if claimed != verdict or list(map(type, claimed)) != list(map(type, verdict)):
+            raise ValueError(f"lhs and rhs give (precision, equal, first_mismatch) = {verdict}, not {claimed}")
         self._set(h, mode, precision, lhs, rhs, equal, first_mismatch)
 
     @classmethod
     def compare(cls, h, mode, lhs: TruncatedSeries, rhs: TruncatedSeries) -> "SeriesComparison":
-        if lhs.prec != rhs.prec:
-            raise ValueError("series precisions differ")
-        mismatch = next((n for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if not a == b), None)
-        return cls(h, mode, lhs.prec, lhs, rhs, mismatch is None, mismatch)
+        precision, equal, mismatch = _verdict(lhs, rhs)
+        return cls(h, mode, precision, lhs, rhs, equal, mismatch)
 
 
 def verify_product_formula(model, prec: int, h: int, mode: Mode = ALL_ORDERS) -> SeriesComparison:

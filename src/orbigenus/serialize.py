@@ -7,10 +7,14 @@ enumeration orders, so equal objects serialize to identical bytes.
 
 ``dumps`` and ``dump`` render the layout of ``json.dumps(obj, indent=2)``
 with their own writer: CPython's C encoder does not handle ``indent``, and
-its pure-Python fallback rebuilds every repeated orbit object.  An orbit and
-a polynomial are their own JSON values, which only this writer renders.
-``dump`` streams, so the CLI writes long orbit and class lists as it
-produces them, and a polynomial term by term.
+its pure-Python fallback rebuilds every repeated orbit object.  An orbit, a
+Fraction and a polynomial are their own JSON values, which only this writer
+renders: an orbit as the object orbit_to_json gives, a Fraction as the string
+fraction_to_str gives, and a polynomial as a list with one object
+{"monomial": [{"family", "orbit", "power"}, ...], "value": "n/d"} per term of
+sorted_terms.  An int stays a JSON number.  ``dump`` streams, so the CLI
+writes long orbit and class lists as it produces them, and a polynomial term
+by term.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ from .classes import OrbitTypeMultiset, centralizer_order, class_size
 from .genus import SeriesComparison, TableModel
 from .orbits import Mode, TransitiveOrbit, _expect
 from .psipoly import PsiPolynomial, exact
-from .series import TruncatedSeries
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -87,35 +90,22 @@ def class_to_json(cls: OrbitTypeMultiset) -> dict:
     }
 
 
-def value_to_json(value):
-    """Encode a Fraction as a string.  A polynomial is its own JSON value: dump and dumps write it
-    as a list with one object {"monomial": [{"family", "orbit", "power"}, ...], "value": "n/d"}
-    per term of sorted_terms."""
-    if isinstance(value, (int, Fraction)):
-        return fraction_to_str(value)
-    if isinstance(value, PsiPolynomial):
-        return value
-    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
-
-
-def series_to_json(series: TruncatedSeries) -> list:
-    return [value_to_json(c) for c in _expect(series, TruncatedSeries).coeffs]
-
-
 def comparison_to_json(report: SeriesComparison) -> dict:
+    """{"h", "p", "precision", "equal", "lhs", "rhs"}, and unless equal "first_mismatch" and
+    "difference", lhs minus rhs there; each coefficient as itself."""
     _expect(report, SeriesComparison)
     out = {
         "h": report.h,
         "p": report.mode.p,
         "precision": report.precision,
         "equal": report.equal,
-        "lhs": series_to_json(report.lhs),
-        "rhs": series_to_json(report.rhs),
+        "lhs": report.lhs.coeffs,
+        "rhs": report.rhs.coeffs,
     }
     if not report.equal:
         n = report.first_mismatch
         out["first_mismatch"] = n
-        out["difference"] = value_to_json(report.lhs.coeffs[n] - report.rhs.coeffs[n])
+        out["difference"] = report.lhs.coeffs[n] - report.rhs.coeffs[n]
     return out
 
 
@@ -181,9 +171,9 @@ _MAX_CACHED = 4096  # rendered orbits and monomial entries kept by one _write ca
 def _write(obj, write) -> None:
     """Render obj in the layout of ``json.dumps(obj, indent=2)``, passing the text to write().
 
-    Strings, ints, bools, None, dicts with string keys, orbits (as orbit_to_json's object),
-    polynomials (as value_to_json says), and any other iterable as a list; anything else, floats
-    included, raises TypeError.  An orbit is rendered once per nesting depth and then copied, and
+    Strings, ints, bools, None, dicts with string keys, orbits, Fractions and polynomials (as the
+    module docstring says), and any other iterable as a list; anything else, floats included,
+    raises TypeError.  An orbit is rendered once per nesting depth and then copied, and
     so is each (symbol, power) entry of a polynomial's monomials; a dict is always rendered anew.
     """
     encode_str = json.encoder.encode_basestring_ascii
@@ -227,6 +217,8 @@ def _write(obj, write) -> None:
             out.append(int.__repr__(o))
         elif isinstance(o, PsiPolynomial):
             polynomial(o, depth, out)
+        elif isinstance(o, Fraction):
+            out.append(f'"{fraction_to_str(o)}"')
         else:
             sequence(o, depth, out)
 
@@ -239,7 +231,7 @@ def _write(obj, write) -> None:
         return remember((o, depth), o, "".join(own))
 
     def polynomial(p: PsiPolynomial, depth: int, out: list):
-        # the list of value_to_json's docstring, one fragment per term, never the whole text
+        # the list of the module docstring, one fragment per term, never the whole text
         i1, i2, i3, i4 = ("\n" + "  " * (depth + k) for k in range(1, 5))
         sep = "[" + i1
         for mono, num, den in p._ordered_terms():

@@ -31,7 +31,7 @@ from orbigenus.genus import lambda_series
 from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
 from orbigenus.serialize import (
-    _json_int, class_to_json, dumps, fraction_to_str, mode_to_json, orbit_to_json, value_to_json,
+    _json_int, class_to_json, dumps, fraction_to_str, mode_to_json, orbit_to_json,
 )
 
 
@@ -306,7 +306,7 @@ def classfunction_to_json(chi):
         "mode": mode_to_json(chi.mode),
         "l": chi.l,
         "values": [
-            {"class": class_to_json(c), "value": value_to_json(v)}
+            {"class": class_to_json(c), "value": v}
             for c, v in zip(chi.classes, chi.values)
         ],
     }))
@@ -316,7 +316,7 @@ def value_json_reference(value):
     """The JSON of an exact value as plain lists and dicts, one dict per term and monomial entry,
     read through sorted_terms: the reference of the writer's term-by-term polynomial text."""
     if not isinstance(value, PsiPolynomial):
-        return value_to_json(value)
+        return fraction_to_str(value)
     return [
         {
             "monomial": [

@@ -2,6 +2,7 @@
 import itertools
 import pickle
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -98,6 +99,17 @@ def test_multiset_validation():
     three = enumerate_orbits(2, 3, P3)[0]
     with pytest.raises(ModeError):
         OrbitTypeMultiset(2, P2, ((three, 1),))  # size 3 inadmissible at p=2
+    # a float or bool multiplicity was taken (degree 1.5), and a non-orbit raised AttributeError
+    t = enumerate_orbits(1, 1)[0]
+    for mult in (1.5, True, 2.0, Fraction(2), "1"):
+        with pytest.raises(TypeError, match="^multiplicity must be an int, got "):
+            OrbitTypeMultiset(1, ALL_ORDERS, [(t, mult)])
+    for orbit in (3, (1,), {"h": 1, "size": "1", "hnf": [[1]]}):
+        with pytest.raises(TypeError, match="^expected a TransitiveOrbit, got "):
+            OrbitTypeMultiset(1, ALL_ORDERS, [(orbit, 1)])
+    with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+        OrbitTypeMultiset(1, ALL_ORDERS, [(t, -1)])
+    assert OrbitTypeMultiset(1, ALL_ORDERS, [(t, 2)]).degree == 2
 
 
 def test_multiset_degree_union_and_from_pairs():

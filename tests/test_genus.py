@@ -35,7 +35,7 @@ from orbigenus.orbits import (
     ALL_ORDERS, Mode, ModeError, TransitiveOrbit, _orbit_stream, canonicalize, enumerate_orbits,
 )
 from orbigenus.psipoly import PsiPolynomial, PsiSymbol
-from orbigenus.serialize import comparison_to_json, dumps, value_to_json
+from orbigenus.serialize import comparison_to_json, dumps
 from orbigenus.series import TruncatedSeries
 
 from helpers import class_items, indicator, lambda_operation, variable
@@ -54,6 +54,10 @@ def test_symbolic_model_psi():
     assert m.psi(t) == sym("x", t)
     # trivial orbit gives the degree-one class itself
     assert m.psi(enumerate_orbits(2, 1)[0]) == variable("x", 2)
+    # a family that is not a str was taken, and failed only at the first psi ("not a psi symbol")
+    for family in (3, None, b"x"):
+        with pytest.raises(TypeError, match="^expected a str, got "):
+            SymbolicModel(family)
 
 
 def test_integer_model_psi():
@@ -75,6 +79,10 @@ def test_table_model():
     for bad in (0.5, "5", None):
         with pytest.raises(TypeError):
             TableModel({t1: bad})
+    # a key that is not an orbit was taken, and failed only at psi ("no psi value for orbit T[1]")
+    for table in ({1: 2}, {(1,): 2}, {"T[1]": 2}):
+        with pytest.raises(TypeError, match="^expected a TransitiveOrbit, got "):
+            TableModel(table)
 
 
 def test_psi_of_class():
@@ -290,6 +298,22 @@ def test_product_formula_integer_model():
         assert report.lhs.coeffs[n] == comb(n + 4, n)
 
 
+def test_a_comparison_carries_only_the_verdict_of_its_sides():
+    s, r = TruncatedSeries([1, 2, 0], prec=2), TruncatedSeries([1, 3, 0], prec=2)
+    report = SeriesComparison(1, ALL_ORDERS, 2, s, r, False, 1)
+    assert report == SeriesComparison.compare(1, ALL_ORDERS, s, r)
+    assert SeriesComparison(1, ALL_ORDERS, 2, s, s, True, None).equal
+    # "equal": true was written for this report; and a verdict of another type than compare's
+    for claimed in ((2, True, None), (2, False, 2), (1, False, 1), (2, 0, 1), (2.0, False, 1), (2, False, 1.0)):
+        with pytest.raises(ValueError, match=r"^lhs and rhs give \(precision, equal, first_mismatch\) = "
+                                             r"\(2, False, 1\), not "):
+            SeriesComparison(1, ALL_ORDERS, claimed[0], s, r, *claimed[1:])
+    with pytest.raises(ValueError, match="^series precisions differ$"):
+        SeriesComparison(1, ALL_ORDERS, 1, s, TruncatedSeries([1, 2], prec=1), False, 1)
+    with pytest.raises(TypeError, match="^expected a TruncatedSeries, got list$"):
+        SeriesComparison(1, ALL_ORDERS, 2, s, [1, 3, 0], False, 1)
+
+
 def test_verifier_left_side_walks_the_classes(monkeypatch):
     # dropping one class of degree 3 from the walk must break the identity at
     # t^3, by exactly that class's term; a left side taken from the
@@ -316,7 +340,7 @@ def test_verifier_left_side_walks_the_classes(monkeypatch):
     difference = -psi_of_class(model, cls) * Fraction(1, centralizer_order(cls))
     assert report.lhs.coeffs[3] - report.rhs.coeffs[3] == difference
     reread = json.loads(dumps(comparison_to_json(report)))
-    assert reread["difference"] == json.loads(dumps(value_to_json(difference)))
+    assert reread["difference"] == json.loads(dumps(difference))
 
 
 def _mixed_model(h, mode, prec):

@@ -57,7 +57,7 @@ from orbigenus.genus import (
 from orbigenus.orbits import ALL_ORDERS, Mode, TransitiveOrbit, canonicalize, enumerate_orbits
 from orbigenus.psipoly import _IDS, PsiPolynomial, PsiSymbol, _ExactSum
 from orbigenus.serialize import (
-    comparison_to_json, dumps, fraction_from_str, fraction_to_str, orbit_to_json, value_to_json,
+    comparison_to_json, dumps, fraction_from_str, fraction_to_str, orbit_to_json,
 )
 from orbigenus.series import TruncatedSeries
 
@@ -246,7 +246,7 @@ def test_interning_order_is_invisible(terms):
             (tuple((PsiSymbol(s.family.translate(RENAME), s.orbit), e) for s, e in mono), c)
             for mono, c in b.sorted_terms()
         ] == a.sorted_terms()
-        assert dumps(value_to_json(b)).translate(RENAME) == dumps(value_to_json(a))
+        assert dumps(b).translate(RENAME) == dumps(a)
 
 
 @st.composite
@@ -639,8 +639,8 @@ def test_product_inner_product_equals_a_fraction_fold(case):
 
 
 # JSON values as the writer takes them: every scalar kind, strings with
-# control and non-ASCII characters, ints past 64 bits, and orbits, whose
-# rendered text the writer reuses
+# control and non-ASCII characters, ints past 64 bits, Fractions, and orbits,
+# whose rendered text the writer reuses
 json_scalar = (
     st.none()
     | st.booleans()
@@ -648,6 +648,7 @@ json_scalar = (
     | st.integers(-(10**40), 10**40)
     | st.text()
     | st.text(st.characters(max_codepoint=0x7F), max_size=4)
+    | st.fractions()
     | st.sampled_from(POOL)
 )
 json_value = st.recursive(
@@ -658,9 +659,12 @@ json_value = st.recursive(
 
 
 def plain(obj):
-    """obj with each orbit replaced by its orbit_to_json object: what json.dumps takes."""
+    """obj with each orbit replaced by its orbit_to_json object and each Fraction by its
+    fraction_to_str text: what json.dumps takes."""
     if isinstance(obj, TransitiveOrbit):
         return orbit_to_json(obj)
+    if isinstance(obj, Fraction):
+        return fraction_to_str(obj)
     if isinstance(obj, list):
         return [plain(x) for x in obj]
     if type(obj) is dict:
@@ -706,7 +710,7 @@ json_polynomial = (st.just(PsiPolynomial()) | reference_coefficient.map(PsiPolyn
 def test_polynomial_json_matches_a_dict_per_term_reference(p):
     for depth in range(4):
         for shape in ("list", "dict", "both"):
-            obj, ref = value_to_json(p), value_json_reference(p)
+            obj, ref = p, value_json_reference(p)
             for i in range(depth):
                 if shape == "list" or shape == "both" and i % 2:
                     obj, ref = [i, obj], [i, ref]
@@ -730,6 +734,15 @@ def test_polynomial_json_matches_a_dict_per_term_reference(p):
 @given(st.fractions(max_denominator=10**12) | st.fractions())
 def test_fraction_strings_round_trip(q):
     assert fraction_from_str(fraction_to_str(q)) == q
+
+
+@SETTINGS
+@given(st.fractions() | st.integers(-(10**40), 10**40).map(Fraction) | st.fractions(max_value=0))
+def test_writer_renders_a_fraction_as_its_exact_string(q):
+    # negative values and denominator 1 included: "-3/2", "7"
+    text = dumps(q)
+    assert text == json.dumps(fraction_to_str(q))
+    assert fraction_from_str(json.loads(text)) == q
 
 
 @st.composite
