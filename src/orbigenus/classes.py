@@ -80,12 +80,14 @@ class OrbitTypeMultiset(_Value):
 
     ``entries`` is sorted by orbit, with multiplicities >= 1; the degree l
     is the total number of points moved.  Entries are stored as a tuple of pairs.
-    An entry that is not a TransitiveOrbit and an int (not a bool) raises TypeError.
+    An h that is not an int (not a bool), a mode that is not a Mode, or an entry that is not a
+    TransitiveOrbit and an int raises TypeError; an h < 1 raises ValueError.
     """
 
     __slots__ = _fields = ("h", "mode", "entries")
 
     def __init__(self, h: int, mode: Mode, entries):
+        _count(h, "h", "positive")
         _check_mode(mode)
         entries = tuple(map(tuple, entries))
         for orbit, mult in entries:

@@ -24,7 +24,7 @@ from math import comb, factorial, prod
 
 from .classes import OrbitTypeMultiset, _check_walk, _orbit_pool, _walk_classes, enumerate_classes
 from .classfun import ClassFunction
-from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, _count, _expect, _orbit_stream, _Value
+from .orbits import ALL_ORDERS, Mode, TransitiveOrbit, _check_mode, _count, _expect, _orbit_stream, _Value
 from .psipoly import PsiPolynomial, PsiSymbol, _ExactSum, _numerators, exact
 from .series import TruncatedSeries
 
@@ -60,7 +60,8 @@ class TableModel:
     (else TypeError)."""
 
     def __init__(self, table):
-        self.table = {_expect(orbit, TransitiveOrbit): exact(value) for orbit, value in table.items()}
+        self.table = {_expect(orbit, TransitiveOrbit): exact(value)
+                      for orbit, value in _expect(table, dict).items()}
 
     def psi(self, orbit: TransitiveOrbit):
         if orbit not in self.table:
@@ -184,13 +185,16 @@ class SeriesComparison(_Value):
     """Outcome of an exact coefficient-by-coefficient series comparison.
 
     precision, equal and first_mismatch are what _verdict reads off lhs and rhs: the constructor
-    raises ValueError for any other, so no report claims a verdict its sides contradict.
+    raises ValueError for any other, so no report claims a verdict its sides contradict.  h and
+    mode are gated as a class's are: TypeError unless an int and a Mode, ValueError for h < 1.
     """
 
     __slots__ = _fields = ("h", "mode", "precision", "lhs", "rhs", "equal", "first_mismatch")
 
     def __init__(self, h: int, mode: Mode, precision: int, lhs: TruncatedSeries,
                  rhs: TruncatedSeries, equal: bool, first_mismatch: int | None):
+        _count(h, "h", "positive")
+        _check_mode(mode)
         claimed, verdict = (precision, equal, first_mismatch), _verdict(lhs, rhs)
         if claimed != verdict or list(map(type, claimed)) != list(map(type, verdict)):
             raise ValueError(f"lhs and rhs give (precision, equal, first_mismatch) = {verdict}, not {claimed}")

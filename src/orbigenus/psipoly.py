@@ -22,12 +22,18 @@ normal form: a tuple of (id, exponent) pairs sorted by id, one per symbol, each
 exponent an int >= 1 (else ValueError); () is the constant monomial.  Ids stay
 inside: _intern is the one way in and _ordered_terms the one way out; it ranks
 the symbols its terms use on each call and gives (PsiSymbol, exponent) pairs
-in canonical symbol order, so no result depends on the order of first use.  A
-polynomial pickles by those pairs, so it loads in a process with other ids.
+in canonical symbol order, so no result depends on the order of first use.
+When the ranking keeps the symbols' id order, as when they were interned in
+canonical order, the id-sorted monomials are sorted as they are, with no rank
+list per term.  A polynomial pickles by those pairs, so it loads in a process
+with other ids.  A product loops over the side with fewer terms outside; an
+outer monomial of one (id, exponent) pair is inserted into each inner one at
+the place bisection finds, its exponent added where the id is already there.
 """
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -229,18 +235,24 @@ class PsiPolynomial(_Ring):
     def _ordered_terms(self):
         """Yield each term as (monomial, numerator, denominator), the coefficient in lowest terms:
         by degree, then monomial, each monomial's (PsiSymbol, exponent) pairs in canonical symbol
-        order.  The symbols these terms use are ranked on each call by family, then orbit sort key."""
+        order.  The symbols these terms use are ranked on each call by family, then orbit sort key.
+        When that ranking keeps their id order, as when they were interned in canonical order, the
+        id-sorted monomials are in rank order already and are sorted as they are; else each
+        monomial's pairs are sorted by rank into its key."""
         symbols = {i: _SYMBOLS[i] for m in self._terms for i, _ in m}
         ids = sorted(symbols, key=lambda i: (symbols[i].family, symbols[i].orbit.sort_key))
-        rank = {i: r for r, i in enumerate(ids)}
-        by_rank = [symbols[i] for i in ids]
-        # each monomial's pairs sorted once, by rank, into the term key; keys never tie
-        keyed = sorted([(sum([e for _, e in m]), sorted([(rank[i], e) for i, e in m]), c)
-                        for m, c in self._terms.items()])
+        if all(map(int.__lt__, ids, ids[1:])):  # each monomial is its own term key
+            keyed = sorted([(sum([e for _, e in m]), m, c) for m, c in self._terms.items()])
+        else:
+            rank = {i: r for r, i in enumerate(ids)}
+            symbols = [symbols[i] for i in ids]  # by rank
+            # each monomial's pairs sorted once, by rank, into the term key; keys never tie
+            keyed = sorted([(sum([e for _, e in m]), sorted([(rank[i], e) for i, e in m]), c)
+                            for m, c in self._terms.items()])
         den = self._den
-        for _, ranked, c in keyed:
+        for _, key, c in keyed:
             g = gcd(c, den)
-            yield tuple([(by_rank[r], e) for r, e in ranked]), c // g, den // g
+            yield tuple([(symbols[k], e) for k, e in key]), c // g, den // g
 
     @property
     def is_constant(self) -> bool:
@@ -272,11 +284,24 @@ class PsiPolynomial(_Ring):
     def __mul__(self, other):
         if other.__class__ is not PsiPolynomial:  # first, as in _ExactSum.add
             return self._scaled(other) if _scalar(other) else NotImplemented
+        outer, inner = self._terms, other._terms
+        if len(outer) >= len(inner):  # the shorter side outside, the right one on a tie
+            outer, inner = inner, outer
         acc: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _monomial(m1 + m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
+        for m1, c1 in outer.items():
+            if len(m1) == 1:  # one (i, e) pair: bump i's exponent in each inner monomial, or insert it
+                ((i, e),) = m1
+                for m2, c2 in inner.items():
+                    k = bisect_left(m2, (i,))
+                    if k < len(m2) and m2[k][0] == i:
+                        m = m2[:k] + ((i, m2[k][1] + e),) + m2[k + 1:]
+                    else:
+                        m = m2[:k] + m1 + m2[k:]
+                    acc[m] = acc.get(m, 0) + c1 * c2
+            else:
+                for m2, c2 in inner.items():
+                    m = _monomial(m1 + m2)
+                    acc[m] = acc.get(m, 0) + c1 * c2
         return PsiPolynomial._from_terms(acc, self._den * other._den)
 
     def _one(self) -> "PsiPolynomial":

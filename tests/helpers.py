@@ -8,8 +8,9 @@ addition.  The functions after class_count use the library's own types:
 conveniences that several tests share, the primary-decomposition map onto
 the orbits of a composite size, and the product-and-filter
 reference that the keyed class split is checked against, the plain
-Fraction-coefficient reference of polynomial arithmetic, and the
-dict-per-term reference of a polynomial's JSON.
+Fraction-coefficient reference of polynomial arithmetic, the term-by-term
+normal-form product, and the dict-per-term and text references of a
+polynomial's JSON and str.
 """
 import json
 from fractions import Fraction
@@ -29,7 +30,7 @@ from orbigenus.classes import (
 from orbigenus.classfun import ClassFunction
 from orbigenus.genus import lambda_series
 from orbigenus.orbits import ALL_ORDERS, Mode, canonicalize, enumerate_orbits
-from orbigenus.psipoly import PsiPolynomial, PsiSymbol
+from orbigenus.psipoly import PsiPolynomial, PsiSymbol, _monomial
 from orbigenus.serialize import (
     _json_int, class_to_json, dumps, fraction_to_str, mode_to_json, orbit_to_json,
 )
@@ -317,6 +318,11 @@ def value_json_reference(value):
     read through sorted_terms: the reference of the writer's term-by-term polynomial text."""
     if not isinstance(value, PsiPolynomial):
         return fraction_to_str(value)
+    return terms_json_reference(value.sorted_terms())
+
+
+def terms_json_reference(terms):
+    """The JSON of (monomial, coefficient) pairs, in their order, as plain lists and dicts."""
     return [
         {
             "monomial": [
@@ -324,8 +330,17 @@ def value_json_reference(value):
             ],
             "value": fraction_to_str(coeff),
         }
-        for mono, coeff in value.sorted_terms()
+        for mono, coeff in terms
     ]
+
+
+def terms_str_reference(terms):
+    """The text of (monomial, coefficient) pairs, in their order, as str of a polynomial writes it."""
+    parts = []
+    for mono, coeff in terms:
+        text = "*".join(str(sym) if e == 1 else f"{sym}^{e}" for sym, e in mono)
+        parts.append(str(coeff) if not mono else text if coeff == 1 else f"{coeff}*{text}")
+    return " + ".join(parts) or "0"
 
 
 def mode_from_json(obj):
@@ -400,6 +415,17 @@ def reference_add(a, b, sign=1):
 def reference_mul(a, b):
     """a * b on references, term by term."""
     return reference_terms([([*m1, *m2], c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()])
+
+
+def monomial_product_reference(a, b):
+    """a * b for PsiPolynomials, term by term, each monomial the normal form _monomial(m1 + m2) of
+    the two merged: the reference of the product that inserts a one-pair monomial in place."""
+    acc = {}
+    for m1, c1 in a._terms.items():
+        for m2, c2 in b._terms.items():
+            m = _monomial(m1 + m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return PsiPolynomial._from_terms(acc, a._den * b._den)
 
 
 def lambda_operation(model, n, h=1, mode=ALL_ORDERS):

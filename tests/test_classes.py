@@ -110,6 +110,15 @@ def test_multiset_validation():
     with pytest.raises(ValueError, match="^multiplicities must be positive$"):
         OrbitTypeMultiset(1, ALL_ORDERS, [(t, -1)])
     assert OrbitTypeMultiset(1, ALL_ORDERS, [(t, 2)]).degree == 2
+    # an empty class read no h, so a float or str rank was taken
+    for h in (2.5, "a", True, None):
+        with pytest.raises(TypeError, match="^h must be an int, got "):
+            OrbitTypeMultiset(h, ALL_ORDERS, [])
+    for h in (0, -1):
+        with pytest.raises(ValueError, match="^h must be positive$"):
+            OrbitTypeMultiset(h, ALL_ORDERS, [])
+    with pytest.raises(TypeError, match="^mode must be a Mode, got "):
+        OrbitTypeMultiset(1, 2, [])
 
 
 def test_multiset_degree_union_and_from_pairs():

@@ -83,6 +83,9 @@ def test_table_model():
     for table in ({1: 2}, {(1,): 2}, {"T[1]": 2}):
         with pytest.raises(TypeError, match="^expected a TransitiveOrbit, got "):
             TableModel(table)
+    # a list of pairs raised AttributeError on .items()
+    with pytest.raises(TypeError, match="^expected a dict, got list$"):
+        TableModel([(t1, 1)])
 
 
 def test_psi_of_class():
@@ -312,6 +315,13 @@ def test_a_comparison_carries_only_the_verdict_of_its_sides():
         SeriesComparison(1, ALL_ORDERS, 1, s, TruncatedSeries([1, 2], prec=1), False, 1)
     with pytest.raises(TypeError, match="^expected a TruncatedSeries, got list$"):
         SeriesComparison(1, ALL_ORDERS, 2, s, [1, 3, 0], False, 1)
+    # any h and mode were taken, and comparison_to_json raised AttributeError on mode.p
+    with pytest.raises(TypeError, match="^h must be an int, got 'h'$"):
+        SeriesComparison.compare("h", "mode", s, s)
+    with pytest.raises(ValueError, match="^h must be positive$"):
+        SeriesComparison.compare(0, ALL_ORDERS, s, s)
+    with pytest.raises(TypeError, match="^mode must be a Mode, got 'mode'$"):
+        SeriesComparison(1, "mode", 2, s, s, True, None)
 
 
 def test_verifier_left_side_walks_the_classes(monkeypatch):

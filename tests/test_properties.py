@@ -14,14 +14,15 @@ equals the augmentation of the product, the
 JSON writer matches json.dumps (a polynomial's text that of a dict per
 term), series inversion, exp and log undo each other, log agrees with the
 integrated logarithmic derivative, sorted_terms keeps the monomial order,
-no output of a polynomial depends on the order its symbols were interned
-in, rational strings round-trip, and the class of a commuting tuple is
+a product by a one-pair monomial is the normal-form product, no output of a
+polynomial depends on the order its symbols were interned in, and each is in
+the rank order whichever order they were interned in, rational strings round-trip, and the class of a commuting tuple is
 invariant under conjugation."""
 import json
 import operator
 from fractions import Fraction
 from random import Random
-from itertools import product
+from itertools import count, product
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -62,8 +63,9 @@ from orbigenus.serialize import (
 from orbigenus.series import TruncatedSeries
 
 from helpers import (
-    class_of_key, coefficient_of, compose, identity, inverse, key_of, keyed_splits, primary_products, reference_add,
-    reference_mul, reference_of, reference_terms, sub_multisets_reference, value_json_reference,
+    class_of_key, coefficient_of, compose, identity, inverse, key_of, keyed_splits, monomial_product_reference,
+    primary_products, reference_add, reference_mul, reference_of, reference_terms, sub_multisets_reference,
+    terms_json_reference, terms_str_reference, value_json_reference,
 )
 
 P2 = Mode(2)
@@ -247,6 +249,82 @@ def test_interning_order_is_invisible(terms):
             for mono, c in b.sorted_terms()
         ] == a.sorted_terms()
         assert dumps(b).translate(RENAME) == dumps(a)
+
+
+# One family no other test uses, interned in canonical order when this module loads, so its ids
+# increase along POOL: a product's other side takes its symbols at the odd positions only, and the
+# one-pair side any position, below, between, at and above them.
+PRODUCT = [PsiSymbol("mul", t) for t in sorted(POOL)]
+for _symbol in PRODUCT:
+    PsiPolynomial.symbol(_symbol)
+product_monomial = st.lists(
+    st.tuples(st.sampled_from(PRODUCT[1::2]), st.integers(1, 3)), max_size=3, unique_by=lambda se: se[0]
+)
+
+
+@SETTINGS
+@given(st.integers(0, len(PRODUCT) - 1), st.integers(1, 3),
+       st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+       st.lists(st.tuples(product_monomial, coefficient), max_size=6),
+       st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(PRODUCT), st.integers(1, 2)), max_size=2),
+                          coefficient), max_size=3))
+@example(0, 1, Fraction(1), [([(PRODUCT[1], 1)], Fraction(1))], [])  # below every id
+@example(4, 2, Fraction(1), [([(PRODUCT[3], 1), (PRODUCT[5], 1)], Fraction(1))], [])  # between two
+@example(3, 2, Fraction(1), [([(PRODUCT[1], 1), (PRODUCT[3], 1), (PRODUCT[5], 2)], Fraction(1))], [])  # equal
+@example(len(PRODUCT) - 1, 1, Fraction(1), [([(PRODUCT[1], 1)], Fraction(1))], [])  # above every id
+def test_a_product_by_a_one_pair_monomial_is_the_normal_form_product(j, e, c, inner_terms, more_terms):
+    single = PsiPolynomial({((PRODUCT[j], e),): c})
+    inner = PsiPolynomial(inner_terms)
+    outer = single + PsiPolynomial(more_terms)  # more terms, so either side can be the shorter
+    for a, b in ((single, inner), (inner, single), (outer, inner), (inner, outer), (outer, outer)):
+        assert a * b == monomial_product_reference(a, b)
+
+
+def test_a_one_pair_product_inserts_or_bumps_at_its_place():
+    # an insertion one place late leaves (s0, s2, s1) out of normal form; a bump of the exponent
+    # before or after the equal id gives s0^3 or s2^3
+    s0, s1, s2 = PRODUCT[:3]
+
+    def x(*pairs):
+        return PsiPolynomial({pairs: 1})
+
+    for a, b, product in (
+        (x((s0, 1), (s2, 1)), x((s1, 1)), x((s0, 1), (s1, 1), (s2, 1))),
+        (x((s0, 1), (s1, 1), (s2, 1)), x((s1, 2)), x((s0, 1), (s1, 3), (s2, 1))),
+        (x((s1, 1), (s2, 1)), x((s0, 1)), x((s0, 1), (s1, 1), (s2, 1))),
+        (x((s0, 1), (s1, 1)), x((s2, 1)), x((s0, 1), (s1, 1), (s2, 1))),
+    ):
+        assert a * b == b * a == product == monomial_product_reference(a, b)
+
+
+_FRESH = count()
+pool_terms = st.lists(
+    st.tuples(st.lists(st.tuples(st.integers(0, len(POOL) - 1), st.integers(1, 3)), max_size=4), coefficient),
+    max_size=8,
+)
+
+
+@SETTINGS
+@given(st.permutations(range(len(POOL))), pool_terms)
+@example(list(range(len(POOL))), [([(j, 1) for j in range(4)], Fraction(1)), ([(5, 2)], Fraction(-1, 2))])
+@example(list(range(len(POOL)))[::-1], [([(j, 1) for j in range(4)], Fraction(1)), ([(5, 2)], Fraction(3))])
+def test_term_order_is_the_rank_order_whatever_the_interning_order(order, terms):
+    # one fresh family per example, its symbols interned in the drawn order: where the ranking of
+    # a polynomial's symbols keeps their id order, the id-sorted monomials are taken as they are
+    family = f"fresh{next(_FRESH)}"
+    symbols = [PsiSymbol(family, t) for t in POOL]
+    for j in order:
+        PsiPolynomial.symbol(symbols[j])
+    p = PsiPolynomial([(tuple((symbols[j], e) for j, e in mono), c) for mono, c in terms])
+    rank = {t: r for r, t in enumerate(sorted(POOL, key=lambda t: t.sort_key))}
+    expected = []
+    for mono, c in reference_terms((tuple((symbols[j], e) for j, e in mono), c) for mono, c in terms).items():
+        pairs = tuple(sorted(mono, key=lambda se: rank[se[0].orbit]))
+        expected.append(((sum(e for _, e in pairs), [(rank[s.orbit], e) for s, e in pairs]), (pairs, c)))
+    expected = [term for _, term in sorted(expected, key=lambda kt: kt[0])]
+    assert p.sorted_terms() == expected
+    assert str(p) == terms_str_reference(expected)
+    assert json.loads(dumps(p)) == terms_json_reference(expected)
 
 
 @st.composite
